@@ -19,9 +19,8 @@ from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
 from .offsets import OffsetSequence, greedy_offsets, scan_candidates, v_of_q
 from .specfun import (CONSTANTS, DEFAULT_CONFIG, EULER_GAMMA, GAMMA1,
                       LOG_2PI, ZETA_DD_AT_0, Constants, DisagreementError,
-                      EvalConfig, NonConvergenceError, QuadratureError,
-                      digamma, gamma_n, log_gamma, psi_n, s_function, s_pair,
-                      t_function)
+                      EvalConfig, NonConvergenceError, digamma, gamma_n,
+                      log_gamma, psi_n, s_function, s_pair, t_function)
 from .stieltjes import StieltjesTable, gamma0_aq, gamma1_aq, gammak_aq
 
 __version__ = "0.1.0"
@@ -31,8 +30,8 @@ __all__ = [
     "ChecksumMismatchError", "Constants", "DEFAULT_CONFIG", "DIFPair",
     "DisagreementError", "EKResult", "EULER_GAMMA", "EvalConfig",
     "FunctionTag", "GAMMA1", "LOG_2PI", "MergeError", "NonConvergenceError",
-    "NotPrimeError", "OffsetSequence", "PrimeContext", "QuadratureError",
-    "Spectrum", "StieltjesTable", "ValueTable", "ZETA_DD_AT_0",
+    "NotPrimeError", "OffsetSequence", "PrimeContext", "Spectrum",
+    "StieltjesTable", "ValueTable", "ZETA_DD_AT_0",
     "build_context", "checksum", "closed_form_sum", "compute_ek",
     "compute_even_part", "compute_mq", "compute_odd_sum", "dft", "dif_split",
     "digamma", "gamma0_aq", "gamma1_aq", "gamma_n", "gammak_aq",

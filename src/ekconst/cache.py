@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,6 +105,20 @@ class ValueTable:
         return abs(self.partial_sum - closed_form_sum(self.q, self.function_tag))
 
 
+def _rounding_budget(values: np.ndarray, digits: int) -> float:
+    """Largest change of sum(values) from printing them to `digits`
+    significant digits."""
+    return 0.5 * 10.0 ** (1 - digits) * float(np.abs(values).sum())
+
+
+def checksum_tolerance(table: ValueTable,
+                       cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """Largest accepted closed-form residual of a full-range table:
+    10(q-1) * target_abs_error plus the rounding budget of its digits."""
+    return (10 * (table.q - 1) * cfg.target_abs_error
+            + _rounding_budget(table.values, table.digits))
+
+
 def _evaluate(tag: FunctionTag, x: np.ndarray, cfg: EvalConfig) -> np.ndarray:
     if tag is FunctionTag.LOGGAMMA:
         return specfun.log_gamma_values(x)
@@ -170,28 +185,41 @@ def part_filename(tag: FunctionTag, q: int, k_lo: int) -> str:
 
 
 def save(table: ValueTable, path) -> Path:
-    """Write a table; values carry `digits` significant decimal digits."""
+    """Write a table; values carry `digits` significant decimal digits.
+
+    The text goes to a sibling temporary file that then replaces `path`,
+    so a failure mid-write leaves any previous file at `path` intact.
+    Returns `path`.
+    """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     d = table.digits
-    with open(path, "w") as fh:
-        fh.write(
-            f"{FORMAT_MAGIC} {FORMAT_VERSION} q={table.q} g={table.g} "
-            f"tag={table.function_tag.value} k0={table.k_lo} "
-            f"k1={table.k_hi} digits={d}\n"
-        )
-        for k, v in zip(range(table.k_lo, table.k_hi), table.values):
-            fh.write(f"{k} {v:.{d - 1}e}\n")
-        fh.write(f"SUM {table.partial_sum:.18e} COUNT {len(table.values)}\n")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(
+                f"{FORMAT_MAGIC} {FORMAT_VERSION} q={table.q} g={table.g} "
+                f"tag={table.function_tag.value} k0={table.k_lo} "
+                f"k1={table.k_hi} digits={d}\n"
+            )
+            for k, v in zip(range(table.k_lo, table.k_hi), table.values):
+                fh.write(f"{k} {v:.{d - 1}e}\n")
+            fh.write(f"SUM {table.partial_sum:.18e} "
+                     f"COUNT {len(table.values)}\n")
+            # on disk before the rename, so a system crash cannot leave
+            # `path` naming a file whose data never reached the disk
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def load(path, cfg: EvalConfig = DEFAULT_CONFIG,
          verify_checksum: bool = True) -> ValueTable:
-    """Read a table back; full-range tables must pass their checksum.
-
-    The closed-form tolerance is 10(q-1) * target_abs_error plus the
-    quantization budget of the on-disk digit count.
-    """
+    """Read a table back; full-range tables must pass their checksum
+    within checksum_tolerance(table, cfg)."""
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().split()
@@ -232,7 +260,7 @@ def load(path, cfg: EvalConfig = DEFAULT_CONFIG,
             raise CacheFormatError(f"{path}: k out of order at row {i}")
         values[i] = float(vstr)
     psum = math.fsum(values.tolist())
-    quant = 0.5 * 10.0 ** (1 - digits) * float(np.abs(values).sum())
+    quant = _rounding_budget(values, digits)
     if abs(psum - stored_sum) > quant + 1e-9 * abs(stored_sum) + 1e-12:
         raise ChecksumMismatchError(
             f"{path}: values do not reproduce SUM trailer "
@@ -241,7 +269,7 @@ def load(path, cfg: EvalConfig = DEFAULT_CONFIG,
     table = ValueTable(q=q, g=g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
                        values=values, digits=digits, partial_sum=psum)
     if verify_checksum and table.is_full_range:
-        tol = 10 * (q - 1) * cfg.target_abs_error + quant
+        tol = checksum_tolerance(table, cfg)
         residual = table.checksum_residual()
         if residual > tol:
             raise ChecksumMismatchError(

@@ -73,9 +73,7 @@ def _load_cached_tables(q: int, cache_dir: Path, tags,
         parts = [cache_mod.load(p, verify_checksum=False) for p in paths]
         table = parts[0] if len(parts) == 1 else cache_mod.merge(parts)
         if verify and table.is_full_range:
-            tol = (10 * (q - 1) * DEFAULT_CONFIG.target_abs_error
-                   + 0.5 * 10.0 ** (1 - table.digits)
-                   * float(abs(table.values).sum()))
+            tol = cache_mod.checksum_tolerance(table)
             residual = table.checksum_residual()
             if residual > tol:
                 raise cache_mod.ChecksumMismatchError(
@@ -88,11 +86,7 @@ def _load_cached_tables(q: int, cache_dir: Path, tags,
 
 def _result_caches(args, ctx, method):
     cache_dir = _cache_dir(args)
-    tags = []
-    if method in (ek_mod.METHOD_S, ek_mod.METHOD_BOTH):
-        tags += [FunctionTag.LOGGAMMA, FunctionTag.S_PAIR]
-    if method in (ek_mod.METHOD_T, ek_mod.METHOD_BOTH):
-        tags += [FunctionTag.T, FunctionTag.PSI]
+    tags = ek_mod.method_tags(method)
     caches = {}
     if cache_dir is not None and cache_dir.is_dir():
         caches = _load_cached_tables(ctx.q, cache_dir, tags)
@@ -215,8 +209,7 @@ def cmd_checksum(args) -> int:
     if not table.is_full_range:
         raise UsageError(f"{tag.value} cache for q={q} is not full-range")
     residual = table.checksum_residual()
-    tol = (10 * (q - 1) * DEFAULT_CONFIG.target_abs_error
-           + 0.5 * 10.0 ** (1 - table.digits) * float(abs(table.values).sum()))
+    tol = cache_mod.checksum_tolerance(table)
     print(f"residual = {residual:.6e} (tolerance {tol:.6e})")
     return EXIT_OK if residual <= tol else EXIT_FAILURE
 
@@ -278,8 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if cache:
             p.add_argument("--cache", default=None,
                            help="cache directory (default $EK_CACHE_DIR)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker bound; results do not depend on it")
 
     p = sub.add_parser("compute", help="constants for one odd prime")
     p.add_argument("q", type=int)
@@ -293,6 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["s", "t", "both"], default="s")
     p.add_argument("--out", default=None)
     p.add_argument("--with-vq", action="store_true", dest="with_vq")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker bound; results do not depend on it")
     common(p)
     p.set_defaults(func=cmd_scan)
 

@@ -38,6 +38,14 @@ METHOD_S = "s"
 METHOD_T = "t"
 METHOD_BOTH = "both"
 
+# the tables each method consumes, in evaluation order
+METHOD_TAGS = {
+    METHOD_S: (FunctionTag.LOGGAMMA, FunctionTag.S_PAIR),
+    METHOD_T: (FunctionTag.T, FunctionTag.PSI),
+    METHOD_BOTH: (FunctionTag.LOGGAMMA, FunctionTag.S_PAIR,
+                  FunctionTag.T, FunctionTag.PSI),
+}
+
 
 class CharacterSumError(ArithmeticError):
     """Internal inconsistency in the character-sum pipeline."""
@@ -85,18 +93,20 @@ def _require(caches: Mapping[FunctionTag, ValueTable], ctx: PrimeContext,
     return table
 
 
+def method_tags(method: str) -> tuple[FunctionTag, ...]:
+    """The tables the given method consumes; ValueError if it is unknown."""
+    try:
+        return METHOD_TAGS[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+
+
 def build_caches(ctx: PrimeContext, method: str = METHOD_S,
                  cfg: EvalConfig = DEFAULT_CONFIG,
                  ) -> dict[FunctionTag, ValueTable]:
     """Precompute in memory the tables the given method consumes."""
-    tags: list[FunctionTag] = []
-    if method in (METHOD_S, METHOD_BOTH):
-        tags += [FunctionTag.LOGGAMMA, FunctionTag.S_PAIR]
-    if method in (METHOD_T, METHOD_BOTH):
-        tags += [FunctionTag.T, FunctionTag.PSI]
-    if not tags:
-        raise ValueError(f"unknown method {method!r}")
-    return {tag: cache_mod.precompute(ctx, tag, cfg=cfg) for tag in tags}
+    return {tag: cache_mod.precompute(ctx, tag, cfg=cfg)
+            for tag in method_tags(method)}
 
 
 def bernoulli_twisted(ctx: PrimeContext) -> Spectrum:
@@ -262,8 +272,7 @@ def compute_ek(ctx: PrimeContext,
     With method "both" the S route provides the reported values and the
     T route the cross-check discrepancy.
     """
-    if method not in (METHOD_S, METHOD_T, METHOD_BOTH):
-        raise ValueError(f"unknown method {method!r}")
+    method_tags(method)  # rejects an unknown method
     if caches is None:
         caches = build_caches(ctx, method, cfg)
     discrepancy = None

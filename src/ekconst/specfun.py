@@ -15,19 +15,12 @@ Deninger's S function and its reflection pair
 and the generalized Euler constants gamma_n.
 
 Series tails are accelerated with Euler-Maclaurin corrections through the
-fifth-derivative term; the first omitted term bounds the remainder.  The
-integral representations
-
-    S(x)        = 2 int_0^inf [ (x-1)e^{-t} + (e^{-xt}-e^{-t})/(1-e^{-t}) ]
-                  (gamma + log t)/t dt
-    S(x)+S(1-x) = 2 int_0^inf [ -3 + e^{-t} + e^{xt} + e^{(1-x)t} ]
-                  (gamma + log t)/(t(e^t - 1)) dt
-
-decay like e^{-ct} with c = x, respectively c = min(x, 1-x); convergence of
-the second form holds for 0 < x < 1 since the e^{xt} and e^{(1-x)t} growth
-is dominated by the e^t in the denominator.  They are integrated with a
-double-exponential rule on t = exp(u - exp(-u))/c, doubling the node density
-until successive levels agree.
+fifth-derivative term; the first omitted term bounds the remainder, and an
+evaluation whose bound exceeds the configured target raises
+NonConvergenceError.  S and S(x)+S(1-x) are evaluated by their series
+alone; the integral representations of both, integrated by a
+double-exponential rule, live in the test suite (tests/oracles.py) as an
+independent reference.
 
 Everything is plain float64; long accumulations use exact (fsum) or pairwise
 summation so results carry close to full double accuracy.
@@ -59,10 +52,6 @@ class NonConvergenceError(ArithmeticError):
     """Series tail estimate stayed above the error target at max_terms."""
 
 
-class QuadratureError(ArithmeticError):
-    """Successive quadrature levels failed to agree within tolerance."""
-
-
 class DisagreementError(ArithmeticError):
     """Two independent evaluation routes disagreed beyond tolerance."""
 
@@ -83,27 +72,16 @@ CONSTANTS = Constants(
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Accuracy knobs shared by the series and quadrature evaluators.
-
-    series_switch_threshold is the decay parameter c = min(x, 1-x) below
-    which the integral form of S is abandoned for the accelerated series
-    (the integrand then decays too slowly for a fixed-depth rule).
-    """
+    """Accuracy knobs shared by the series evaluators."""
 
     target_abs_error: float = 1e-14
     max_terms: int = 200_000
-    quadrature_levels: int = 10
-    series_switch_threshold: float = 0.05
 
     def __post_init__(self):
         if not self.target_abs_error > 0:
             raise ValueError("target_abs_error must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.quadrature_levels < 1:
-            raise ValueError("quadrature_levels must be >= 1")
-        if not 0 < self.series_switch_threshold <= 0.5:
-            raise ValueError("series_switch_threshold must be in (0, 1/2]")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -384,131 +362,19 @@ def _s_pair_series_batch(x: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# S function integral forms, double-exponential quadrature
+# public S entry points
 
-def _de_grid(level: int, umax: float = 4.2):
-    h = 1.0 / (1 << level)
-    npos = int(math.floor(umax / h))
-    u = np.arange(-npos, npos + 1) * h
-    eu = np.exp(-u)
-    tau = np.exp(u - eu)          # maps R onto (0, inf)
-    w = tau * (1.0 + eu) * h      # d(tau)/du * h
-    return tau, w
+def _s_checked(batch, x: np.ndarray, cfg: EvalConfig, what: str) -> np.ndarray:
+    start = min(_S_SERIES_START, max(cfg.max_terms, 2))
+    vals, rem = batch(x, start)
+    if rem.size and float(rem.max()) > cfg.target_abs_error:
+        raise NonConvergenceError(f"{what} series tail above target")
+    return vals
 
-
-def _s_pair_integrand(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """N(t)/(t(e^t-1)), N = -3 + e^-t + e^{xt} + e^{(1-x)t}; stable form.
-
-    Written with negative exponents only so nothing overflows, and as a
-    power series below t = 1/2 where the direct form cancels.
-    """
-    big = t >= 0.5
-    out = np.empty_like(t)
-    tb = t[big]
-    xb = np.broadcast_to(x, t.shape)[big]
-    num = (-3.0 * np.exp(-tb) + np.exp(-2.0 * tb)
-           + np.exp(-(1.0 - xb) * tb) + np.exp(-xb * tb))
-    out[big] = num / (tb * (-np.expm1(-tb)))
-    ts = t[~big]
-    xs = np.broadcast_to(x, t.shape)[~big]
-    acc = np.zeros_like(ts)
-    tk = ts
-    fact = 1.0
-    for k in range(2, 19):
-        tk = tk * ts
-        fact *= k
-        acc += tk * (xs**k + (1.0 - xs) ** k + (-1.0) ** k) / fact
-    out[~big] = acc / (ts * np.expm1(ts))
-    return out
-
-
-def _s_single_integrand(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A(t)/t, A = (x-1)e^{-t} + (e^{-xt}-e^{-t})/(1-e^{-t}); stable form."""
-    big = t >= 0.5
-    out = np.empty_like(t)
-    tb = t[big]
-    xb = np.broadcast_to(x, t.shape)[big]
-    B = (np.exp(-xb * tb) - np.exp(-tb)) / (-np.expm1(-tb))
-    out[big] = ((xb - 1.0) * np.exp(-tb) + B) / tb
-    ts = t[~big]
-    xs = np.broadcast_to(x, t.shape)[~big]
-    # A = (x-1)em1(-t) + (1-x)(Q(t)-1) with Q the small-t ratio expansion
-    K = 18
-    i = np.arange(K)[:, None]
-    bk = ((-1.0) ** i * (1.0 - xs[None, :] ** (i + 1))
-          / np.array([math.factorial(j + 1) for j in range(K)])[:, None])
-    bk = bk / (1.0 - xs[None, :])
-    dk = np.array([(-1.0) ** j / math.factorial(j + 1) for j in range(K)])
-    q = np.zeros_like(bk)
-    for kk in range(K):
-        q[kk] = bk[kk]
-        for ii in range(1, kk + 1):
-            q[kk] -= dk[ii] * q[kk - ii]
-    acc = np.zeros_like(ts)
-    tp = np.ones_like(ts)
-    for kk in range(1, K):
-        tp = tp * ts
-        acc += q[kk] * tp
-    A = (xs - 1.0) * np.expm1(-ts) + (1.0 - xs) * acc
-    out[~big] = A / ts
-    return out
-
-
-def _de_integrate(x: np.ndarray, c: np.ndarray, integrand, cfg: EvalConfig):
-    """2 * int_0^inf integrand(t, x) * (gamma + log t) dt, per point.
-
-    The abscissa is scaled by the decay parameter c so the double-exponential
-    rule sees a unit-rate tail regardless of x.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    tol = cfg.target_abs_error / 4.0
-    result = np.zeros_like(x)
-    active = np.ones(len(x), dtype=bool)
-    prev = None
-    for level in range(cfg.quadrature_levels + 1):
-        tau, w = _de_grid(level)
-        idx = np.nonzero(active)[0]
-        t = tau[None, :] / c[idx, None]
-        f = integrand(t, x[idx, None]) * (EULER_GAMMA + np.log(t))
-        vals = 2.0 * (f * (w[None, :] / c[idx, None])).sum(axis=1)
-        if prev is None:
-            prev = np.full(len(x), np.inf)
-        cur = result.copy()
-        cur[idx] = vals
-        delta = np.abs(cur - prev)
-        settle = delta[idx] <= tol + 8 * np.finfo(float).eps * np.abs(vals)
-        result[idx] = vals
-        newly = idx[settle]
-        active[newly] = False
-        prev = cur
-        if not active.any():
-            return result
-    bad = np.nonzero(active)[0]
-    raise QuadratureError(
-        f"{len(bad)} point(s) did not settle to {tol:.2e} within "
-        f"{cfg.quadrature_levels} level doublings (worst x={x[bad[0]]})"
-    )
-
-
-# ----------------------------------------------------------------------
-# public S entry points with the series/integral switch
 
 def s_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """S(x) on an array of points in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    use_int = np.minimum(x, 1.0 - x) >= cfg.series_switch_threshold
-    if np.any(use_int):
-        out[use_int] = _de_integrate(x[use_int], x[use_int],
-                                     _s_single_integrand, cfg)
-    if np.any(~use_int):
-        start = min(_S_SERIES_START, max(cfg.max_terms, 2))
-        vals, rem = _s_series_batch(x[~use_int], start)
-        if rem.size and float(rem.max()) > cfg.target_abs_error:
-            raise NonConvergenceError("S series tail above target")
-        out[~use_int] = vals
-    return out
+    return _s_checked(_s_series_batch, x, cfg, "S")
 
 
 def s_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -520,34 +386,9 @@ def s_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return float(s_values(np.array([x]), cfg)[0])
 
 
-def s_series_value(x: float) -> float:
-    """S(x) forced through the series route (dual-path checks)."""
-    vals, _ = _s_series_batch(np.array([float(x)]))
-    return float(vals[0])
-
-
-def s_integral_value(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """S(x) forced through the quadrature route (dual-path checks)."""
-    xa = np.array([float(x)])
-    return float(_de_integrate(xa, xa, _s_single_integrand, cfg)[0])
-
-
 def s_pair_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """S(x) + S(1-x) on an array, computed from the symmetric forms."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    c = np.minimum(x, 1.0 - x)
-    use_int = c >= cfg.series_switch_threshold
-    if np.any(use_int):
-        out[use_int] = _de_integrate(x[use_int], c[use_int],
-                                     _s_pair_integrand, cfg)
-    if np.any(~use_int):
-        start = min(_S_SERIES_START, max(cfg.max_terms, 2))
-        vals, rem = _s_pair_series_batch(x[~use_int], start)
-        if rem.size and float(rem.max()) > cfg.target_abs_error:
-            raise NonConvergenceError("S pair series tail above target")
-        out[~use_int] = vals
-    return out
+    """S(x) + S(1-x) on an array, computed from the symmetric series."""
+    return _s_checked(_s_pair_series_batch, x, cfg, "S pair")
 
 
 def s_pair(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -555,19 +396,6 @@ def s_pair(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if not 0 < x < 1:
         raise ValueError(f"s_pair requires 0 < x < 1, got {x}")
     return float(s_pair_values(np.array([x]), cfg)[0])
-
-
-def s_pair_series_value(x: float) -> float:
-    """S(x)+S(1-x) forced through the symmetric series."""
-    vals, _ = _s_pair_series_batch(np.array([float(x)]))
-    return float(vals[0])
-
-
-def s_pair_integral_value(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """S(x)+S(1-x) forced through the symmetric integral."""
-    xa = np.array([float(x)])
-    c = np.minimum(xa, 1.0 - xa)
-    return float(_de_integrate(xa, c, _s_pair_integrand, cfg)[0])
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 9 is an
-extended-runtime consistency check, enabled with EK_RUN_EXTENDED=1.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import numpy as np
-import pytest
 
 import oracles
 from ekconst import specfun
@@ -168,7 +166,6 @@ def test_criterion_8_stieltjes_oracle():
             f"worst |err|={worst:.2e}")
 
 
-@pytest.mark.extended
 def test_criterion_9_extended_consistency():
     """Large spot value plus scan-versus-compute agreement to 1e4."""
     res = compute_ek(build_context(305741), method="s")

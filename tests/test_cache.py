@@ -8,8 +8,8 @@ import pytest
 from ekconst import specfun
 from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
                            FunctionTag, MergeError, ValueTable,
-                           closed_form_sum, load, merge, part_filename,
-                           precompute, save)
+                           checksum_tolerance, closed_form_sum, load, merge,
+                           part_filename, precompute, save)
 from ekconst.multgroup import build_context
 
 
@@ -101,7 +101,8 @@ class TestSaveLoad:
     def test_round_trip(self, ctx101, tmp_path):
         table = precompute(ctx101, FunctionTag.S_PAIR)
         path = tmp_path / part_filename(FunctionTag.S_PAIR, 101, 0)
-        save(table, path)
+        assert save(table, path) == path
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
         back = load(path)
         for attr in ("q", "g", "function_tag", "k_lo", "k_hi", "digits"):
             assert getattr(back, attr) == getattr(table, attr)
@@ -142,6 +143,32 @@ class TestSaveLoad:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ChecksumMismatchError):
             load(path)
+
+    def test_load_enforces_checksum_tolerance(self, ctx101, tmp_path,
+                                              monkeypatch):
+        path = save(precompute(ctx101, FunctionTag.S_PAIR), tmp_path / "t.ekc")
+        monkeypatch.setattr(ValueTable, "checksum_residual",
+                            lambda self: checksum_tolerance(self))
+        load(path)
+        monkeypatch.setattr(
+            ValueTable, "checksum_residual",
+            lambda self: float(np.nextafter(checksum_tolerance(self), np.inf)))
+        with pytest.raises(ChecksumMismatchError):
+            load(path)
+
+    def test_failed_save_keeps_old_file(self, ctx101, tmp_path):
+        path = tmp_path / "t.ekc"
+        save(precompute(ctx101, FunctionTag.S_PAIR), path)
+        before = path.read_bytes()
+        good = precompute(ctx101, FunctionTag.S_PAIR, (0, 40))
+        values = good.values.astype(object)
+        values[30] = "not a number"  # formatting fails on row 30
+        bad = ValueTable(q=101, g=good.g, function_tag=FunctionTag.S_PAIR,
+                         k_lo=0, k_hi=40, values=values)
+        with pytest.raises(ValueError):
+            save(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ekc"]
 
     def test_truncated_file(self, ctx5, tmp_path):
         table = precompute(ctx5, FunctionTag.LOGGAMMA)

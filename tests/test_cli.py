@@ -3,6 +3,7 @@
 import pytest
 
 from ekconst import cli
+from ekconst.cache import checksum_tolerance, load
 from ekconst.offsets import greedy_offsets, v_of_q
 from ekconst.specfun import gamma_n
 from reference_values import EK
@@ -75,6 +76,10 @@ class TestScan:
         run(capsys, "scan", "3", "60", "--out", str(b), "--threads", "4")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_threads_is_a_scan_option_only(self, capsys):
+        code, _, _ = run(capsys, "compute", "3", "--threads", "2")
+        assert code == 2
+
     def test_with_vq_column(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
         run(capsys, "scan", "3", "8", "--out", str(out_path), "--with-vq")
@@ -111,6 +116,17 @@ class TestCacheCommands:
         merged = (tmp_path / "merged.ekc").read_text().splitlines()
         assert merged[0].startswith("EKCACHE 1 q=101")
         assert "k0=0 k1=50" in merged[0]
+
+    def test_checksum_prints_the_tolerance_load_enforces(self, capsys,
+                                                         tmp_path):
+        run(capsys, "precompute", "101", "--tag", "S_PAIR",
+            "--cache", str(tmp_path))
+        code, out, _ = run(capsys, "checksum", "101", "--tag", "S_PAIR",
+                           "--cache", str(tmp_path))
+        assert code == 0
+        table = load(tmp_path / "S_PAIR_q101_part0.ekc")
+        assert out.strip().endswith(
+            f"(tolerance {checksum_tolerance(table):.6e})")
 
     def test_checksum_full_table(self, capsys, tmp_path):
         cache = str(tmp_path)

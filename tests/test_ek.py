@@ -223,3 +223,5 @@ class TestCacheHandling:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             compute_ek(build_context(7), method="x")
+        with pytest.raises(ValueError):
+            build_caches(build_context(7), "x")

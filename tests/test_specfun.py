@@ -9,8 +9,8 @@ import oracles
 from ekconst import specfun
 from ekconst.specfun import (DEFAULT_CONFIG, EULER_GAMMA, GAMMA1, LOG_2PI,
                              ZETA_DD_AT_0, EvalConfig, NonConvergenceError,
-                             QuadratureError, digamma, gamma_n, log_gamma,
-                             psi_n, s_function, s_pair, t_function)
+                             digamma, gamma_n, log_gamma, psi_n, s_function,
+                             s_pair, t_function)
 from reference_values import GAMMA_N
 
 
@@ -36,8 +36,6 @@ class TestConstants:
             EvalConfig(target_abs_error=0.0)
         with pytest.raises(ValueError):
             EvalConfig(max_terms=0)
-        with pytest.raises(ValueError):
-            EvalConfig(series_switch_threshold=0.6)
 
 
 class TestDigamma:
@@ -140,13 +138,13 @@ class TestS:
                 (q - 1) * DEFAULT_CONFIG.target_abs_error
 
     def test_dual_path_at_0_3(self):
-        assert specfun.s_series_value(0.3) == pytest.approx(
-            specfun.s_integral_value(0.3), abs=1e-12)
+        assert s_function(0.3) == pytest.approx(oracles.s_integral(0.3),
+                                                abs=1e-12)
 
     def test_dual_path_grid(self):
         xs = np.arange(1, 101) / 101.0
-        series = np.array([specfun.s_series_value(x) for x in xs])
-        integral = np.array([specfun.s_integral_value(x) for x in xs])
+        series = specfun.s_values(xs)
+        integral = np.array([oracles.s_integral(x) for x in xs])
         assert float(np.max(np.abs(series - integral))) <= 1e-11
 
     def test_vs_bruteforce(self):
@@ -159,8 +157,9 @@ class TestS:
             assert 0.8 < t_function(x) * x / math.log(1 / x) < 1.2
 
     def test_quadrature_failure(self):
-        with pytest.raises(QuadratureError):
-            specfun.s_integral_value(0.3, EvalConfig(quadrature_levels=1))
+        # the oracle's own level-doubling check refuses an unsettled value
+        with pytest.raises(oracles.QuadratureError):
+            oracles.s_integral(0.3, levels=1)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -184,14 +183,14 @@ class TestSPair:
         assert float(np.max(np.abs(pair - singles))) <= 1e-11
 
     def test_symmetric_integral_at_001(self):
-        via_int = specfun.s_pair_integral_value(0.01)
+        via_int = oracles.s_pair_integral(0.01)
         via_singles = s_function(0.01) + s_function(0.99)
         assert via_int == pytest.approx(via_singles, abs=1e-11)
 
     def test_dual_path_grid(self):
         xs = np.arange(1, 101) / 101.0
-        series = np.array([specfun.s_pair_series_value(x) for x in xs])
-        integral = np.array([specfun.s_pair_integral_value(x) for x in xs])
+        series = specfun.s_pair_values(xs)
+        integral = np.array([oracles.s_pair_integral(x) for x in xs])
         assert float(np.max(np.abs(series - integral))) <= 1e-11
 
     def test_reflection_consistency(self):
@@ -200,6 +199,34 @@ class TestSPair:
     def test_domain(self):
         with pytest.raises(ValueError):
             s_pair(1.0)
+
+
+class TestSVsMpmath:
+    """The series route against S(x) = zeta''(0, x) - zeta''(0) at 30
+    digits, independent of both the series and the quadrature."""
+
+    XS = np.concatenate([[1e-6, 1e-4, 1e-3, 1e-2],
+                         np.linspace(0.05, 0.95, 91),
+                         [0.99, 0.999, 1 - 1e-4, 1 - 1e-6]])
+
+    @pytest.fixture(scope="class")
+    def mp_s(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            zdd0 = mpmath.zeta(0, 1, 2)
+            single = [mpmath.zeta(0, x, 2) - zdd0 for x in self.XS]
+            mirror = [mpmath.zeta(0, 1 - mpmath.mpf(x), 2) - zdd0
+                      for x in self.XS]
+            return (np.array([float(v) for v in single]),
+                    np.array([float(a + b) for a, b in zip(single, mirror)]))
+
+    def test_s_values(self, mp_s):
+        err = np.abs(specfun.s_values(self.XS) - mp_s[0])
+        assert float(np.max(err)) <= 1e-13
+
+    def test_s_pair_values(self, mp_s):
+        err = np.abs(specfun.s_pair_values(self.XS) - mp_s[1])
+        assert float(np.max(err)) <= 1e-13
 
 
 class TestPsiN:
