@@ -31,8 +31,8 @@ from .fft import Spectrum, dft, dif_split
 from .multgroup import PrimeContext
 from .specfun import DEFAULT_CONFIG, EULER_GAMMA, EvalConfig, LOG_2PI
 
-IMAG_TOLERANCE = 1e-10
 BERNOULLI_FLOOR = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 METHOD_S = "s"
 METHOD_T = "t"
@@ -74,7 +74,10 @@ class EKResult:
     mq_norm: float
     method: str
     method_discrepancy: float | None = None
+    # the largest imaginary residue of the reported route's character
+    # sums, and the float64 budget that sum was checked against
     imag_residue: float = 0.0
+    imag_bound: float = 0.0
 
 
 def _require(caches: Mapping[FunctionTag, ValueTable], ctx: PrimeContext,
@@ -139,14 +142,24 @@ def character_sums(ctx: PrimeContext, log_gamma_table: ValueTable,
     )
 
 
-def _take_real(value: complex, what: str) -> tuple[float, float]:
+def _take_real(constant: float, terms: np.ndarray, n: int,
+               what: str) -> tuple[float, float, float]:
+    """constant + sum(terms), which must be real: returns its real part,
+    its imaginary residue and the bound that residue passed.
+
+    The terms come from transforms of length n, so each carries a
+    relative float64 error of about eps*log2(n); the bound is that error
+    budget, eps*log2(n)*sum|terms|, of the whole sum.
+    """
+    value = constant + complex(np.sum(terms))
     residue = abs(value.imag)
-    if residue > IMAG_TOLERANCE:
+    bound = _EPS * math.log2(n) * float(np.sum(np.abs(terms)))
+    if residue > bound:
         raise CharacterSumError(
-            f"imaginary residue {residue:.3e} of {what} exceeds "
-            f"{IMAG_TOLERANCE:.0e}"
+            f"imaginary residue {residue:.3e} of {what} exceeds its float64 "
+            f"budget eps*log2({n})*sum|terms| = {bound:.3e}"
         )
-    return value.real, residue
+    return value.real, residue, bound
 
 
 def _odd_character_values(ctx: PrimeContext, num_odd: np.ndarray,
@@ -179,8 +192,8 @@ def compute_odd_sum(ctx: PrimeContext, log_gamma_table: ValueTable) -> float:
     num_odd = dft(pair.c_seq, sign=-1, decimated=True).values
     bern = bernoulli_twisted(ctx).values
     _odd_character_values(ctx, num_odd, bern)  # guard
-    total = (q - 1) / 2 * (EULER_GAMMA + LOG_2PI) + complex(np.sum(num_odd / bern))
-    value, _ = _take_real(total, "odd character sum")
+    value, _, _ = _take_real((q - 1) / 2 * (EULER_GAMMA + LOG_2PI),
+                             num_odd / bern, q - 1, "odd character sum")
     return value
 
 
@@ -203,9 +216,9 @@ def compute_even_part(ctx: PrimeContext, s_pair_table: ValueTable,
     pair = dif_split(log_gamma_table.values, sign=-1)
     even_den = dft(pair.b_seq, sign=-1, decimated=True).values
     _even_character_values(s_spec[1:], even_den[1:])  # denominator guard
-    total = ((q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI
-             - 0.5 * complex(np.sum(s_spec[1:] / even_den[1:])))
-    value, _ = _take_real(total, "even character sum")
+    value, _, _ = _take_real((q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI,
+                             -0.5 * (s_spec[1:] / even_den[1:]), q - 1,
+                             "even character sum")
     return value
 
 
@@ -235,15 +248,17 @@ def _assemble_s(ctx: PrimeContext, sums: CharacterSums):
     odd_vals = _odd_character_values(ctx, num_odd, sums.bern_odd_spec.values)
     even_vals = _even_character_values(sums.s_even_spec.values[1:], even_den)
 
-    diff_c = ((q - 1) / 2 * (EULER_GAMMA + LOG_2PI)
-              + complex(np.sum(num_odd / sums.bern_odd_spec.values)))
-    plus_c = ((q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI
-              - 0.5 * complex(np.sum(sums.s_even_spec.values[1:] / even_den)))
-    diff, r1 = _take_real(diff_c, "odd character sum")
-    ek_plus, r2 = _take_real(plus_c, "even character sum")
+    diff, r1, b1 = _take_real(
+        (q - 1) / 2 * (EULER_GAMMA + LOG_2PI),
+        num_odd / sums.bern_odd_spec.values, q - 1, "odd character sum")
+    ek_plus, r2, b2 = _take_real(
+        (q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI,
+        -0.5 * (sums.s_even_spec.values[1:] / even_den), q - 1,
+        "even character sum")
     mq_odd = float(np.max(np.abs(odd_vals)))
     mq_even = float(np.max(np.abs(even_vals))) if even_vals.size else 0.0
-    return diff + ek_plus, ek_plus, diff, mq_odd, mq_even, max(r1, r2)
+    return (diff + ek_plus, ek_plus, diff, mq_odd, mq_even,
+            max((r1, b1), (r2, b2)))
 
 
 def _assemble_t(ctx: PrimeContext, t_table: ValueTable,
@@ -253,14 +268,15 @@ def _assemble_t(ctx: PrimeContext, t_table: ValueTable,
     psi_spec = dft(psi_table.values, sign=1).values
     ratios = t_spec[1:] / psi_spec[1:]       # bins j = 1..q-2
     per_char = -math.log(q) - ratios
-    ek_c = EULER_GAMMA + complex(np.sum(per_char))
-    plus_c = EULER_GAMMA + complex(np.sum(per_char[1::2]))  # even j
-    ek, r1 = _take_real(ek_c, "T-method character sum")
-    ek_plus, r2 = _take_real(plus_c, "T-method even character sum")
+    ek, r1, b1 = _take_real(EULER_GAMMA, per_char, q - 1,
+                            "T-method character sum")
+    ek_plus, r2, b2 = _take_real(EULER_GAMMA, per_char[1::2], q - 1,
+                                 "T-method even character sum")  # even j
     mq_odd = float(np.max(np.abs(per_char[0::2])))
     evens = per_char[1::2]
     mq_even = float(np.max(np.abs(evens))) if evens.size else 0.0
-    return ek, ek_plus, ek - ek_plus, mq_odd, mq_even, max(r1, r2)
+    return (ek, ek_plus, ek - ek_plus, mq_odd, mq_even,
+            max((r1, b1), (r2, b2)))
 
 
 def compute_ek(ctx: PrimeContext,
@@ -282,7 +298,7 @@ def compute_ek(ctx: PrimeContext,
             _require(caches, ctx, FunctionTag.LOGGAMMA),
             _require(caches, ctx, FunctionTag.S_PAIR),
         )
-        ek, ek_plus, diff, mq_odd, mq_even, resid = _assemble_s(ctx, sums)
+        ek, ek_plus, diff, mq_odd, mq_even, imag = _assemble_s(ctx, sums)
     if method in (METHOD_T, METHOD_BOTH):
         out_t = _assemble_t(
             ctx,
@@ -290,7 +306,7 @@ def compute_ek(ctx: PrimeContext,
             _require(caches, ctx, FunctionTag.PSI),
         )
         if method == METHOD_T:
-            ek, ek_plus, diff, mq_odd, mq_even, resid = out_t
+            ek, ek_plus, diff, mq_odd, mq_even, imag = out_t
         else:
             discrepancy = abs(ek - out_t[0])
     mq = max(mq_odd, mq_even)
@@ -300,7 +316,8 @@ def compute_ek(ctx: PrimeContext,
         q=ctx.q, ek=ek, ek_plus=ek_plus, ek_diff=diff,
         mq_odd=mq_odd, mq_even=mq_even, mq=mq,
         ek_norm=ek / lq, ek_plus_norm=ek_plus / lq, mq_norm=mq / llq,
-        method=method, method_discrepancy=discrepancy, imag_residue=resid,
+        method=method, method_discrepancy=discrepancy,
+        imag_residue=imag[0], imag_bound=imag[1],
     )
 
 

@@ -10,8 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Deterministic Miller-Rabin witness set, complete for all n < 2^64.
+# Deterministic Miller-Rabin witness sets: below each bound, the first
+# primes listed admit no strong pseudoprime (Jaeschke 1993); the last set
+# is complete for all n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUNDS = (
+    (3_215_031_751, 4),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -56,7 +63,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    count = next((c for bound, c in _MR_BOUNDS if n < bound),
+                 len(_MR_WITNESSES))
+    for a in _MR_WITNESSES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -127,12 +136,25 @@ def primitive_root(q: int) -> int:
     raise ArithmeticError(f"no primitive root found for {q}")  # unreachable
 
 
+# build_context forms int64 products of two residues below q
+_CONTEXT_LIMIT = math.isqrt(2**63 - 1)
+
+
 def build_context(q: int) -> PrimeContext:
     """Build the PrimeContext for odd prime q (O(q) time and memory)."""
+    if q > _CONTEXT_LIMIT:
+        raise ValueError(
+            f"q={q} is above {_CONTEXT_LIMIT}: int64 products of residues "
+            f"overflow once q^2 >= 2^63, and a_seq alone would take "
+            f"{8 * (q - 1) / 1e9:.0f} GB"
+        )
     g = primitive_root(q)
     a_seq = np.empty(q - 1, dtype=np.int64)
-    v = 1
-    for k in range(q - 1):
-        a_seq[k] = v
-        v = v * g % q
+    a_seq[0] = 1
+    n = 1
+    while n < q - 1:
+        # g^(n+k) = g^k * g^n: extend the known prefix by up to its length
+        step = min(n, q - 1 - n)
+        a_seq[n:n + step] = a_seq[:step] * pow(g, n, q) % q
+        n += step
     return PrimeContext(q=q, g=g, a_seq=a_seq, m=(q - 1) // 2)

@@ -17,10 +17,11 @@ and the generalized Euler constants gamma_n.
 Series tails are accelerated with Euler-Maclaurin corrections through the
 fifth-derivative term; the first omitted term bounds the remainder, and an
 evaluation whose bound exceeds the configured target raises
-NonConvergenceError.  S and S(x)+S(1-x) are evaluated by their series
-alone; the integral representations of both, integrated by a
-double-exponential rule, live in the test suite (tests/oracles.py) as an
-independent reference.
+NonConvergenceError.  Arrays of points are evaluated in fixed-size blocks,
+so the working memory of a table does not grow with its length.  S and
+S(x)+S(1-x) are evaluated by their series alone; the integral
+representations of both, integrated by a double-exponential rule, live in
+the test suite (tests/oracles.py) as an independent reference.
 
 Everything is plain float64; long accumulations use exact (fsum) or pairwise
 summation so results carry close to full double accuracy.
@@ -171,6 +172,23 @@ def _int_log1p_pow(p: int, delta: np.ndarray, nterms: int = 24) -> np.ndarray:
     return (c * delta[..., None] ** (p + k + 1) / (p + k + 1)).sum(axis=-1)
 
 
+# Points per call of a batch series function.  Each call builds a few
+# (points x start) float64 temporaries; at 4096 points they take a few MB
+# and stay in cache whatever the table length.  Every point is evaluated
+# independently of its neighbours, so the values do not depend on it.
+_BLOCK = 4096
+
+
+def _blockwise(fn, x) -> np.ndarray:
+    """fn applied to consecutive slices of at most _BLOCK points of x,
+    the results written into one preallocated array."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    for lo in range(0, len(x), _BLOCK):
+        out[lo:lo + _BLOCK] = fn(x[lo:lo + _BLOCK])
+    return out
+
+
 # ----------------------------------------------------------------------
 # generalized digamma series: sum_{m>=1} [f(m+x) - f(m)], f(u) = log(u)^n/u
 
@@ -234,18 +252,21 @@ def _series_start(n: int) -> int:
 
 
 def _psi_series_checked(n: int, x: np.ndarray, cfg: EvalConfig):
-    start = min(_series_start(n), max(cfg.max_terms, 2))
-    while True:
-        vals, rem = _psi_series_batch(n, x, start)
-        worst = float(rem.max()) if len(rem) else 0.0
-        if worst <= cfg.target_abs_error:
-            return vals
-        if start >= cfg.max_terms:
-            raise NonConvergenceError(
-                f"tail estimate {worst:.2e} above target "
-                f"{cfg.target_abs_error:.2e} at max_terms={cfg.max_terms}"
-            )
-        start = min(start * 2, cfg.max_terms)
+    def checked(xb):
+        start = min(_series_start(n), max(cfg.max_terms, 2))
+        while True:
+            vals, rem = _psi_series_batch(n, xb, start)
+            worst = float(rem.max())
+            if worst <= cfg.target_abs_error:
+                return vals
+            if start >= cfg.max_terms:
+                raise NonConvergenceError(
+                    f"tail estimate {worst:.2e} above target "
+                    f"{cfg.target_abs_error:.2e} at max_terms={cfg.max_terms}"
+                )
+            start = min(start * 2, cfg.max_terms)
+
+    return _blockwise(checked, x)
 
 
 def t_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -366,10 +387,14 @@ def _s_pair_series_batch(x: np.ndarray,
 
 def _s_checked(batch, x: np.ndarray, cfg: EvalConfig, what: str) -> np.ndarray:
     start = min(_S_SERIES_START, max(cfg.max_terms, 2))
-    vals, rem = batch(x, start)
-    if rem.size and float(rem.max()) > cfg.target_abs_error:
-        raise NonConvergenceError(f"{what} series tail above target")
-    return vals
+
+    def checked(xb):
+        vals, rem = batch(xb, start)
+        if float(rem.max()) > cfg.target_abs_error:
+            raise NonConvergenceError(f"{what} series tail above target")
+        return vals
+
+    return _blockwise(checked, x)
 
 
 def s_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:

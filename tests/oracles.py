@@ -44,6 +44,16 @@ def odd_primes_up_to(n: int) -> list[int]:
     return [p for p in range(3, n + 1) if trial_division_is_prime(p)]
 
 
+def a_seq_loop(q: int, g: int) -> np.ndarray:
+    """a_k = g^k mod q for k = 0..q-2, one modular product at a time."""
+    a_seq = np.empty(q - 1, dtype=np.int64)
+    v = 1
+    for k in range(q - 1):
+        a_seq[k] = v
+        v = v * g % q
+    return a_seq
+
+
 # ----------------------------------------------------------------------
 # explicit Dirichlet characters and direct character sums
 

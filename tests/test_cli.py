@@ -1,7 +1,12 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import ekconst
 from ekconst import cli
 from ekconst.cache import checksum_tolerance, load
 from ekconst.offsets import greedy_offsets, v_of_q
@@ -30,6 +35,25 @@ class TestCompute:
     def test_rejects_two(self, capsys):
         code, _, _ = run(capsys, "compute", "2")
         assert code == 2
+
+    @pytest.mark.extended
+    def test_ten_million_under_two_gb(self):
+        # a fresh process, so the peak RSS it reports is this run's alone
+        script = ("import resource, sys\n"
+                  "from ekconst import cli\n"
+                  "code = cli.main(['compute', '10000019'])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+                  " file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        src = os.path.dirname(os.path.dirname(ekconst.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=1800)
+        assert proc.returncode == 0, proc.stderr
+        assert "q = 10000019" in proc.stdout
+        peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
+        assert peak_kb < 2 * 2**20
 
     def test_method_both_reports_discrepancy(self, capsys):
         code, out, _ = run(capsys, "compute", "101", "--method", "both")

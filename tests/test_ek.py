@@ -8,10 +8,11 @@ import pytest
 import oracles
 from ekconst import specfun
 from ekconst.cache import FunctionTag, ValueTable, precompute
-from ekconst.ek import (IMAG_TOLERANCE, bernoulli_twisted,
-                        build_caches, character_sums, checksum, compute_ek,
-                        compute_even_part, compute_mq, compute_odd_sum)
-from ekconst.fft import dft
+from ekconst.ek import (CharacterSumError, CharacterSums, _assemble_s,
+                        bernoulli_twisted, build_caches, character_sums,
+                        checksum, compute_ek, compute_even_part, compute_mq,
+                        compute_odd_sum)
+from ekconst.fft import Spectrum, dft
 from ekconst.multgroup import build_context
 from ekconst.specfun import EULER_GAMMA
 from reference_values import EK, EK_PLUS, MQ
@@ -98,8 +99,27 @@ class TestStructuralIdentities:
 
     def test_imag_residue_reported_small(self, small_contexts):
         for ctx in small_contexts.values():
-            res = compute_ek(ctx, method="s")
-            assert res.imag_residue <= IMAG_TOLERANCE
+            for method in ("s", "t"):
+                res = compute_ek(ctx, method=method)
+                assert res.imag_residue <= 1e-10
+                # the float64 budget eps*log2(q-1)*sum|terms| it passed
+                assert res.imag_residue <= res.imag_bound
+                assert res.imag_bound <= 1e-10
+
+    def test_mispaired_characters_are_refused(self):
+        # pairing each odd character's log Gamma sum with the next
+        # character's Bernoulli number leaves a large imaginary part
+        ctx = build_context(10007)
+        lg, sp = tables(ctx)
+        sums = character_sums(ctx, lg, sp)
+        _assemble_s(ctx, sums)  # correctly paired, it passes
+        bern = sums.bern_odd_spec
+        rolled = CharacterSums(
+            logGamma_spec=sums.logGamma_spec, s_even_spec=sums.s_even_spec,
+            bern_odd_spec=Spectrum(np.roll(bern.values, 1), bern.sign,
+                                   bern.decimated))
+        with pytest.raises(CharacterSumError, match="imaginary residue"):
+            _assemble_s(ctx, rolled)
 
     def test_first_bernoulli_nonzero(self, small_contexts):
         for ctx in small_contexts.values():

@@ -32,8 +32,10 @@ class TestIsPrime:
         assert is_prime(9109334831)
         assert is_prime(9854964401)
         assert is_prime(2**61 - 1)
-        # strong-pseudoprime trouble makers
-        for n in (3215031751, 3825123056546413051, 341550071728321):
+        # strong-pseudoprime trouble makers: the smallest strong
+        # pseudoprimes to the first 4, 9, 7, 5 and 6 prime bases
+        for n in (3215031751, 3825123056546413051, 341550071728321,
+                  2152302898747, 3474749660383):
             assert not is_prime(n), n
 
     def test_domain_guard(self):
@@ -99,3 +101,16 @@ class TestBuildContext:
     def test_rejects_non_prime(self):
         with pytest.raises(NotPrimeError):
             build_context(4)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 101, 10007, 305741])
+    def test_a_seq_matches_loop(self, q):
+        ctx = build_context(q)
+        want = oracles.a_seq_loop(q, ctx.g)
+        assert ctx.a_seq.dtype == want.dtype
+        assert np.array_equal(ctx.a_seq, want)
+
+    def test_int64_limit(self):
+        # 3037000499^2 < 2^63 <= 3037000500^2; the limit is checked
+        # before any work on q
+        with pytest.raises(ValueError, match="2\\^63"):
+            build_context(3037000507)

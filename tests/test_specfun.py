@@ -1,6 +1,7 @@
 """Special-function layer: spot values, invariants, and error contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,74 @@ class TestSVsMpmath:
     def test_s_pair_values(self, mp_s):
         err = np.abs(specfun.s_pair_values(self.XS) - mp_s[1])
         assert float(np.max(err)) <= 1e-13
+
+
+class TestBlocks:
+    """Tables are evaluated in slices of specfun._BLOCK points: the values
+    must not depend on the slicing, and every slice is checked."""
+
+    B = specfun._BLOCK
+
+    @staticmethod
+    def t_one_batch(x, start=64):
+        return -np.log(x) / x - specfun._psi_series_batch(1, x, start)[0]
+
+    @staticmethod
+    def near_and_far(n_far):
+        # 2B points whose series tails are small, then n_far with larger ones
+        return np.concatenate([np.full(2 * TestBlocks.B, 0.01),
+                               np.full(n_far, 0.9)])
+
+    @pytest.mark.parametrize("extra, blocks", [(1, 0), (0, 1), (1, 1), (3, 2)])
+    def test_bitwise_equal_to_one_batch(self, extra, blocks):
+        n = blocks * self.B + extra  # 1, B, B+1, 2B+3
+        x = np.random.default_rng(n).uniform(1e-6, 1 - 1e-6, n)
+        assert np.array_equal(specfun.t_values(x), self.t_one_batch(x))
+        assert np.array_equal(specfun.s_values(x),
+                              specfun._s_series_batch(x)[0])
+        assert np.array_equal(specfun.s_pair_values(x),
+                              specfun._s_pair_series_batch(x)[0])
+
+    @pytest.mark.parametrize("batch, evaluate", [
+        (specfun._s_series_batch, specfun.s_values),
+        (specfun._s_pair_series_batch, specfun.s_pair_values),
+        (lambda x: specfun._psi_series_batch(1, x, 64), specfun.t_values),
+    ], ids=["S", "S_PAIR", "T"])
+    def test_only_last_block_misses_target(self, batch, evaluate):
+        rem_near = float(batch(np.array([0.01]))[1][0])
+        rem_far = float(batch(np.array([0.9]))[1][0])
+        assert rem_far > 10 * rem_near
+        # max_terms = 64 leaves T no room to double its start
+        cfg = EvalConfig(target_abs_error=math.sqrt(rem_near * rem_far),
+                         max_terms=64)
+        evaluate(self.near_and_far(0), cfg)
+        with pytest.raises(NonConvergenceError):
+            evaluate(self.near_and_far(3), cfg)
+
+    def test_start_doubles_per_block(self):
+        rem_near = float(specfun._psi_series_batch(1, np.array([0.01]), 64)[1][0])
+        rem_far = float(specfun._psi_series_batch(1, np.array([0.9]), 64)[1][0])
+        cfg = EvalConfig(target_abs_error=math.sqrt(rem_near * rem_far),
+                         max_terms=128)
+        x = self.near_and_far(3)
+        got = specfun.t_values(x, cfg)
+        assert np.array_equal(got[:2 * self.B], self.t_one_batch(x[:2 * self.B]))
+        assert np.array_equal(got[2 * self.B:],
+                              self.t_one_batch(x[2 * self.B:], 128))
+
+    @pytest.mark.parametrize("evaluate", [specfun.s_pair_values,
+                                          specfun.t_values],
+                             ids=["S_PAIR", "T"])
+    def test_working_memory_does_not_grow_with_length(self, evaluate):
+        # one dense (200000 x 63) float64 temporary alone takes 101 MB
+        x = np.random.default_rng(3).uniform(1e-6, 1 - 1e-6, 200_000)
+        tracemalloc.start()
+        try:
+            evaluate(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestPsiN:
