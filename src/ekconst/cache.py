@@ -1,12 +1,13 @@
 """Persistent, chunked, checksum-guarded tables of precomputed
 special-function values, ordered by the generator-power index k.
 
-On-disk format (line-oriented text, diffable and mergeable):
+On-disk format, version 2 (version-1 text files are refused):
 
-    EKCACHE 1 q=<q> g=<g> tag=<tag> k0=<k0> k1=<k1> digits=<d>
-    <k> <value>
-    ...
-    SUM <partial_sum> COUNT <n>
+    EKCACHE 2 q=<q> g=<g> tag=<tag> k0=<k0> k1=<k1> target=<target_abs_error>
+    <8*(k1-k0) bytes: f(a_k/q) for k = k0..k1-1 as little-endian float64>
+    SUM <partial_sum> COUNT <k1-k0>
+
+The values round-trip exactly, so their exactly rounded sum must equal SUM.
 
 Full-range tables are validated on load against the closed-form sums
 
@@ -19,8 +20,10 @@ Full-range tables are validated on load against the closed-form sums
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +34,17 @@ from .multgroup import PrimeContext
 from .specfun import EvalConfig, DEFAULT_CONFIG
 
 FORMAT_MAGIC = "EKCACHE"
-FORMAT_VERSION = 1
-DEFAULT_DIGITS = 19
+FORMAT_VERSION = 2
+_VALUE_DTYPE = np.dtype("<f8")
+_HEADER = re.compile(
+    rf"{FORMAT_MAGIC} {FORMAT_VERSION} q=(?P<q>\d+) g=(?P<g>\d+) "
+    rf"tag=(?P<tag>\w+) k0=(?P<k0>\d+) k1=(?P<k1>\d+) "
+    rf"target=(?P<target>\S+)\n".encode())
+_TRAILER = re.compile(  # SUM as save writes it, so float() cannot fail
+    rb"SUM (?P<sum>-?\d\.\d{18}e[-+]\d+) COUNT (?P<count>\d+)\n")
+_HEADER_MAX = 256      # bytes; a header is about 80
+_TRAILER_MAX = 128     # bytes; a trailer is about 50
+_SUM_SLICE = 4096      # values turned into Python floats at a time
 
 
 class CacheFormatError(ValueError):
@@ -40,11 +52,12 @@ class CacheFormatError(ValueError):
 
 
 class ChecksumMismatchError(ValueError):
-    """A full-range table violated its closed-form checksum on load."""
+    """A table violated its SUM trailer or its closed-form checksum."""
 
 
 class MergeError(ValueError):
-    """Chunks do not fit together (gap, overlap, or header mismatch)."""
+    """Tables do not fit together or with the run's configuration (gap,
+    overlap, or header mismatch)."""
 
 
 class FunctionTag(enum.Enum):
@@ -57,6 +70,14 @@ class FunctionTag(enum.Enum):
 def full_range(q: int, tag: FunctionTag) -> tuple[int, int]:
     """The complete k-range for a tag: S_PAIR stores only k < (q-1)/2."""
     return (0, (q - 1) // 2 if tag is FunctionTag.S_PAIR else q - 1)
+
+
+def _check_range(q: int, tag: FunctionTag, k_lo: int, k_hi: int) -> None:
+    """ValueError unless [k_lo, k_hi) lies within full_range(q, tag)."""
+    hi_max = full_range(q, tag)[1]
+    if not 0 <= k_lo <= k_hi <= hi_max:
+        raise ValueError(f"k-range [{k_lo},{k_hi}) outside [0,{hi_max}) "
+                         f"for tag {tag.value}")
 
 
 def closed_form_sum(q: int, tag: FunctionTag) -> float:
@@ -73,9 +94,19 @@ def closed_form_sum(q: int, tag: FunctionTag) -> float:
     raise ValueError(f"unknown tag {tag}")
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum of the values, fed a slice at a time so that no list of
+    all of them is built; fsum is exactly rounded, so this equals
+    math.fsum(values.tolist()) bit for bit."""
+    return math.fsum(itertools.chain.from_iterable(
+        values[i:i + _SUM_SLICE].tolist()
+        for i in range(0, len(values), _SUM_SLICE)))
+
+
 @dataclass(frozen=True)
 class ValueTable:
-    """One chunk of f(a_k/q) values for k in [k_lo, k_hi)."""
+    """One chunk of f(a_k/q) values for k in [k_lo, k_hi), evaluated to
+    target_abs_error."""
 
     q: int
     g: int
@@ -83,18 +114,13 @@ class ValueTable:
     k_lo: int
     k_hi: int
     values: np.ndarray = field(repr=False)
-    digits: int = DEFAULT_DIGITS
+    target_abs_error: float = DEFAULT_CONFIG.target_abs_error
     partial_sum: float = 0.0
 
     def __post_init__(self):
         if self.k_hi - self.k_lo != len(self.values):
             raise ValueError("k-range does not match value count")
-        hi_max = full_range(self.q, self.function_tag)[1]
-        if not 0 <= self.k_lo <= self.k_hi <= hi_max:
-            raise ValueError(
-                f"k-range [{self.k_lo},{self.k_hi}) outside [0,{hi_max}) "
-                f"for tag {self.function_tag.value}"
-            )
+        _check_range(self.q, self.function_tag, self.k_lo, self.k_hi)
 
     @property
     def is_full_range(self) -> bool:
@@ -105,18 +131,19 @@ class ValueTable:
         return abs(self.partial_sum - closed_form_sum(self.q, self.function_tag))
 
 
-def _rounding_budget(values: np.ndarray, digits: int) -> float:
-    """Largest change of sum(values) from printing them to `digits`
-    significant digits."""
-    return 0.5 * 10.0 ** (1 - digits) * float(np.abs(values).sum())
-
-
-def checksum_tolerance(table: ValueTable,
-                       cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def checksum_tolerance(table: ValueTable) -> float:
     """Largest accepted closed-form residual of a full-range table:
-    10(q-1) * target_abs_error plus the rounding budget of its digits."""
-    return (10 * (table.q - 1) * cfg.target_abs_error
-            + _rounding_budget(table.values, table.digits))
+    10(q-1) * the table's target_abs_error."""
+    return 10 * (table.q - 1) * table.target_abs_error
+
+
+def check_closed_form(table: ValueTable, source) -> None:
+    """The full-range gate: ChecksumMismatchError if the closed-form
+    residual exceeds checksum_tolerance(table); `source` names the table."""
+    residual, tol = table.checksum_residual(), checksum_tolerance(table)
+    if residual > tol:
+        raise ChecksumMismatchError(f"{source}: full-range checksum residual "
+                                    f"{residual:.3e} exceeds {tol:.3e}")
 
 
 def _evaluate(tag: FunctionTag, x: np.ndarray, cfg: EvalConfig) -> np.ndarray:
@@ -140,26 +167,25 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
     independently and merged.
     """
     k_lo, k_hi = k_range if k_range is not None else full_range(ctx.q, tag)
-    hi_max = full_range(ctx.q, tag)[1]
-    if not 0 <= k_lo <= k_hi <= hi_max:
-        raise ValueError(f"invalid k-range [{k_lo},{k_hi}) for {tag.value}")
+    _check_range(ctx.q, tag, k_lo, k_hi)
     x = ctx.a_seq[k_lo:k_hi].astype(np.float64) / ctx.q
     values = _evaluate(tag, x, cfg) if k_hi > k_lo else np.empty(0)
     return ValueTable(
         q=ctx.q, g=ctx.g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
-        values=values, digits=DEFAULT_DIGITS,
-        partial_sum=math.fsum(values.tolist()),
+        values=values, target_abs_error=cfg.target_abs_error,
+        partial_sum=_exact_sum(values),
     )
 
 
 def merge(parts: list[ValueTable]) -> ValueTable:
-    """Combine contiguous ascending chunks into one table."""
+    """Combine contiguous ascending chunks of one configuration into one
+    table."""
     if not parts:
         raise MergeError("nothing to merge")
     parts = sorted(parts, key=lambda t: t.k_lo)
     head = parts[0]
     for t in parts[1:]:
-        for attr in ("q", "g", "function_tag", "digits"):
+        for attr in ("q", "g", "function_tag", "target_abs_error"):
             if getattr(t, attr) != getattr(head, attr):
                 raise MergeError(
                     f"{attr} mismatch: {getattr(head, attr)} vs {getattr(t, attr)}"
@@ -171,12 +197,14 @@ def merge(parts: list[ValueTable]) -> ValueTable:
         if t.k_lo < pos:
             raise MergeError(f"overlap at k={t.k_lo}")
         pos = t.k_hi
+    values = np.concatenate([t.values for t in parts])
     return ValueTable(
         q=head.q, g=head.g, function_tag=head.function_tag,
-        k_lo=head.k_lo, k_hi=pos,
-        values=np.concatenate([t.values for t in parts]),
-        digits=head.digits,
-        partial_sum=math.fsum(t.partial_sum for t in parts),
+        k_lo=head.k_lo, k_hi=pos, values=values,
+        target_abs_error=head.target_abs_error,
+        # the exact sum of the merged values, as precompute would give it;
+        # a sum of the parts' rounded sums can differ in the last bits
+        partial_sum=_exact_sum(values),
     )
 
 
@@ -185,26 +213,23 @@ def part_filename(tag: FunctionTag, q: int, k_lo: int) -> str:
 
 
 def save(table: ValueTable, path) -> Path:
-    """Write a table; values carry `digits` significant decimal digits.
+    """Write a table in format version 2.
 
-    The text goes to a sibling temporary file that then replaces `path`,
+    The bytes go to a sibling temporary file that then replaces `path`,
     so a failure mid-write leaves any previous file at `path` intact.
     Returns `path`.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    d = table.digits
     try:
-        with open(tmp, "w") as fh:
-            fh.write(
-                f"{FORMAT_MAGIC} {FORMAT_VERSION} q={table.q} g={table.g} "
-                f"tag={table.function_tag.value} k0={table.k_lo} "
-                f"k1={table.k_hi} digits={d}\n"
-            )
-            for k, v in zip(range(table.k_lo, table.k_hi), table.values):
-                fh.write(f"{k} {v:.{d - 1}e}\n")
+        with open(tmp, "wb") as fh:
+            fh.write(f"{FORMAT_MAGIC} {FORMAT_VERSION} q={table.q} "
+                     f"g={table.g} tag={table.function_tag.value} "
+                     f"k0={table.k_lo} k1={table.k_hi} "
+                     f"target={table.target_abs_error!r}\n".encode())
+            fh.write(np.asarray(table.values, dtype=_VALUE_DTYPE).tobytes())
             fh.write(f"SUM {table.partial_sum:.18e} "
-                     f"COUNT {len(table.values)}\n")
+                     f"COUNT {len(table.values)}\n".encode("ascii"))
             # on disk before the rename, so a system crash cannot leave
             # `path` naming a file whose data never reached the disk
             fh.flush()
@@ -216,64 +241,51 @@ def save(table: ValueTable, path) -> Path:
     return path
 
 
-def load(path, cfg: EvalConfig = DEFAULT_CONFIG,
-         verify_checksum: bool = True) -> ValueTable:
-    """Read a table back; full-range tables must pass their checksum
-    within checksum_tolerance(table, cfg)."""
+def load(path, verify_checksum: bool = True) -> ValueTable:
+    """Read a table back.  The values must reproduce the SUM trailer
+    exactly, and full-range tables must pass check_closed_form unless
+    verify_checksum is off."""
     path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().split()
-        body = fh.read().splitlines()
-    if len(header) != 8 or header[0] != FORMAT_MAGIC:
-        raise CacheFormatError(f"{path}: not an {FORMAT_MAGIC} file")
-    if header[1] != str(FORMAT_VERSION):
-        raise CacheFormatError(f"{path}: unsupported version {header[1]}")
-    fields = {}
-    for item in header[2:]:
-        key, _, val = item.partition("=")
-        fields[key] = val
-    try:
-        q = int(fields["q"])
-        g = int(fields["g"])
-        tag = FunctionTag(fields["tag"])
-        k_lo = int(fields["k0"])
-        k_hi = int(fields["k1"])
-        digits = int(fields["digits"])
-    except (KeyError, ValueError) as exc:
-        raise CacheFormatError(f"{path}: bad header ({exc})") from exc
-    if not body or not body[-1].startswith("SUM "):
-        raise CacheFormatError(f"{path}: missing SUM trailer")
-    trailer = body[-1].split()
-    if len(trailer) != 4 or trailer[2] != "COUNT":
-        raise CacheFormatError(f"{path}: malformed trailer")
-    stored_sum = float(trailer[1])
-    count = int(trailer[3])
-    rows = body[:-1]
-    if len(rows) != count or count != k_hi - k_lo:
-        raise CacheFormatError(
-            f"{path}: row count {len(rows)} != declared {count}"
-        )
-    values = np.empty(count)
-    for i, row in enumerate(rows):
-        kstr, _, vstr = row.partition(" ")
-        if int(kstr) != k_lo + i:
-            raise CacheFormatError(f"{path}: k out of order at row {i}")
-        values[i] = float(vstr)
-    psum = math.fsum(values.tolist())
-    quant = _rounding_budget(values, digits)
-    if abs(psum - stored_sum) > quant + 1e-9 * abs(stored_sum) + 1e-12:
-        raise ChecksumMismatchError(
-            f"{path}: values do not reproduce SUM trailer "
-            f"({psum!r} vs {stored_sum!r})"
-        )
+    with open(path, "rb") as fh:
+        header = fh.readline(_HEADER_MAX)
+        words = header.split()
+        if len(words) < 2 or words[0] != FORMAT_MAGIC.encode():
+            raise CacheFormatError(f"{path}: not an {FORMAT_MAGIC} file")
+        if words[1] != str(FORMAT_VERSION).encode():
+            raise CacheFormatError(
+                f"{path}: format version {words[1].decode('ascii', 'replace')}"
+                f" is not {FORMAT_VERSION}; re-run `ek precompute`")
+        m = _HEADER.fullmatch(header)
+        try:
+            if m is None:
+                raise ValueError(header)
+            q, g, k_lo, k_hi = map(int, m.group("q", "g", "k0", "k1"))
+            tag = FunctionTag(m["tag"].decode())
+            target = float(m["target"])
+            _check_range(q, tag, k_lo, k_hi)
+            # checksum_tolerance scales with the target: nan or inf would
+            # switch the closed-form gate off
+            if not 0 < target < math.inf:
+                raise ValueError(f"target={target!r}")
+        except ValueError as exc:
+            raise CacheFormatError(f"{path}: bad header ({exc})") from exc
+        size = os.fstat(fh.fileno()).st_size
+        if not 0 < size - len(header) - 8 * (k_hi - k_lo) <= _TRAILER_MAX:
+            raise CacheFormatError(f"{path}: {size} bytes do not hold a "
+                                   f"header, {k_hi - k_lo} values and a SUM")
+        values = np.empty(k_hi - k_lo, dtype=_VALUE_DTYPE)
+        fh.readinto(values)
+        m = _TRAILER.fullmatch(fh.read())
+    if m is None or int(m["count"]) != len(values):
+        raise CacheFormatError(f"{path}: no SUM/COUNT {len(values)} trailer")
+    stored_sum = float(m["sum"])
+    total = _exact_sum(values)
+    if total != stored_sum:
+        raise ChecksumMismatchError(f"{path}: values do not reproduce SUM "
+                                    f"trailer ({total!r} vs {stored_sum!r})")
     table = ValueTable(q=q, g=g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
-                       values=values, digits=digits, partial_sum=psum)
+                       values=values, target_abs_error=target,
+                       partial_sum=stored_sum)
     if verify_checksum and table.is_full_range:
-        tol = checksum_tolerance(table, cfg)
-        residual = table.checksum_residual()
-        if residual > tol:
-            raise ChecksumMismatchError(
-                f"{path}: full-range checksum residual {residual:.3e} "
-                f"exceeds {tol:.3e}"
-            )
+        check_closed_form(table, path)
     return table

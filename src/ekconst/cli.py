@@ -57,39 +57,38 @@ def _cache_dir(args) -> Path | None:
     return Path(path) if path else None
 
 
-def _load_cached_tables(q: int, cache_dir: Path, tags,
-                        verify: bool = True) -> dict:
-    """Load (merging chunked parts) every requested tag found on disk.
+def _load_cached_tables(args, q: int, tags, verify: bool = True) -> dict:
+    """Load (merging chunked parts) every requested tag found in the
+    cache directory, if there is one.
 
-    Full-range tables must pass their closed-form checksum before use
-    unless verify is disabled (the checksum command reports the residual
-    itself).
+    Tables evaluated to another target than DEFAULT_CONFIG are refused;
+    full-range tables must pass the closed-form gate unless verify is off
+    (the checksum command reports the residual itself).
     """
+    cache_dir = _cache_dir(args)
     tables = {}
+    if cache_dir is None or not cache_dir.is_dir():
+        return tables
     for tag in tags:
         paths = sorted(cache_dir.glob(f"{tag.value}_q{q}_part*.ekc"))
         if not paths:
             continue
         parts = [cache_mod.load(p, verify_checksum=False) for p in paths]
         table = parts[0] if len(parts) == 1 else cache_mod.merge(parts)
+        source = f"{tag.value} cache for q={q}"
+        if table.target_abs_error != DEFAULT_CONFIG.target_abs_error:
+            raise cache_mod.MergeError(
+                f"{source} has target {table.target_abs_error!r}, this run "
+                f"{DEFAULT_CONFIG.target_abs_error!r}; re-run `ek precompute`")
         if verify and table.is_full_range:
-            tol = cache_mod.checksum_tolerance(table)
-            residual = table.checksum_residual()
-            if residual > tol:
-                raise cache_mod.ChecksumMismatchError(
-                    f"{tag.value} cache for q={q}: closed-form residual "
-                    f"{residual:.3e} exceeds {tol:.3e}"
-                )
+            cache_mod.check_closed_form(table, source)
         tables[tag] = table
     return tables
 
 
 def _result_caches(args, ctx, method):
-    cache_dir = _cache_dir(args)
     tags = ek_mod.method_tags(method)
-    caches = {}
-    if cache_dir is not None and cache_dir.is_dir():
-        caches = _load_cached_tables(ctx.q, cache_dir, tags)
+    caches = _load_cached_tables(args, ctx.q, tags)
     for tag in tags:
         if tag not in caches:
             caches[tag] = cache_mod.precompute(ctx, tag, cfg=DEFAULT_CONFIG)
@@ -180,12 +179,17 @@ def cmd_merge(args) -> int:
     merged = cache_mod.merge([cache_mod.load(p, verify_checksum=False)
                               for p in paths])
     if args.out:
-        out = Path(args.out)
-        cache_mod.save(merged, out)
+        out = cache_mod.save(merged, args.out)
     else:
-        # replace the constituent chunks so later loads see one table
+        # replace the chunks by one table, but unlink them only once the
+        # merged file has been written, read back and verified
         out = cache_dir / cache_mod.part_filename(tag, q, merged.k_lo)
-        cache_mod.save(merged, out)
+        staged = cache_mod.save(merged, out.with_name(f".{out.name}.merged"))
+        try:
+            cache_mod.load(staged)
+            os.replace(staged, out)
+        finally:
+            staged.unlink(missing_ok=True)
         for p in paths:
             if p != out:
                 p.unlink()
@@ -196,22 +200,16 @@ def cmd_merge(args) -> int:
 def cmd_checksum(args) -> int:
     q = args.q
     _check_odd_prime(q)
-    cache_dir = _cache_dir(args)
     tag = FunctionTag(args.tag)
-    if cache_dir is not None and cache_dir.is_dir():
-        tables = _load_cached_tables(q, cache_dir, [tag], verify=False)
-    else:
-        tables = {}
-    if tag in tables:
-        table = tables[tag]
-    else:
-        table = cache_mod.precompute(build_context(q), tag)
+    tables = _load_cached_tables(args, q, [tag], verify=False)
+    table = (tables[tag] if tag in tables
+             else cache_mod.precompute(build_context(q), tag))
     if not table.is_full_range:
         raise UsageError(f"{tag.value} cache for q={q} is not full-range")
-    residual = table.checksum_residual()
-    tol = cache_mod.checksum_tolerance(table)
-    print(f"residual = {residual:.6e} (tolerance {tol:.6e})")
-    return EXIT_OK if residual <= tol else EXIT_FAILURE
+    print(f"residual = {table.checksum_residual():.6e} "
+          f"(tolerance {cache_mod.checksum_tolerance(table):.6e})")
+    cache_mod.check_closed_form(table, f"{tag.value} table for q={q}")
+    return EXIT_OK
 
 
 def cmd_stieltjes(args) -> int:

@@ -79,8 +79,8 @@ class EvalConfig:
     max_terms: int = 200_000
 
     def __post_init__(self):
-        if not self.target_abs_error > 0:
-            raise ValueError("target_abs_error must be positive")
+        if not 0 < self.target_abs_error < math.inf:
+            raise ValueError("target_abs_error must be positive and finite")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 

@@ -1,16 +1,20 @@
 """Value-table persistence: precompute, merge, save/load, checksums."""
 
+import dataclasses
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ekconst import specfun
 from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
-                           FunctionTag, MergeError, ValueTable,
+                           FunctionTag, MergeError, ValueTable, _exact_sum,
                            checksum_tolerance, closed_form_sum, load, merge,
                            part_filename, precompute, save)
 from ekconst.multgroup import build_context
+from ekconst.specfun import EvalConfig
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,15 @@ class TestPrecompute:
         assert np.array_equal(t1.values, t2.values)
         assert t1.partial_sum == t2.partial_sum
 
+    def test_records_the_target(self, ctx5):
+        cfg = EvalConfig(target_abs_error=1e-12)
+        assert precompute(ctx5, FunctionTag.T, cfg=cfg).target_abs_error \
+            == 1e-12
+        table = precompute(ctx5, FunctionTag.T)
+        assert table.target_abs_error \
+            == specfun.DEFAULT_CONFIG.target_abs_error
+        assert checksum_tolerance(table) == 10 * 4 * table.target_abs_error
+
     def test_range_validation(self, ctx5):
         with pytest.raises(ValueError):
             precompute(ctx5, FunctionTag.S_PAIR, (0, 3))  # beyond (q-1)/2
@@ -73,6 +86,7 @@ class TestMerge:
                  precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4))]
         merged = merge(parts)
         assert np.array_equal(merged.values, whole.values)
+        assert merged.partial_sum == whole.partial_sum
         assert merged.is_full_range
 
     def test_gap(self, ctx5):
@@ -90,11 +104,39 @@ class TestMerge:
     def test_mismatch(self, ctx5):
         a = precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2))
         b = precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4))
-        bad = ValueTable(q=b.q, g=b.g + 1, function_tag=b.function_tag,
-                         k_lo=b.k_lo, k_hi=b.k_hi, values=b.values,
-                         digits=b.digits, partial_sum=b.partial_sum)
+        bad = dataclasses.replace(b, g=b.g + 1)
         with pytest.raises(MergeError, match="g mismatch"):
             merge([a, bad])
+
+    def test_mixed_targets_are_refused(self, ctx5):
+        a = precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2))
+        b = precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4),
+                       cfg=EvalConfig(target_abs_error=1e-12))
+        with pytest.raises(MergeError, match="target_abs_error mismatch"):
+            merge([a, b])
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 200000])
+    def test_equals_fsum_of_a_list(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        assert _exact_sum(values) == math.fsum(values.tolist())
+
+    def test_builds_no_list_of_all_values(self):
+        values = np.random.default_rng(1).standard_normal(200_000)
+        tracemalloc.start()
+        try:
+            _exact_sum(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a list of 200000 floats alone takes 6.4 MB
+        assert peak < 1_000_000
+
+
+def _header_len(data: bytes) -> int:
+    return data.index(b"\n") + 1
 
 
 class TestSaveLoad:
@@ -104,27 +146,43 @@ class TestSaveLoad:
         assert save(table, path) == path
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
         back = load(path)
-        for attr in ("q", "g", "function_tag", "k_lo", "k_hi", "digits"):
+        for attr in ("q", "g", "function_tag", "k_lo", "k_hi",
+                     "target_abs_error", "partial_sum"):
             assert getattr(back, attr) == getattr(table, attr)
-        rel = np.abs(back.values - table.values) / np.abs(table.values)
-        assert float(np.max(rel)) <= 10.0 ** (1 - table.digits)
+        assert back.values.tobytes() == table.values.tobytes()
+        data = path.read_bytes()
+        assert data.startswith(
+            b"EKCACHE 2 q=101 g=2 tag=S_PAIR k0=0 k1=50 target=1e-14\n")
+        assert data.endswith(
+            f"SUM {table.partial_sum:.18e} COUNT 50\n".encode())
+        body = data[_header_len(data):_header_len(data) + 8 * 50]
+        assert body == table.values.astype("<f8").tobytes()
+
+    def test_round_trip_keeps_a_foreign_target(self, ctx5, tmp_path):
+        table = precompute(ctx5, FunctionTag.T,
+                           cfg=EvalConfig(target_abs_error=2.5e-13))
+        back = load(save(table, tmp_path / "t.ekc"))
+        assert back.target_abs_error == 2.5e-13
 
     def test_flipped_tag_is_format_error(self, ctx5, tmp_path):
         table = precompute(ctx5, FunctionTag.LOGGAMMA)
         path = tmp_path / "t.ekc"
         save(table, path)
-        text = path.read_text().replace("tag=LOGGAMMA", "tag=LOGGAMMA2")
-        path.write_text(text)
+        data = path.read_bytes().replace(b"tag=LOGGAMMA", b"tag=LOGGAMMA2")
+        path.write_bytes(data)
         with pytest.raises(CacheFormatError):
             load(path)
 
-    def test_wrong_version_is_format_error(self, ctx5, tmp_path):
-        table = precompute(ctx5, FunctionTag.LOGGAMMA)
+    def test_wrong_version_is_format_error(self, tmp_path):
+        # a version-1 (text body) file is refused
         path = tmp_path / "t.ekc"
-        save(table, path)
-        text = path.read_text().replace("EKCACHE 1", "EKCACHE 2")
-        path.write_text(text)
-        with pytest.raises(CacheFormatError, match="version"):
+        path.write_text(
+            "EKCACHE 1 q=5 g=2 tag=LOGGAMMA k0=0 k1=2 digits=19\n"
+            "0 1.000000000000000000e+00\n"
+            "1 2.000000000000000000e+00\n"
+            "SUM 3.000000000000000000e+00 COUNT 2\n")
+        with pytest.raises(CacheFormatError,
+                           match="version 1 .*re-run `ek precompute`"):
             load(path)
 
     def test_not_a_cache_file(self, tmp_path):
@@ -137,12 +195,21 @@ class TestSaveLoad:
         table = precompute(ctx101, FunctionTag.S_PAIR)
         path = tmp_path / "t.ekc"
         save(table, path)
-        lines = path.read_text().splitlines()
-        k, v = lines[5].split()
-        lines[5] = f"{k} {float(v) + 1e-6:.18e}"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ChecksumMismatchError):
-            load(path)
+        data = bytearray(path.read_bytes())
+        at = _header_len(data) + 8 * 5
+        data[at:at + 8] = struct.pack("<d", table.values[5] + 1e-6)
+        path.write_bytes(data)
+        with pytest.raises(ChecksumMismatchError, match="SUM trailer"):
+            load(path, verify_checksum=False)
+
+    def test_one_ulp_is_a_checksum_error(self, ctx101, tmp_path):
+        # the values are stored exactly, so the trailer is matched exactly
+        table = precompute(ctx101, FunctionTag.S_PAIR, (0, 10))
+        values = table.values.copy()
+        values[3] = np.nextafter(values[3], np.inf)
+        bad = dataclasses.replace(table, values=values)
+        with pytest.raises(ChecksumMismatchError, match="SUM trailer"):
+            load(save(bad, tmp_path / "t.ekc"))
 
     def test_load_enforces_checksum_tolerance(self, ctx101, tmp_path,
                                               monkeypatch):
@@ -162,7 +229,7 @@ class TestSaveLoad:
         before = path.read_bytes()
         good = precompute(ctx101, FunctionTag.S_PAIR, (0, 40))
         values = good.values.astype(object)
-        values[30] = "not a number"  # formatting fails on row 30
+        values[30] = "not a number"  # fails after the header is written
         bad = ValueTable(q=101, g=good.g, function_tag=FunctionTag.S_PAIR,
                          k_lo=0, k_hi=40, values=values)
         with pytest.raises(ValueError):
@@ -174,9 +241,67 @@ class TestSaveLoad:
         table = precompute(ctx5, FunctionTag.LOGGAMMA)
         path = tmp_path / "t.ekc"
         save(table, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
+        data = path.read_bytes()
+        head = _header_len(data)
+        for cut in (1, 10, len(data) - head - 1, len(data) - head + 3,
+                    len(data) - head + 8, len(data) - 2):
+            path.write_bytes(data[:len(data) - cut])
+            with pytest.raises(CacheFormatError):
+                load(path)
+
+    @pytest.mark.parametrize("extra", [b"\n", b"\x00", b"SUM 0 COUNT 4\n"])
+    def test_trailing_bytes(self, ctx5, tmp_path, extra):
+        path = save(precompute(ctx5, FunctionTag.LOGGAMMA), tmp_path / "t.ekc")
+        path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(CacheFormatError):
+            load(path)
+
+    @pytest.mark.parametrize("old,new", [
+        (b"tag=LOGGAMMA", b"tag=LOG\xffGAMMA"),
+        (b"EKCACHE", b"EK\xc3CACHE"),
+        (b" 2 q=", b" \xff q="),
+    ])
+    def test_non_utf8_header_is_format_error(self, ctx5, tmp_path, old, new):
+        path = save(precompute(ctx5, FunctionTag.LOGGAMMA), tmp_path / "t.ekc")
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        with pytest.raises(CacheFormatError):
+            load(path)
+
+    @pytest.mark.parametrize("old,new", [
+        (b"COUNT 4", b"COUNT 3"), (b"SUM ", b"SUN "), (b"SUM ", b"SUM x"),
+        (b"SUM ", b"SUM \xff"),
+    ])
+    def test_bad_trailer_is_format_error(self, ctx5, tmp_path, old, new):
+        path = save(precompute(ctx5, FunctionTag.LOGGAMMA), tmp_path / "t.ekc")
+        data = path.read_bytes()
+        trailer = data.rindex(b"SUM ")
+        path.write_bytes(data[:trailer] + data[trailer:].replace(old, new))
+        with pytest.raises(CacheFormatError):
+            load(path)
+
+    def test_header_range_outside_the_table_is_format_error(self, ctx5,
+                                                            tmp_path):
+        path = save(precompute(ctx5, FunctionTag.S_PAIR), tmp_path / "t.ekc")
+        path.write_bytes(path.read_bytes().replace(b"k0=0 k1=2", b"k0=2 k1=4"))
+        with pytest.raises(CacheFormatError, match="k-range"):
+            load(path)
+
+    @pytest.mark.parametrize("target", [b"nan", b"inf", b"0.0", b"-1e-14"])
+    def test_target_not_positive_and_finite_is_format_error(self, ctx5,
+                                                              tmp_path, target):
+        path = save(precompute(ctx5, FunctionTag.S_PAIR), tmp_path / "t.ekc")
+        path.write_bytes(path.read_bytes().replace(b"target=1e-14",
+                                                   b"target=" + target))
+        with pytest.raises(CacheFormatError, match="target"):
+            load(path)
+
+    def test_huge_header_range_is_refused_before_allocating(self, ctx5,
+                                                            tmp_path):
+        path = save(precompute(ctx5, FunctionTag.S_PAIR), tmp_path / "t.ekc")
+        path.write_bytes(path.read_bytes().replace(
+            b"q=5 g=2 tag=S_PAIR k0=0 k1=2",
+            b"q=1000000000039 g=2 tag=S_PAIR k0=0 k1=400000000000"))
+        with pytest.raises(CacheFormatError, match="do not hold"):
             load(path)
 
     def test_chunked_round_trip_and_merge(self, ctx101, tmp_path):
@@ -188,4 +313,5 @@ class TestSaveLoad:
             paths.append(p)
         merged = merge([load(p) for p in paths])
         direct = precompute(ctx101, FunctionTag.S_PAIR, (0, 50))
-        assert np.allclose(merged.values, direct.values, rtol=1e-15, atol=0)
+        assert np.array_equal(merged.values, direct.values)
+        assert merged.partial_sum == direct.partial_sum

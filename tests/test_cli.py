@@ -1,16 +1,21 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ekconst
 from ekconst import cli
-from ekconst.cache import checksum_tolerance, load
+from ekconst.cache import (FunctionTag, checksum_tolerance, full_range, load,
+                           precompute, save)
+from ekconst.multgroup import build_context
 from ekconst.offsets import greedy_offsets, v_of_q
-from ekconst.specfun import gamma_n
+from ekconst.specfun import EvalConfig, gamma_n
 from reference_values import EK
 
 
@@ -137,9 +142,9 @@ class TestCacheCommands:
                            "--cache", cache,
                            "--out", str(tmp_path / "merged.ekc"))
         assert code == 0
-        merged = (tmp_path / "merged.ekc").read_text().splitlines()
-        assert merged[0].startswith("EKCACHE 1 q=101")
-        assert "k0=0 k1=50" in merged[0]
+        header = (tmp_path / "merged.ekc").read_bytes().split(b"\n")[0]
+        assert header.startswith(b"EKCACHE 2 q=101")
+        assert b"k0=0 k1=50" in header
 
     def test_checksum_prints_the_tolerance_load_enforces(self, capsys,
                                                          tmp_path):
@@ -177,20 +182,90 @@ class TestCacheCommands:
         code, out, _ = run(capsys, "compute", "11", "--cache", cache)
         assert code == 0
 
+    def test_default_merge_keeps_parts_until_the_merged_file_verifies(
+            self, capsys, tmp_path, monkeypatch):
+        cache = str(tmp_path)
+        for k0, k1 in (("0", "2"), ("2", "5")):
+            run(capsys, "precompute", "11", "--tag", "S_PAIR",
+                "--range", k0, k1, "--cache", cache)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_load = cli.cache_mod.load
+
+        def load(path, verify_checksum=True):
+            if path.name not in before:
+                raise cli.cache_mod.CacheFormatError(f"{path}: unreadable")
+            return real_load(path, verify_checksum)
+
+        monkeypatch.setattr(cli.cache_mod, "load", load)
+        code, _, err = run(capsys, "merge", "11", "--tag", "S_PAIR",
+                           "--cache", cache)
+        assert code == 1
+        assert "unreadable" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_compute_rejects_corrupted_cache(self, capsys, tmp_path):
         cache = str(tmp_path)
         run(capsys, "precompute", "11", "--tag", "S_PAIR", "--cache", cache)
         path = tmp_path / "S_PAIR_q11_part0.ekc"
-        lines = path.read_text().splitlines()
-        k, v = lines[2].split()
-        lines[2] = f"{k} {float(v) + 1e-5:.18e}"
+        data = path.read_bytes()
+        head = data.index(b"\n") + 1
+        values = np.frombuffer(data[head:head + 8 * 5], "<f8").copy()
+        values[1] += 1e-5
         # keep the SUM trailer consistent so only the closed form can object
-        total = sum(float(r.split()[1]) for r in lines[1:-1])
-        lines[-1] = f"SUM {total:.18e} COUNT 5"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(
+            data[:head] + values.tobytes()
+            + f"SUM {math.fsum(values):.18e} COUNT 5\n".encode())
         code, _, err = run(capsys, "compute", "11", "--cache", cache)
         assert code == 1
         assert "residual" in err
+        code, out, err = run(capsys, "checksum", "11", "--tag", "S_PAIR",
+                             "--cache", cache)
+        assert code == 1
+        assert out.startswith("residual =") and "residual" in err
+
+    @pytest.mark.parametrize("fix_sum", [False, True])
+    def test_corrupted_chunk_fails_the_merge_then_compute_flow(
+            self, capsys, tmp_path, fix_sum):
+        # chunked precompute, then merge --out and compute from the merged
+        # tables; one chunk has 1 added to its first value
+        chunks, merged = tmp_path / "chunks", tmp_path / "merged"
+        merged.mkdir()
+        tags = [t.value for t in FunctionTag]
+        for tag in tags:
+            hi = full_range(101, FunctionTag(tag))[1]
+            for k0, k1 in ((0, 10), (10, 30), (30, hi)):
+                assert run(capsys, "precompute", "101", "--tag", tag, "--range",
+                           str(k0), str(k1), "--cache", str(chunks))[0] == 0
+        path = chunks / "S_PAIR_q101_part10.ekc"
+        table = load(path, verify_checksum=False)
+        values = table.values.copy()
+        values[0] += 1.0
+        # with fix_sum the SUM trailer agrees, so only the closed form of
+        # the merged table can object
+        save(dataclasses.replace(
+            table, values=values,
+            partial_sum=math.fsum(values) if fix_sum else table.partial_sum),
+            path)
+        merges = [run(capsys, "merge", "101", "--tag", tag,
+                      "--cache", str(chunks),
+                      "--out", str(merged / f"{tag}_q101_part0.ekc"))
+                  for tag in tags]
+        compute = run(capsys, "compute", "101", "--method", "both",
+                      "--cache", str(merged))
+        if fix_sum:
+            assert [m[0] for m in merges] == [0, 0, 0, 0]
+            assert compute[0] == 1 and "residual" in compute[2]
+        else:
+            assert [m[0] for m in merges] == [0, 1, 0, 0]
+            assert "SUM trailer" in merges[1][2]
+
+    def test_compute_refuses_a_foreign_target_cache(self, capsys, tmp_path):
+        table = precompute(build_context(11), FunctionTag.S_PAIR,
+                           cfg=EvalConfig(target_abs_error=1e-12))
+        save(table, tmp_path / "S_PAIR_q11_part0.ekc")
+        code, _, err = run(capsys, "compute", "11", "--cache", str(tmp_path))
+        assert code == 1
+        assert "target 1e-12" in err
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EK_CACHE_DIR", str(tmp_path))

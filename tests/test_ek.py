@@ -209,7 +209,6 @@ class TestChecksumOp:
         bad = ValueTable(q=table.q, g=table.g,
                          function_tag=table.function_tag,
                          k_lo=table.k_lo, k_hi=table.k_hi, values=bad_values,
-                         digits=table.digits,
                          partial_sum=math.fsum(bad_values.tolist()))
         assert checksum(ctx, bad) >= 9e-7
 

@@ -35,6 +35,9 @@ class TestConstants:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(target_abs_error=0.0)
+        for target in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                EvalConfig(target_abs_error=target)
         with pytest.raises(ValueError):
             EvalConfig(max_terms=0)
 
