@@ -13,7 +13,7 @@ from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     precompute, save)
 from .ek import (CharacterSumError, CharacterSums, EKResult, checksum,
                  compute_ek, compute_even_part, compute_mq, compute_odd_sum)
-from .fft import DIFPair, Spectrum, dft, dif_split, naive_dft
+from .fft import DIFPair, Spectrum, dft, dif_split
 from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
                         primitive_root)
 from .offsets import OffsetSequence, greedy_offsets, scan_candidates, v_of_q
@@ -35,7 +35,7 @@ __all__ = [
     "build_context", "checksum", "closed_form_sum", "compute_ek",
     "compute_even_part", "compute_mq", "compute_odd_sum", "dft", "dif_split",
     "digamma", "gamma0_aq", "gamma1_aq", "gamma_n", "gammak_aq",
-    "greedy_offsets", "is_prime", "load", "log_gamma", "merge", "naive_dft",
-    "precompute", "primitive_root", "psi_n", "s_function", "s_pair", "save",
+    "greedy_offsets", "is_prime", "load", "log_gamma", "merge", "precompute",
+    "primitive_root", "psi_n", "s_function", "s_pair", "save",
     "scan_candidates", "t_function", "v_of_q",
 ]

@@ -1,5 +1,5 @@
-"""Discrete Fourier transforms of arbitrary length, a quadratic oracle,
-and the decimation-in-frequency split that maps even/odd output bins of a
+"""Discrete Fourier transforms of arbitrary length and the
+decimation-in-frequency split that maps even/odd output bins of a
 length-(q-1) transform onto two length-(q-1)/2 transforms.
 
 Conventions: the forward sum is Spectrum[j] = sum_k e(sign*j*k/N) x[k] with
@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-NAIVE_LENGTH_LIMIT = 10_000
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -64,23 +61,6 @@ def dft(x, sign: int = -1, decimated: bool = False) -> Spectrum:
     else:
         values = np.fft.ifft(x) * len(x)
     return Spectrum(values=values, sign=sign, decimated=decimated)
-
-
-def naive_dft(x, sign: int = -1, decimated: bool = False) -> Spectrum:
-    """Direct O(N^2) evaluation of the defining sum; the test oracle.
-
-    Guarded to N <= 10^4 so it cannot sneak into production paths.
-    """
-    _check_sign(sign)
-    x = np.asarray(x, dtype=np.complex128)
-    n = len(x)
-    if n < 1:
-        raise ValueError("empty input")
-    if n > NAIVE_LENGTH_LIMIT:
-        raise ValueError(f"naive_dft limited to N <= {NAIVE_LENGTH_LIMIT}")
-    jk = np.outer(np.arange(n), np.arange(n))
-    w = np.exp(sign * 2j * np.pi * (jk % n) / n)
-    return Spectrum(values=w @ x, sign=sign, decimated=decimated)
 
 
 def dif_split(f_vals, sign: int = -1) -> DIFPair:

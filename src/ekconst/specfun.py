@@ -17,11 +17,16 @@ and the generalized Euler constants gamma_n.
 Series tails are accelerated with Euler-Maclaurin corrections through the
 fifth-derivative term; the first omitted term bounds the remainder, and an
 evaluation whose bound exceeds the configured target raises
-NonConvergenceError.  Arrays of points are evaluated in fixed-size blocks,
-so the working memory of a table does not grow with its length.  S and
-S(x)+S(1-x) are evaluated by their series alone; the integral
-representations of both, integrated by a double-exponential rule, live in
-the test suite (tests/oracles.py) as an independent reference.
+NonConvergenceError.  psi_n starts its series at a truncation point that
+depends on n and doubles it, point by point, until the bound meets the
+target; psi_n_values evaluates a whole array of points, and psi_n is its
+one-point form.  Arrays of points are evaluated in fixed-size blocks, so
+the working memory of a table does not grow with its length, and no value
+depends on the other points of its block.  S and S(x)+S(1-x) are evaluated
+by their series alone; the integral representations of both, integrated by
+a double-exponential rule, live in the test suite (tests/oracles.py) as an
+independent reference.  digamma and log Gamma come from scipy.special,
+which is imported on first use.
 
 Everything is plain float64; long accumulations use exact (fsum) or pairwise
 summation so results carry close to full double accuracy.
@@ -34,8 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma as _sp_digamma
-from scipy.special import gammaln as _sp_gammaln
 
 EULER_GAMMA = 0.5772156649015328606
 GAMMA1 = -0.0728158454836767249
@@ -90,27 +93,33 @@ DEFAULT_CONFIG = EvalConfig()
 
 # ----------------------------------------------------------------------
 # psi and log Gamma on (0,1]: standard library functions meet the target.
+# scipy.special is imported on first use: loading it costs a process about
+# a third of a second and 25 MB, and most commands never need it.
 
 def digamma(x: float) -> float:
     """psi(x) for 0 < x <= 1."""
+    from scipy.special import digamma as sp_digamma
     if not 0 < x <= 1:
         raise ValueError(f"digamma requires 0 < x <= 1, got {x}")
-    return float(_sp_digamma(x))
+    return float(sp_digamma(x))
 
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for 0 < x < 1."""
+    from scipy.special import gammaln
     if not 0 < x < 1:
         raise ValueError(f"log_gamma requires 0 < x < 1, got {x}")
-    return float(_sp_gammaln(x))
+    return float(gammaln(x))
 
 
 def psi_values(x: np.ndarray) -> np.ndarray:
-    return _sp_digamma(np.asarray(x, dtype=np.float64))
+    from scipy.special import digamma as sp_digamma
+    return sp_digamma(np.asarray(x, dtype=np.float64))
 
 
 def log_gamma_values(x: np.ndarray) -> np.ndarray:
-    return _sp_gammaln(np.asarray(x, dtype=np.float64))
+    from scipy.special import gammaln
+    return gammaln(np.asarray(x, dtype=np.float64))
 
 
 # ----------------------------------------------------------------------
@@ -252,19 +261,28 @@ def _series_start(n: int) -> int:
 
 
 def _psi_series_checked(n: int, x: np.ndarray, cfg: EvalConfig):
+    """The series at each point, from the first start (doubling from
+    _series_start(n)) whose remainder bound meets the target there.
+
+    Only the points that miss the target are evaluated again, so a value
+    does not depend on which points share its block: it equals the value
+    of the one-point path.
+    """
     def checked(xb):
         start = min(_series_start(n), max(cfg.max_terms, 2))
-        while True:
-            vals, rem = _psi_series_batch(n, xb, start)
-            worst = float(rem.max())
-            if worst <= cfg.target_abs_error:
-                return vals
+        vals, rem = _psi_series_batch(n, xb, start)
+        todo = np.flatnonzero(~(rem <= cfg.target_abs_error))  # NaN misses
+        while todo.size:
             if start >= cfg.max_terms:
                 raise NonConvergenceError(
-                    f"tail estimate {worst:.2e} above target "
+                    f"tail estimate {float(rem.max()):.2e} above target "
                     f"{cfg.target_abs_error:.2e} at max_terms={cfg.max_terms}"
                 )
             start = min(start * 2, cfg.max_terms)
+            vals[todo], rem = _psi_series_batch(n, xb[todo], start)
+            miss = ~(rem <= cfg.target_abs_error)
+            todo, rem = todo[miss], rem[miss]
+        return vals
 
     return _blockwise(checked, x)
 
@@ -287,16 +305,31 @@ def t_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return float(t_values(np.array([x]), cfg)[0])
 
 
-def psi_n(n: int, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Generalized digamma psi_n(x) for n >= 0, 0 < x <= 1."""
+def psi_n_values(n: int, x: np.ndarray,
+                 cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Generalized digamma psi_n on an array of points in (0, 1], n >= 0;
+    psi_n(1) = -gamma_n exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all((0 < x) & (x <= 1)):
+        raise ValueError("psi_n requires 0 < x <= 1")
+    g = gamma_n(n)
+    out = np.full_like(x, -g)
+    inner = np.flatnonzero(x < 1.0)
+    xi = x[inner]
+    series = _psi_series_checked(n, xi, cfg)
+    # math.log, not np.log: the two differ in the last bit at some points
+    closed = np.array([math.log(v) ** n / v for v in xi.tolist()])
+    out[inner] = -g - closed - series
+    return out
+
+
+def psi_n(n: int, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """Generalized digamma psi_n(x) for n >= 0, a single 0 < x <= 1."""
     if not 0 < x <= 1:
         raise ValueError(f"psi_n requires 0 < x <= 1, got {x}")
-    if x == 1.0:
-        return -gamma_n(n)  # exact boundary value
-    series = float(_psi_series_checked(n, np.array([x]), cfg)[0])
-    return -gamma_n(n) - math.log(x) ** n / x - series
+    return float(psi_n_values(n, np.array([x]), cfg)[0])
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@
                             + sum_{n<=k} C(k,n) log(q)^{k-n} psi_n(a/q) ],
 
 evaluated through the generalized digamma values.  k = 0 and k = 1 have
-dedicated closed forms in psi and T."""
+dedicated closed forms in psi and T.  A table evaluates each psi_n once,
+as an array over all residues, and assembles every cell the way the
+per-cell gammak_aq does."""
 
 from __future__ import annotations
 
@@ -57,6 +59,15 @@ def gamma1_aq(a: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
             - specfun.t_function(a / q, cfg)) / q
 
 
+def _from_psi(k: int, q: int, psi) -> float:
+    """gamma_k(a, q) from psi[n] = psi_n(a/q), n = 0..k."""
+    lq = math.log(q)
+    total = lq ** (k + 1) / (k + 1)
+    for n in range(k + 1):
+        total += math.comb(k, n) * lq ** (k - n) * psi[n]
+    return -total / q
+
+
 def gammak_aq(k: int, a: int, q: int,
               cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """gamma_k(a, q) by the binomial formula over psi_0..psi_k."""
@@ -65,19 +76,26 @@ def gammak_aq(k: int, a: int, q: int,
     if q > Q_MAX:
         raise ValueError(f"q must satisfy q <= {Q_MAX}, got {q}")
     _check_range(a, q)
-    lq = math.log(q)
-    x = a / q
-    total = lq ** (k + 1) / (k + 1)
-    for n in range(k + 1):
-        total += math.comb(k, n) * lq ** (k - n) * specfun.psi_n(n, x, cfg)
-    return -total / q
+    return _from_psi(k, q, [specfun.psi_n(n, a / q, cfg)
+                            for n in range(k + 1)])
 
 
 def build_table(q: int, k_max: int,
                 cfg: EvalConfig = DEFAULT_CONFIG) -> StieltjesTable:
-    """All gamma_k(a, q) for 0 <= k <= k_max, 1 <= a <= q."""
+    """All gamma_k(a, q) for 0 <= k <= k_max, 1 <= a <= q.
+
+    Each psi_n is evaluated once, over all a/q; every cell equals
+    gammak_aq(k, a, q, cfg) bit for bit."""
+    if not 1 <= q <= Q_MAX:
+        raise ValueError(f"q must satisfy 1 <= q <= {Q_MAX}, got {q}")
+    if not 0 <= k_max <= K_MAX:
+        raise ValueError(f"k_max must satisfy 0 <= k_max <= {K_MAX}, "
+                         f"got {k_max}")
+    x = [a / q for a in range(1, q + 1)]
+    rows = [specfun.psi_n_values(n, x, cfg).tolist() for n in range(k_max + 1)]
+    psi = list(zip(*rows))  # psi[a - 1][n] = psi_n(a/q)
     values = {
-        (k, a): gammak_aq(k, a, q, cfg)
+        (k, a): _from_psi(k, q, psi[a - 1])
         for k in range(k_max + 1)
         for a in range(1, q + 1)
     }

@@ -13,3 +13,20 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "extended" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def gammak_cells():
+    """(q, k_max) -> {(k, a): gammak_aq(k, a, q)}, one cell at a time;
+    each table is computed once per session."""
+    from ekconst.stieltjes import gammak_aq
+    tables = {}
+
+    def cells(q: int, k_max: int) -> dict:
+        if (q, k_max) not in tables:
+            tables[(q, k_max)] = {(k, a): gammak_aq(k, a, q)
+                                  for k in range(k_max + 1)
+                                  for a in range(1, q + 1)}
+        return tables[(q, k_max)]
+
+    return cells

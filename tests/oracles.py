@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks the library against.
 
 Everything here deliberately avoids the library's accelerated evaluation
-paths: characters are built explicitly from a generator, series are summed
+paths: transforms are summed by definition, characters are built
+explicitly from a generator, series are summed
 by brute force with only elementary tail handling, S is integrated by
 quadrature of its integral forms, and primality falls back to trial
 division.
@@ -52,6 +53,29 @@ def a_seq_loop(q: int, g: int) -> np.ndarray:
         a_seq[k] = v
         v = v * g % q
     return a_seq
+
+
+# ----------------------------------------------------------------------
+# the discrete Fourier transform by its defining sum
+
+NAIVE_LENGTH_LIMIT = 10_000
+
+
+def naive_dft(x, sign: int = -1) -> np.ndarray:
+    """sum_k e(sign*j*k/N) x[k] for every j, in O(N^2).
+
+    Limited to N <= 10^4: the dense N x N matrix takes 1.6 GB at N = 10^4.
+    """
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    x = np.asarray(x, dtype=np.complex128)
+    n = len(x)
+    if n < 1:
+        raise ValueError("empty input")
+    if n > NAIVE_LENGTH_LIMIT:
+        raise ValueError(f"naive_dft limited to N <= {NAIVE_LENGTH_LIMIT}")
+    jk = np.outer(np.arange(n), np.arange(n))
+    return np.exp(sign * 2j * np.pi * (jk % n) / n) @ x
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(script: str, timeout: float) -> subprocess.CompletedProcess:
+    """script in a new interpreter that imports this ekconst."""
+    src = os.path.dirname(os.path.dirname(ekconst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 class TestCompute:
     def test_q3(self, capsys):
         code, out, _ = run(capsys, "compute", "3")
@@ -50,11 +59,7 @@ class TestCompute:
                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
                   " file=sys.stderr)\n"
                   "sys.exit(code)\n")
-        src = os.path.dirname(os.path.dirname(ekconst.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=1800)
+        proc = run_fresh(script, timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
@@ -298,6 +303,14 @@ class TestSmallCommands:
         assert lines[0] == "k,a,value"
         assert len(lines) == 1 + 2 * 3
 
+    def test_stieltjes_equals_per_cell_values(self, capsys, gammak_cells):
+        code, out, _ = run(capsys, "stieltjes", "100", "--kmax", "10")
+        assert code == 0
+        cells = gammak_cells(100, 10)
+        want = ["k,a,value"] + [f"{k},{a},{cells[(k, a)]:.14e}"
+                                for k in range(11) for a in range(1, 101)]
+        assert out.splitlines() == want
+
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
@@ -306,6 +319,21 @@ class TestSmallCommands:
         assert cli.main(["offsets", "0"]) == 2
         assert cli.main(["stieltjes", "101"]) == 2
         assert cli.main(["vq", "2"]) == 2
+
+
+class TestLazyScipy:
+    def test_scipy_special_is_imported_on_first_use(self):
+        script = ("import contextlib, io, sys\n"
+                  "from ekconst import cli\n"
+                  "def loaded(*argv):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        assert cli.main(list(argv)) == 0\n"
+                  "    return 'scipy.special' in sys.modules\n"
+                  "print(loaded('stieltjes', '7', '--kmax', '3'),"
+                  " loaded('gamma-n', '3'), loaded('compute', '101'))\n")
+        proc = run_fresh(script, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False", "True"]
 
 
 class TestScanCacheInterplay:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ekconst.fft import dft, dif_split, naive_dft
+from ekconst.fft import dft, dif_split
 
 RNG = np.random.default_rng(20240817)
 
@@ -19,8 +19,8 @@ class TestDefinition:
         assert np.allclose(spec.values, [4, 0, 0, 0], atol=1e-14)
 
     def test_naive_length_two(self):
-        assert np.allclose(naive_dft([1, 0], 1).values, [1, 1], atol=1e-15)
-        assert np.allclose(naive_dft([0, 1], 1).values, [1, -1], atol=1e-15)
+        assert np.allclose(oracles.naive_dft([1, 0], 1), [1, 1], atol=1e-15)
+        assert np.allclose(oracles.naive_dft([0, 1], 1), [1, -1], atol=1e-15)
 
     def test_sign_validation(self):
         with pytest.raises(ValueError):
@@ -28,7 +28,7 @@ class TestDefinition:
 
     def test_naive_guard(self):
         with pytest.raises(ValueError):
-            naive_dft(np.zeros(10_001))
+            oracles.naive_dft(np.zeros(10_001))
 
 
 class TestOracleEquivalence:
@@ -39,13 +39,13 @@ class TestOracleEquivalence:
             x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
             for sign in (-1, 1):
                 fast = dft(x, sign).values
-                slow = naive_dft(x, sign).values
+                slow = oracles.naive_dft(x, sign)
                 scale = float(np.sum(np.abs(x)))
                 assert float(np.max(np.abs(fast - slow))) <= 1e-10 * scale
 
     def test_real_length_360(self):
         x = RNG.standard_normal(360)
-        err = np.max(np.abs(dft(x, 1).values - naive_dft(x, 1).values))
+        err = np.max(np.abs(dft(x, 1).values - oracles.naive_dft(x, 1)))
         assert err <= 1e-10 * float(np.sum(np.abs(x)))
 
 
@@ -88,7 +88,7 @@ class TestDecimation:
     def test_bin_equivalence_all_primes_to_101(self, q):
         f = RNG.standard_normal(q - 1)
         for sign in (-1, 1):
-            full = naive_dft(f, sign).values
+            full = oracles.naive_dft(f, sign)
             pair = dif_split(f, sign)
             even = dft(pair.b_seq, sign).values
             odd = dft(pair.c_seq, sign).values

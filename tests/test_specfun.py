@@ -10,8 +10,8 @@ import oracles
 from ekconst import specfun
 from ekconst.specfun import (DEFAULT_CONFIG, EULER_GAMMA, GAMMA1, LOG_2PI,
                              ZETA_DD_AT_0, EvalConfig, NonConvergenceError,
-                             digamma, gamma_n, log_gamma, psi_n, s_function,
-                             s_pair, t_function)
+                             digamma, gamma_n, log_gamma, psi_n, psi_n_values,
+                             s_function, s_pair, t_function)
 from reference_values import GAMMA_N
 
 
@@ -286,6 +286,30 @@ class TestBlocks:
         assert np.array_equal(got[2 * self.B:],
                               self.t_one_batch(x[2 * self.B:], 128))
 
+    def test_start_doubles_per_point(self):
+        # near and far points interleaved in one block: only the far ones
+        # are evaluated again, at the doubled start
+        rng = np.random.default_rng(7)
+        near = rng.uniform(0.005, 0.015, 40)
+        far = rng.uniform(0.85, 0.95, 20)
+        rem_near = specfun._psi_series_batch(1, near, 64)[1]
+        rem_far = specfun._psi_series_batch(1, far, 64)[1]
+        assert rem_far.min() > 10 * rem_near.max()
+        cfg = EvalConfig(target_abs_error=math.sqrt(rem_near.max()
+                                                    * rem_far.min()),
+                         max_terms=128)
+        x = np.empty(60)
+        is_far = np.arange(60) % 3 == 1
+        x[~is_far], x[is_far] = near, far
+        # the series itself: in T, -log(x)/x would round the difference away
+        got = specfun._psi_series_checked(1, x, cfg)
+        batch = specfun._psi_series_batch
+        assert np.array_equal(got[~is_far], batch(1, near, 64)[0])
+        assert np.array_equal(got[is_far], batch(1, far, 128)[0])
+        assert not np.array_equal(got[~is_far], batch(1, near, 128)[0])
+        with pytest.raises(NonConvergenceError):
+            specfun.t_values(x, EvalConfig(cfg.target_abs_error, max_terms=64))
+
     @pytest.mark.parametrize("evaluate", [specfun.s_pair_values,
                                           specfun.t_values],
                              ids=["S_PAIR", "T"])
@@ -320,6 +344,27 @@ class TestPsiN:
             psi_n(-1, 0.5)
         with pytest.raises(ValueError):
             psi_n(2, 0.0)
+
+
+class TestPsiNValues:
+    @pytest.mark.parametrize("q", [7, 97, 100])
+    def test_bitwise_equal_to_one_point_path(self, q):
+        x = np.array([a / q for a in range(1, q + 1)])  # x = 1 included
+        for n in range(21):
+            want = [psi_n(n, a / q) for a in range(1, q + 1)]
+            assert psi_n_values(n, x).tolist() == want, n
+
+    def test_exact_at_one(self):
+        for n in (0, 3, 20):
+            got = psi_n_values(n, np.array([0.5, 1.0, 1.0]))
+            assert got[1] == got[2] == -gamma_n(n)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            psi_n_values(-1, np.array([0.5]))
+        for bad in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                psi_n_values(2, np.array([0.5, bad]))
 
 
 class TestGammaN:

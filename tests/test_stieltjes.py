@@ -92,3 +92,12 @@ class TestTable:
         assert table.q == 5 and table.k_max == 2
         assert len(table.values) == 15
         assert table[(1, 2)] == pytest.approx(gamma1_aq(2, 5), abs=1e-15)
+
+    @pytest.mark.parametrize("q, k_max", [(1, 20), (2, 20), (7, 20), (100, 10)])
+    def test_bitwise_equal_to_cells(self, q, k_max, gammak_cells):
+        assert build_table(q, k_max).values == gammak_cells(q, k_max)
+
+    @pytest.mark.parametrize("q, k_max", [(0, 2), (101, 2), (5, -1), (5, 21)])
+    def test_range_errors(self, q, k_max):
+        with pytest.raises(ValueError):
+            build_table(q, k_max)
