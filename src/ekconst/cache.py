@@ -9,7 +9,8 @@ On-disk format, version 2 (version-1 text files are refused):
 
 The values round-trip exactly, so their exactly rounded sum must equal SUM.
 
-Full-range tables are validated on load against the closed-form sums
+Full-range tables are validated, when precompute evaluates them and when
+they are loaded, against the closed-form sums
 
     sum_a logGamma(a/q) = ((q-1)/2) log(2 pi) - (1/2) log q
     sum_a S(a/q)        = -zeta''(0)(q-1) - log q log(2 pi) - (log q)^2/2
@@ -164,17 +165,26 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
     """Evaluate the tagged function at a_k/q over a k-range (default: full).
 
     Deterministic given (q, g, tag, range, cfg); chunks may be computed
-    independently and merged.
+    independently and merged.  A full-range table must pass
+    check_closed_form before it is returned.
     """
     k_lo, k_hi = k_range if k_range is not None else full_range(ctx.q, tag)
     _check_range(ctx.q, tag, k_lo, k_hi)
-    x = ctx.a_seq[k_lo:k_hi].astype(np.float64) / ctx.q
+    a = ctx.a_seq[k_lo:k_hi]
+    if tag is FunctionTag.S_PAIR:
+        # S(x) + S(1-x) is symmetric; fold in integers, because 1 - a/q in
+        # float64 keeps few bits of a small q - a
+        a = np.minimum(a, ctx.q - a)
+    x = a.astype(np.float64) / ctx.q
     values = _evaluate(tag, x, cfg) if k_hi > k_lo else np.empty(0)
-    return ValueTable(
+    table = ValueTable(
         q=ctx.q, g=ctx.g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
         values=values, target_abs_error=cfg.target_abs_error,
         partial_sum=_exact_sum(values),
     )
+    if table.is_full_range:
+        check_closed_form(table, f"{tag.value} table for q={ctx.q}")
+    return table
 
 
 def merge(parts: list[ValueTable]) -> ValueTable:

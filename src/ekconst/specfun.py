@@ -20,11 +20,17 @@ evaluation whose bound exceeds the configured target raises
 NonConvergenceError.  psi_n starts its series at a truncation point that
 depends on n and doubles it, point by point, until the bound meets the
 target; psi_n_values evaluates a whole array of points, and psi_n is its
-one-point form.  Arrays of points are evaluated in fixed-size blocks, so
-the working memory of a table does not grow with its length, and no value
-depends on the other points of its block.  S and S(x)+S(1-x) are evaluated
-by their series alone; the integral representations of both, integrated by
-a double-exponential rule, live in the test suite (tests/oracles.py) as an
+one-point form.  T, S and S(x)+S(1-x) start their tails at m = 64 and are
+checked once there.  T and S(x)+S(1-x) sum the terms m = 2..63 as a
+polynomial in x (in x - 1/2, respectively in x^2 after S(x)+S(1-x) is
+folded to x <= 1/2), whose coefficients are summed once per process; a
+bound on the polynomial's omitted terms joins the remainder bound, and
+psi_n(1, x), which sums those terms one by one, checks T.  Arrays
+of points are evaluated in fixed-size blocks, so the working memory of a
+table does not grow with its length, and no value depends on the other
+points of its block.  S and S(x)+S(1-x) are evaluated by their series
+alone; the integral representations of both, integrated by a
+double-exponential rule, live in the test suite (tests/oracles.py) as an
 independent reference.  digamma and log Gamma come from scipy.special,
 which is imported on first use.
 
@@ -205,12 +211,10 @@ def _psi_series_batch(n: int, x: np.ndarray, start: int):
     """Accelerated sum_{m>=1} [log(m+x)^n/(m+x) - log(m)^n/m].
 
     Terms m < start are summed directly in a cancellation-free split; the
-    tail from m = start uses Euler-Maclaurin with the exact antiderivative
-    log(u)^{n+1}/(n+1).  Returns (values, remainder_bound).
+    tail from m = start is _psi_tail.  Returns (values, remainder_bound).
     """
     x = np.asarray(x, dtype=np.float64)
-    A = float(start)
-    ms = np.arange(1.0, A)
+    ms = np.arange(1.0, start)
     lms = np.log(ms)
     xs = x[:, None]
     L = np.log1p(xs / ms)
@@ -220,8 +224,14 @@ def _psi_series_batch(n: int, x: np.ndarray, start: int):
         for j in range(n):
             acc += math.comb(n, j) * lms**j * L ** (n - j)
         term = term + acc / (ms + xs)
-    bulk = term.sum(axis=1)
+    tail, remainder = _psi_tail(n, x, float(start))
+    return term.sum(axis=1) + tail, remainder
 
+
+def _psi_tail(n: int, x: np.ndarray, A: float):
+    """sum_{m>=A} [log(m+x)^n/(m+x) - log(m)^n/m] by Euler-Maclaurin with
+    the exact antiderivative log(u)^{n+1}/(n+1).  Returns (tail, bound on
+    its remainder)."""
     lA = math.log(A)
     LA = np.log1p(x / A)
     # integral_A^inf = -(F(A+x) - F(A)), F = log(u)^{n+1}/(n+1)
@@ -238,26 +248,24 @@ def _psi_series_batch(n: int, x: np.ndarray, start: int):
         gA = gA + accA / (A + x)
 
     fams = _log_poly_family((0.0,) * n + (1.0,), 1, 8)
-    fA = [_family_eval(fams, j, A) for j in range(8)]
-    g1 = _family_eval(fams, 1, A + x) - fA[1]
-    g3 = _family_eval(fams, 3, A + x) - fA[3]
-    g5 = _family_eval(fams, 5, A + x) - fA[5]
-    g7 = _family_eval(fams, 7, A + x) - fA[7]
+    u = A + x
+    g1, g3, g5, g7 = (_family_eval(fams, j, u) - _family_eval(fams, j, A)
+                      for j in (1, 3, 5, 7))
     tail = integral + gA / 2 - g1 / 12 + g3 / 720 - g5 / 30240
-    remainder = np.abs(g7) / 1209600.0
-    return bulk + tail, remainder
+    return tail, np.abs(g7) / 1209600.0
 
 
 def _series_start(n: int) -> int:
-    # Larger powers of log need earlier truncation: the bulk terms (and the
-    # fp noise they carry) grow like log(m)^n before the tail decays.
+    # Where the per-point doubling starts.  Up to n = 8 the start fixes
+    # the values.  From n = 9 no point of the a/q grids of q <= 100 meets
+    # the default target below 32, nor from n = 13 below 128 (larger powers
+    # of log keep the Euler-Maclaurin remainder large for longer), so these
+    # starts skip only batches whose values were never used.
     if n <= 4:
         return 64
-    if n <= 8:
-        return 32
     if n <= 12:
-        return 16
-    return 8
+        return 32
+    return 128
 
 
 def _psi_series_checked(n: int, x: np.ndarray, cfg: EvalConfig):
@@ -285,24 +293,6 @@ def _psi_series_checked(n: int, x: np.ndarray, cfg: EvalConfig):
         return vals
 
     return _blockwise(checked, x)
-
-
-def t_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """T(x) = gamma1 + psi_1(x) on an array of points in (0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    series = _psi_series_checked(1, x, cfg)
-    out = np.empty_like(x)
-    inner = x < 1.0
-    out[inner] = -np.log(x[inner]) / x[inner]
-    out[~inner] = 0.0
-    return out - series
-
-
-def t_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """T(x) for a single 0 < x <= 1."""
-    if not 0 < x <= 1:
-        raise ValueError(f"t_function requires 0 < x <= 1, got {x}")
-    return float(t_values(np.array([x]), cfg)[0])
 
 
 def psi_n_values(n: int, x: np.ndarray,
@@ -333,7 +323,104 @@ def psi_n(n: int, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
 
 # ----------------------------------------------------------------------
-# S function series
+# T, S and S(x)+S(1-x): series with a fixed start
+#
+# Each series has its Euler-Maclaurin tail from m = _SERIES_START.  For T
+# and S(x)+S(1-x) the term m = 1 is summed directly and the terms
+# m = 2.._SERIES_START-1 form a polynomial in x, whose coefficients are
+# summed once per process and which is evaluated by Horner's rule; a bound
+# on the polynomial's omitted terms joins the tail's remainder bound.  S is
+# summed term by term up to _SERIES_START.
+
+_SERIES_START = 64
+_T_BULK_DEGREE = 28        # in x - 1/2; omitted terms below 2e-20
+_S_PAIR_BULK_DEGREE = 14   # in x^2; omitted terms below 6e-19
+
+
+def _horner(coeffs, t: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] t^k by Horner's rule, in place: the same values as
+    np.polynomial.polynomial.polyval without its temporaries."""
+    acc = np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _fixed_start_checked(batch, x: np.ndarray, cfg: EvalConfig,
+                         what: str) -> np.ndarray:
+    """batch over blocks of x; NonConvergenceError where a point's bound
+    exceeds the target.  The series take _SERIES_START terms whatever the
+    target, so a smaller max_terms is refused as well."""
+    if cfg.max_terms < _SERIES_START:
+        raise NonConvergenceError(f"the {what} series needs {_SERIES_START} "
+                                  f"terms, max_terms={cfg.max_terms}")
+
+    def checked(xb):
+        vals, rem = batch(xb)
+        worst = float(rem.max())
+        if not worst <= cfg.target_abs_error:  # a NaN bound fails too
+            raise NonConvergenceError(
+                f"{what} series remainder bound {worst:.2e} above target "
+                f"{cfg.target_abs_error:.2e}")
+        return vals
+
+    return _blockwise(checked, x)
+
+
+def _harmonic(n: int) -> float:
+    return math.fsum(1.0 / j for j in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _t_bulk_poly() -> tuple[tuple, float]:
+    """(c, E): sum_{m=2}^{63} [f(m+x) - f(m)], f(u) = log(u)/u, equals
+    sum_{k<=K} c[k] t^k, t = x - 1/2, to within E |t|^(K+1) on (0, 1].
+
+    c[0] = sum_m [f(m+1/2) - f(m)] and c[k] = sum_m f^(k)(m+1/2)/k!.  As
+    f^(k)(u)/k! = (-1)^(k+1) (log u - H_k)/u^(k+1), the omitted terms of
+    one m are at most (H_k + log u)(|t|/u)^k/u with |t|/u <= 1/5, each at
+    most rho = (1 + 1/(K+2))/5 times the one before it.
+    """
+    K = _T_BULK_DEGREE
+    u = (np.arange(2, _SERIES_START) + 0.5).tolist()
+    fams = _log_poly_family((0.0, 1.0), 1, K)
+    c = [math.fsum(math.log(v) / v - math.log(v - 0.5) / (v - 0.5)
+                   for v in u)]
+    c += [math.fsum(_family_eval(fams, k, u).tolist()) / math.factorial(k)
+          for k in range(1, K + 1)]
+    rho = (1 + 1 / (K + 2)) / 5
+    bound = math.fsum((_harmonic(K + 1) + math.log(v)) / v ** (K + 2)
+                      for v in u) / (1 - rho)
+    return tuple(c), bound
+
+
+def _t_series_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The psi_1 series sum_{m>=1} [f(m+x) - f(m)], f(u) = log(u)/u, at
+    x in (0, 1].  Returns (values, remainder_bound)."""
+    c, bound = _t_bulk_poly()
+    t = x - 0.5
+    tail, rem = _psi_tail(1, x, float(_SERIES_START))
+    bulk = np.log1p(x) / (1.0 + x) + _horner(c, t)
+    return bulk + tail, rem + bound * np.abs(t) ** len(c)
+
+
+def _t_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    series, rem = _t_series_batch(x)
+    return -np.log(x) / x - series, rem
+
+
+def t_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """T(x) = gamma1 + psi_1(x) on an array of points in (0, 1]."""
+    return _fixed_start_checked(_t_batch, x, cfg, "T")
+
+
+def t_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """T(x) for a single 0 < x <= 1."""
+    if not 0 < x <= 1:
+        raise ValueError(f"t_function requires 0 < x <= 1, got {x}")
+    return float(t_values(np.array([x]), cfg)[0])
+
 
 def _h_fams():
     return _log_poly_family((0.0, 2.0), 1, 8)  # 2 log(u)/u and derivatives
@@ -357,14 +444,10 @@ def _sym_cross_coeffs(nterms: int) -> tuple:
     return tuple(np.convolve(la, at)[:nterms])
 
 
-_S_SERIES_START = 64
-
-
-def _s_series_batch(x: np.ndarray,
-                    start: int = _S_SERIES_START) -> tuple[np.ndarray, np.ndarray]:
+def _s_series_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S(x) via the accelerated asymmetric series; any x in (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
-    A = float(start)
+    A = float(_SERIES_START)
     ms = np.arange(1.0, A)
     lms = np.log(ms)
     d = x[:, None] / ms
@@ -385,26 +468,43 @@ def _s_series_batch(x: np.ndarray,
     return 2.0 * GAMMA1 * x + np.log(x) ** 2 + bulk + tail, rem
 
 
-def _s_pair_series_batch(x: np.ndarray,
-                         start: int = _S_SERIES_START) -> tuple[np.ndarray, np.ndarray]:
-    """S(x) + S(1-x) via the symmetric series; any x in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    A = float(start)
-    ms = np.arange(1.0, A)
-    lms = np.log(ms)
-    d = x[:, None] / ms
-    w = 2.0 * lms * np.log1p(-d * d) + np.log1p(d) ** 2 + np.log1p(-d) ** 2
-    bulk = w.sum(axis=1)
+@lru_cache(maxsize=None)
+def _s_pair_bulk_poly() -> tuple[tuple, float]:
+    """(C, E): sum_{m=2}^{63} w_m(x) equals sum_{k=1}^{K} C[k-1] x^(2k) to
+    within E x^(2K+2) on (0, 1/2].
 
+    w_m = 2 log(m) log(1-d^2) + log(1+d)^2 + log(1-d)^2, d = x/m, is
+    sum_k (2/k)(H_{2k-1} - log m) d^(2k).  For k > K the factor
+    (2/k)|H_{2k-1} - log m| is at most (2/(K+1))(H_{2K+1} + log m), and
+    d <= 1/4 makes sum_{k>K} d^(2k) at most (16/15) d^(2K+2).
+    """
+    K = _S_PAIR_BULK_DEGREE
+    ms = range(2, _SERIES_START)
+    C = [2 / k * math.fsum((_harmonic(2 * k - 1) - math.log(m)) / m ** (2 * k)
+                           for m in ms) for k in range(1, K + 1)]
+    bound = 16 / 15 * 2 / (K + 1) * math.fsum(
+        (_harmonic(2 * K + 1) + math.log(m)) / m ** (2 * K + 2) for m in ms)
+    return tuple(C), bound
+
+
+def _s_pair_series_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{m>=1} [log(m+x)^2 + log(m-x)^2 - 2 log(m)^2], the series of
+    S(x) + S(1-x) - log(x)^2, at x in (0, 1/2].  Returns (values,
+    remainder_bound)."""
+    C, bound = _s_pair_bulk_poly()
+    y = x * x
+    bulk = np.log1p(x) ** 2 + np.log1p(-x) ** 2 + y * _horner(C, y)
+
+    A = float(_SERIES_START)
     lA = math.log(A)
     delta = x / A
+    d2 = delta * delta
     nt = 10
-    k = np.arange(nt)
-    T1 = (np.array(_atanh_int_coeffs(nt)) * delta[:, None] ** (2 * k + 2)).sum(axis=1)
-    T2 = (np.array(_sym_cross_coeffs(nt)) * delta[:, None] ** (2 * k + 4)
-          / (2 * k + 4)).sum(axis=1)
+    T1 = d2 * _horner(_atanh_int_coeffs(nt), d2)
+    T2 = d2 * d2 * _horner(np.array(_sym_cross_coeffs(nt))
+                           / (2 * np.arange(nt) + 4), d2)
     integral = -A * (2.0 * lA * T1 + T2)
-    gA = (2.0 * lA * np.log1p(-delta * delta)
+    gA = (2.0 * lA * np.log1p(-d2)
           + np.log1p(delta) ** 2 + np.log1p(-delta) ** 2)
     h = _h_fams()
     def deriv(j):
@@ -412,27 +512,22 @@ def _s_pair_series_batch(x: np.ndarray,
                 - 2.0 * _family_eval(h, j, A))
     tail = integral + gA / 2 - deriv(0) / 12 + deriv(2) / 720 - deriv(4) / 30240
     rem = np.abs(deriv(6)) / 1209600.0
-    return np.log(x) ** 2 + bulk + tail, rem
+    return bulk + tail, rem + bound * y ** (len(C) + 1)
+
+
+def _s_pair_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # S(x) + S(1-x) is symmetric, and 1 - x is exact in float64 for x >= 1/2
+    x = np.minimum(x, 1.0 - x)
+    series, rem = _s_pair_series_batch(x)
+    return np.log(x) ** 2 + series, rem
 
 
 # ----------------------------------------------------------------------
 # public S entry points
 
-def _s_checked(batch, x: np.ndarray, cfg: EvalConfig, what: str) -> np.ndarray:
-    start = min(_S_SERIES_START, max(cfg.max_terms, 2))
-
-    def checked(xb):
-        vals, rem = batch(xb, start)
-        if float(rem.max()) > cfg.target_abs_error:
-            raise NonConvergenceError(f"{what} series tail above target")
-        return vals
-
-    return _blockwise(checked, x)
-
-
 def s_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """S(x) on an array of points in (0, 1)."""
-    return _s_checked(_s_series_batch, x, cfg, "S")
+    return _fixed_start_checked(_s_series_batch, x, cfg, "S")
 
 
 def s_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -445,8 +540,9 @@ def s_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
 
 def s_pair_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """S(x) + S(1-x) on an array, computed from the symmetric series."""
-    return _s_checked(_s_pair_series_batch, x, cfg, "S pair")
+    """S(x) + S(1-x) on an array of points in (0, 1), from the symmetric
+    series at min(x, 1-x)."""
+    return _fixed_start_checked(_s_pair_batch, x, cfg, "S pair")
 
 
 def s_pair(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:

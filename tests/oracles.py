@@ -5,7 +5,8 @@ paths: transforms are summed by definition, characters are built
 explicitly from a generator, series are summed
 by brute force with only elementary tail handling, S is integrated by
 quadrature of its integral forms, and primality falls back to trial
-division.
+division.  The one exception is s_pair_series_direct: it sums its bulk
+term by term but builds its Euler-Maclaurin tail from library helpers.
 """
 
 from __future__ import annotations
@@ -164,6 +165,49 @@ def s_bruteforce(x: float, terms: int = 2_000_000) -> float:
     integral = x * la**2 - (phi(a + x) - phi(a))
     g_a = (math.log(a + x) ** 2 - la**2 - 2 * x * la / a)
     return 2 * GAMMA1 * x + math.log(x) ** 2 + total + integral + 0.5 * g_a
+
+
+# ----------------------------------------------------------------------
+# the S(x)+S(1-x) series with its terms m < start summed one by one
+#
+# The library sums the terms m = 2..63 of this series as a polynomial in
+# x; this is the series before that change, term by term, with the tail
+# integral's power series summed column by column.  (The psi_1 series
+# that T uses keeps such a direct bulk in specfun._psi_series_batch.)
+
+def s_pair_series_direct(x: np.ndarray, start: int = 64):
+    """sum_{m>=1} [log(m+x)^2 + log(m-x)^2 - 2 log(m)^2] for 0 < x < 1;
+    returns (values, remainder bound)."""
+    from ekconst.specfun import (_atanh_int_coeffs, _family_eval, _h_fams,
+                                 _sym_cross_coeffs)
+
+    x = np.asarray(x, dtype=np.float64)
+    A = float(start)
+    ms = np.arange(1.0, A)
+    lms = np.log(ms)
+    d = x[:, None] / ms
+    w = 2.0 * lms * np.log1p(-d * d) + np.log1p(d) ** 2 + np.log1p(-d) ** 2
+    bulk = w.sum(axis=1)
+
+    lA = math.log(A)
+    delta = x / A
+    nt = 10
+    k = np.arange(nt)
+    T1 = (np.array(_atanh_int_coeffs(nt))
+          * delta[:, None] ** (2 * k + 2)).sum(axis=1)
+    T2 = (np.array(_sym_cross_coeffs(nt)) * delta[:, None] ** (2 * k + 4)
+          / (2 * k + 4)).sum(axis=1)
+    integral = -A * (2.0 * lA * T1 + T2)
+    gA = (2.0 * lA * np.log1p(-delta * delta)
+          + np.log1p(delta) ** 2 + np.log1p(-delta) ** 2)
+    h = _h_fams()
+
+    def deriv(j):
+        return (_family_eval(h, j, A + x) + _family_eval(h, j, A - x)
+                - 2.0 * _family_eval(h, j, A))
+    tail = (integral + gA / 2 - deriv(0) / 12 + deriv(2) / 720
+            - deriv(4) / 30240)
+    return bulk + tail, np.abs(deriv(6)) / 1209600.0
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,29 @@ class TestPrecompute:
         table = precompute(ctx101, FunctionTag.PSI)
         assert table.checksum_residual() <= 1e-9
 
+    def test_s_pair_points_are_folded_in_integers(self, ctx101):
+        table = precompute(ctx101, FunctionTag.S_PAIR)
+        a = ctx101.a_seq[:50]
+        want = specfun.s_pair_values(np.minimum(a, 101 - a) / 101)
+        assert np.array_equal(table.values, want)
+
+    def test_full_range_tables_pass_the_closed_form_gate(self, ctx101,
+                                                         monkeypatch):
+        real = specfun.s_pair_values
+
+        def off_at_one_point(x, cfg):
+            values = real(x, cfg)
+            values[7] += 1e-9
+            return values
+
+        monkeypatch.setattr(specfun, "s_pair_values", off_at_one_point)
+        precompute(ctx101, FunctionTag.S_PAIR, (0, 49))  # not full-range
+        with pytest.raises(ChecksumMismatchError,
+                           match=r"S_PAIR table for q=101: full-range "
+                                 r"checksum residual 1\.0\d*e-09 exceeds "
+                                 r"1\.000e-11"):
+            precompute(ctx101, FunctionTag.S_PAIR)
+
     def test_determinism(self, ctx101):
         t1 = precompute(ctx101, FunctionTag.S_PAIR)
         t2 = precompute(ctx101, FunctionTag.S_PAIR)
@@ -203,10 +226,11 @@ class TestSaveLoad:
             load(path, verify_checksum=False)
 
     def test_one_ulp_is_a_checksum_error(self, ctx101, tmp_path):
-        # the values are stored exactly, so the trailer is matched exactly
+        # the values are stored exactly, so the trailer is matched exactly:
+        # a change that moves the exactly rounded sum by one ulp is refused
         table = precompute(ctx101, FunctionTag.S_PAIR, (0, 10))
         values = table.values.copy()
-        values[3] = np.nextafter(values[3], np.inf)
+        values[3] += np.spacing(table.partial_sum)
         bad = dataclasses.replace(table, values=values)
         with pytest.raises(ChecksumMismatchError, match="SUM trailer"):
             load(save(bad, tmp_path / "t.ekc"))

@@ -50,6 +50,22 @@ class TestCompute:
         code, _, _ = run(capsys, "compute", "2")
         assert code == 2
 
+    def test_in_memory_table_must_pass_its_checksum(self, capsys,
+                                                     monkeypatch):
+        real = cli.cache_mod.specfun.s_pair_values
+
+        def off_at_one_point(x, cfg):
+            values = real(x, cfg)
+            values[7] += 1e-9
+            return values
+
+        monkeypatch.setattr(cli.cache_mod.specfun, "s_pair_values",
+                            off_at_one_point)
+        code, out, err = run(capsys, "compute", "101")
+        assert code == 1 and out == ""
+        assert ("error: S_PAIR table for q=101: full-range checksum "
+                "residual 1.000e-09 exceeds 1.000e-11") in err
+
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone

@@ -232,6 +232,65 @@ class TestSVsMpmath:
         err = np.abs(specfun.s_pair_values(self.XS) - mp_s[1])
         assert float(np.max(err)) <= 1e-13
 
+    def test_t_values(self):
+        # T(x) = gamma1 + psi_1(x) = gamma_1 - gamma_1(x), the generalized
+        # Stieltjes constant of the Hurwitz zeta function
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.stieltjes(1)
+                                   - mpmath.stieltjes(1, x)) for x in self.XS])
+        err = np.abs(specfun.t_values(self.XS) - want)
+        assert float(np.max(err / np.maximum(1.0, np.abs(want)))) <= 1e-13
+
+
+class TestPolynomialBulks:
+    """T and S(x)+S(1-x) sum their series terms m = 2..63 as a polynomial
+    in x, with a bound on the polynomial's omitted terms."""
+
+    X = np.arange(1, 20_000) / 20_000
+
+    def test_t_series_equals_direct_bulk(self):
+        poly = specfun._t_series_batch(self.X)[0]
+        direct = specfun._psi_series_batch(1, self.X, 64)[0]
+        assert float(np.max(np.abs(poly - direct))) <= 2e-15
+
+    def test_s_pair_series_equals_direct_bulk(self):
+        x = np.minimum(self.X, 1 - self.X)
+        poly = specfun._s_pair_series_batch(x)[0]
+        direct = oracles.s_pair_series_direct(x)[0]
+        assert float(np.max(np.abs(poly - direct))) <= 2e-15
+
+    def test_t_truncation_bound_is_gated(self):
+        # near x = 0 the Euler-Maclaurin bound vanishes but the polynomial's
+        # (at |x - 1/2| = 1/2) does not: only the latter exceeds the target
+        x = np.array([1e-6])
+        c, e = specfun._t_bulk_poly()
+        trunc = e * abs(x[0] - 0.5) ** len(c)
+        assert specfun._psi_tail(1, x, 64.0)[1][0] < trunc / 2
+        specfun.t_values(x, EvalConfig(target_abs_error=2 * trunc))
+        with pytest.raises(NonConvergenceError):
+            specfun.t_values(x, EvalConfig(target_abs_error=trunc / 2))
+
+    def test_s_pair_truncation_bound_is_gated(self):
+        # on (0, 1/2] the Euler-Maclaurin bound is the larger one, so the
+        # polynomial's shows as the excess over the direct series' bound
+        x = np.array([0.4, 0.45, 0.5])
+        C, e = specfun._s_pair_bulk_poly()
+        excess = (specfun._s_pair_series_batch(x)[1]
+                  - oracles.s_pair_series_direct(x)[1])
+        assert np.allclose(excess, e * x ** (2 * len(C) + 2), rtol=1e-9,
+                           atol=0)
+        trunc = e * 0.5 ** (2 * len(C) + 2)
+        with pytest.raises(NonConvergenceError):
+            specfun.s_pair_values(np.array([0.5]),
+                                  EvalConfig(target_abs_error=trunc / 2))
+
+    def test_fold_is_exact(self):
+        # 1 - x is exact for x >= 1/2, and so is the fold of 1 - x back to x
+        x = np.arange(500, 1000) / 1000
+        assert np.array_equal(specfun.s_pair_values(x),
+                              specfun.s_pair_values(1 - x))
+
 
 class TestBlocks:
     """Tables are evaluated in slices of specfun._BLOCK points: the values
@@ -240,8 +299,8 @@ class TestBlocks:
     B = specfun._BLOCK
 
     @staticmethod
-    def t_one_batch(x, start=64):
-        return -np.log(x) / x - specfun._psi_series_batch(1, x, start)[0]
+    def psi1_one_batch(x, start=64):
+        return specfun._psi_series_batch(1, x, start)[0]
 
     @staticmethod
     def near_and_far(n_far):
@@ -253,22 +312,21 @@ class TestBlocks:
     def test_bitwise_equal_to_one_batch(self, extra, blocks):
         n = blocks * self.B + extra  # 1, B, B+1, 2B+3
         x = np.random.default_rng(n).uniform(1e-6, 1 - 1e-6, n)
-        assert np.array_equal(specfun.t_values(x), self.t_one_batch(x))
+        assert np.array_equal(specfun.t_values(x), specfun._t_batch(x)[0])
         assert np.array_equal(specfun.s_values(x),
                               specfun._s_series_batch(x)[0])
         assert np.array_equal(specfun.s_pair_values(x),
-                              specfun._s_pair_series_batch(x)[0])
+                              specfun._s_pair_batch(x)[0])
 
     @pytest.mark.parametrize("batch, evaluate", [
         (specfun._s_series_batch, specfun.s_values),
-        (specfun._s_pair_series_batch, specfun.s_pair_values),
-        (lambda x: specfun._psi_series_batch(1, x, 64), specfun.t_values),
+        (specfun._s_pair_batch, specfun.s_pair_values),
+        (specfun._t_batch, specfun.t_values),
     ], ids=["S", "S_PAIR", "T"])
     def test_only_last_block_misses_target(self, batch, evaluate):
         rem_near = float(batch(np.array([0.01]))[1][0])
         rem_far = float(batch(np.array([0.9]))[1][0])
         assert rem_far > 10 * rem_near
-        # max_terms = 64 leaves T no room to double its start
         cfg = EvalConfig(target_abs_error=math.sqrt(rem_near * rem_far),
                          max_terms=64)
         evaluate(self.near_and_far(0), cfg)
@@ -281,10 +339,11 @@ class TestBlocks:
         cfg = EvalConfig(target_abs_error=math.sqrt(rem_near * rem_far),
                          max_terms=128)
         x = self.near_and_far(3)
-        got = specfun.t_values(x, cfg)
-        assert np.array_equal(got[:2 * self.B], self.t_one_batch(x[:2 * self.B]))
+        got = specfun._psi_series_checked(1, x, cfg)
+        assert np.array_equal(got[:2 * self.B],
+                              self.psi1_one_batch(x[:2 * self.B]))
         assert np.array_equal(got[2 * self.B:],
-                              self.t_one_batch(x[2 * self.B:], 128))
+                              self.psi1_one_batch(x[2 * self.B:], 128))
 
     def test_start_doubles_per_point(self):
         # near and far points interleaved in one block: only the far ones
@@ -301,14 +360,14 @@ class TestBlocks:
         x = np.empty(60)
         is_far = np.arange(60) % 3 == 1
         x[~is_far], x[is_far] = near, far
-        # the series itself: in T, -log(x)/x would round the difference away
         got = specfun._psi_series_checked(1, x, cfg)
         batch = specfun._psi_series_batch
         assert np.array_equal(got[~is_far], batch(1, near, 64)[0])
         assert np.array_equal(got[is_far], batch(1, far, 128)[0])
         assert not np.array_equal(got[~is_far], batch(1, near, 128)[0])
         with pytest.raises(NonConvergenceError):
-            specfun.t_values(x, EvalConfig(cfg.target_abs_error, max_terms=64))
+            specfun._psi_series_checked(
+                1, x, EvalConfig(cfg.target_abs_error, max_terms=64))
 
     @pytest.mark.parametrize("evaluate", [specfun.s_pair_values,
                                           specfun.t_values],
