@@ -11,9 +11,8 @@ that halves the precomputation for the parity-restricted sums.
 from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     MergeError, ValueTable, closed_form_sum, load, merge,
                     precompute, save)
-from .ek import (CharacterSumError, CharacterSums, EKResult, checksum,
-                 compute_ek, compute_even_part, compute_mq, compute_odd_sum)
-from .fft import DIFPair, Spectrum, dft, dif_split
+from .ek import CharacterSumError, EKResult, compute_ek
+from .fft import Spectrum, dft, dif_split
 from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
                         primitive_root)
 from .offsets import OffsetSequence, greedy_offsets, scan_candidates, v_of_q
@@ -26,14 +25,13 @@ from .stieltjes import StieltjesTable, gamma0_aq, gamma1_aq, gammak_aq
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS", "CacheFormatError", "CharacterSumError", "CharacterSums",
-    "ChecksumMismatchError", "Constants", "DEFAULT_CONFIG", "DIFPair",
+    "CONSTANTS", "CacheFormatError", "CharacterSumError",
+    "ChecksumMismatchError", "Constants", "DEFAULT_CONFIG",
     "DisagreementError", "EKResult", "EULER_GAMMA", "EvalConfig",
     "FunctionTag", "GAMMA1", "LOG_2PI", "MergeError", "NonConvergenceError",
     "NotPrimeError", "OffsetSequence", "PrimeContext", "Spectrum",
     "StieltjesTable", "ValueTable", "ZETA_DD_AT_0",
-    "build_context", "checksum", "closed_form_sum", "compute_ek",
-    "compute_even_part", "compute_mq", "compute_odd_sum", "dft", "dif_split",
+    "build_context", "closed_form_sum", "compute_ek", "dft", "dif_split",
     "digamma", "gamma0_aq", "gamma1_aq", "gamma_n", "gammak_aq",
     "greedy_offsets", "is_prime", "load", "log_gamma", "merge", "precompute",
     "primitive_root", "psi_n", "s_function", "s_pair", "save",

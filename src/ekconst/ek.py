@@ -12,7 +12,7 @@ Two independent routes are implemented:
 
   method "s":  even characters through S(x) and log Gamma, odd characters
                through the first chi-Bernoulli numbers and log Gamma
-               (one full-length transform plus two half-length ones);
+               (four half-length transforms, see s_ratios);
   method "t":  all characters through T(x) and psi(x) with two full-length
                sign=+1 transforms.
 """
@@ -20,14 +20,14 @@ Two independent routes are implemented:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import cache as cache_mod
 from .cache import FunctionTag, ValueTable
-from .fft import Spectrum, dft, dif_split
+from .fft import dft, dif_split
 from .multgroup import PrimeContext
 from .specfun import DEFAULT_CONFIG, EULER_GAMMA, EvalConfig, LOG_2PI
 
@@ -49,15 +49,6 @@ METHOD_TAGS = {
 
 class CharacterSumError(ArithmeticError):
     """Internal inconsistency in the character-sum pipeline."""
-
-
-@dataclass(frozen=True)
-class CharacterSums:
-    """The three spectra feeding the S-method assembly."""
-
-    logGamma_spec: Spectrum
-    s_even_spec: Spectrum
-    bern_odd_spec: Spectrum
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ def build_caches(ctx: PrimeContext, method: str = METHOD_S,
             for tag in method_tags(method)}
 
 
-def bernoulli_twisted(ctx: PrimeContext) -> Spectrum:
+def bernoulli_twisted(ctx: PrimeContext) -> np.ndarray:
     """First chi-Bernoulli numbers B_{1, conj(chi_1^{2t+1})} for t < m.
 
     B_{1,chi} = (1/q) sum_a a chi(a); nonzero exactly for odd characters.
@@ -121,25 +112,43 @@ def bernoulli_twisted(ctx: PrimeContext) -> Spectrum:
     q, m = ctx.q, ctx.m
     k = np.arange(m)
     c = np.exp(-2j * np.pi * k / (q - 1)) * (2.0 * ctx.a_seq[:m] - q) / q
-    spec = dft(c, sign=-1, decimated=True)
-    if float(np.min(np.abs(spec.values))) < BERNOULLI_FLOOR:
+    bern = dft(c, sign=-1).values
+    if float(np.min(np.abs(bern))) < BERNOULLI_FLOOR:
         raise CharacterSumError(
             "a first chi-Bernoulli number is numerically zero; "
             "character indexing is inconsistent"
         )
-    return spec
+    return bern
 
 
-def character_sums(ctx: PrimeContext, log_gamma_table: ValueTable,
-                   s_pair_table: ValueTable) -> CharacterSums:
-    """The three transforms of the S method (one full, two half length)."""
-    lg_spec = dft(log_gamma_table.values, sign=-1)
-    s_spec = dft(s_pair_table.values, sign=-1, decimated=True)
-    return CharacterSums(
-        logGamma_spec=lg_spec,
-        s_even_spec=s_spec,
-        bern_odd_spec=bernoulli_twisted(ctx),
-    )
+def s_ratios(ctx: PrimeContext, log_gamma_table: ValueTable,
+             s_pair_table: ValueTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-character ratios of the S method, from four transforms of length
+    m = (q-1)/2: the two decimation branches of log Gamma, the S pair
+    table and the Bernoulli sequence.
+
+    Returns (odd, even).  For chi = chi_1^{2t+1}, t < m,
+    odd[t] = [sum_a conj(chi)(a) log Gamma(a/q)] / B_{1,conj chi}
+    and L'/L(1,chi) = gamma + log 2 pi + odd[t].  For chi = chi_1^{2t},
+    1 <= t < m, even[t-1] is the ratio of sum_a conj(chi)(a) S(a/q) to
+    sum_a conj(chi)(a) log Gamma(a/q), and
+    L'/L(1,chi) = gamma + log 2 pi - even[t-1]/2.
+    """
+    # each m-length intermediate is dropped once used: this stage sets the
+    # peak memory of method "s" at large q
+    b, c = dif_split(log_gamma_table.values, sign=-1)
+    odd = dft(c, sign=-1).values
+    del c
+    odd /= bernoulli_twisted(ctx)
+    den = dft(b, sign=-1).values[1:]
+    del b
+    if den.size and float(np.min(np.abs(den))) < BERNOULLI_FLOOR:
+        raise CharacterSumError(
+            "an even-character log Gamma sum vanishes (L(1,chi) = 0?)"
+        )
+    even = dft(s_pair_table.values, sign=-1).values[1:]
+    even /= den
+    return odd, even
 
 
 def _take_real(constant: float, terms: np.ndarray, n: int,
@@ -147,7 +156,7 @@ def _take_real(constant: float, terms: np.ndarray, n: int,
     """constant + sum(terms), which must be real: returns its real part,
     its imaginary residue and the bound that residue passed.
 
-    The terms come from transforms of length n, so each carries a
+    The terms come from transforms of length at most n, so each carries a
     relative float64 error of about eps*log2(n); the bound is that error
     budget, eps*log2(n)*sum|terms|, of the whole sum.
     """
@@ -162,101 +171,19 @@ def _take_real(constant: float, terms: np.ndarray, n: int,
     return value.real, residue, bound
 
 
-def _odd_character_values(ctx: PrimeContext, num_odd: np.ndarray,
-                          bern: np.ndarray) -> np.ndarray:
-    if float(np.min(np.abs(bern))) < BERNOULLI_FLOOR:
-        raise CharacterSumError("first chi-Bernoulli number below floor")
-    return EULER_GAMMA + LOG_2PI + num_odd / bern
-
-
-def _even_character_values(even_num: np.ndarray,
-                           even_den: np.ndarray) -> np.ndarray:
-    if even_den.size and float(np.min(np.abs(even_den))) < BERNOULLI_FLOOR:
-        raise CharacterSumError(
-            "an even-character log Gamma sum vanishes (L(1,chi) = 0?)"
-        )
-    return EULER_GAMMA + LOG_2PI - 0.5 * even_num / even_den
-
-
-def compute_odd_sum(ctx: PrimeContext, log_gamma_table: ValueTable) -> float:
-    """Sum of L'/L(1,chi) over the odd characters mod q.
-
-    Equals (q-1)/2 (gamma + log 2 pi)
-    + sum_{chi odd} (1/B_{1,conj chi}) sum_a conj(chi)(a) log Gamma(a/q),
-    evaluated with two decimated transforms of length (q-1)/2.
-    """
-    if log_gamma_table.function_tag is not FunctionTag.LOGGAMMA:
-        raise ValueError("compute_odd_sum needs a LOGGAMMA cache")
-    q, m = ctx.q, ctx.m
-    pair = dif_split(log_gamma_table.values, sign=-1)
-    num_odd = dft(pair.c_seq, sign=-1, decimated=True).values
-    bern = bernoulli_twisted(ctx).values
-    _odd_character_values(ctx, num_odd, bern)  # guard
-    value, _, _ = _take_real((q - 1) / 2 * (EULER_GAMMA + LOG_2PI),
-                             num_odd / bern, q - 1, "odd character sum")
-    return value
-
-
-def compute_even_part(ctx: PrimeContext, s_pair_table: ValueTable,
-                      log_gamma_table: ValueTable) -> float:
-    """The Euler-Kronecker constant of the maximal real subfield.
-
-    (q-1)/2 gamma + (q-3)/2 log 2 pi
-    - (1/2) sum_{chi even, chi != chi0}
-        [sum_a conj(chi)(a) S(a/q)] / [sum_a conj(chi)(a) log Gamma(a/q)],
-    with numerators from the decimated S pair branch and denominators from
-    the even bins of the log Gamma spectrum.
-    """
-    if s_pair_table.function_tag is not FunctionTag.S_PAIR:
-        raise ValueError("compute_even_part needs an S_PAIR cache")
-    if log_gamma_table.function_tag is not FunctionTag.LOGGAMMA:
-        raise ValueError("compute_even_part needs a LOGGAMMA cache")
+def _assemble_s(ctx: PrimeContext, log_gamma_table: ValueTable,
+                s_pair_table: ValueTable):
     q = ctx.q
-    s_spec = dft(s_pair_table.values, sign=-1, decimated=True).values
-    pair = dif_split(log_gamma_table.values, sign=-1)
-    even_den = dft(pair.b_seq, sign=-1, decimated=True).values
-    _even_character_values(s_spec[1:], even_den[1:])  # denominator guard
-    value, _, _ = _take_real((q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI,
-                             -0.5 * (s_spec[1:] / even_den[1:]), q - 1,
-                             "even character sum")
-    return value
-
-
-def compute_mq(ctx: PrimeContext, log_gamma_table: ValueTable,
-               s_pair_table: ValueTable) -> tuple[float, float]:
-    """(M_q^odd, M_q^even): parity-wise maxima of |L'/L(1,chi)|."""
-    sums = character_sums(ctx, log_gamma_table, s_pair_table)
-    return _mq_from_sums(ctx, sums)
-
-
-def _mq_from_sums(ctx: PrimeContext,
-                  sums: CharacterSums) -> tuple[float, float]:
-    full = sums.logGamma_spec.values
-    odd_vals = _odd_character_values(ctx, full[1::2], sums.bern_odd_spec.values)
-    even_vals = _even_character_values(sums.s_even_spec.values[1:],
-                                       full[0::2][1:])
-    mq_odd = float(np.max(np.abs(odd_vals)))
-    mq_even = float(np.max(np.abs(even_vals))) if even_vals.size else 0.0
-    return mq_odd, mq_even
-
-
-def _assemble_s(ctx: PrimeContext, sums: CharacterSums):
-    q = ctx.q
-    full = sums.logGamma_spec.values
-    num_odd = full[1::2]                     # bins j = 2t+1
-    even_den = full[0::2][1:]                # bins j = 2t, t >= 1
-    odd_vals = _odd_character_values(ctx, num_odd, sums.bern_odd_spec.values)
-    even_vals = _even_character_values(sums.s_even_spec.values[1:], even_den)
-
-    diff, r1, b1 = _take_real(
-        (q - 1) / 2 * (EULER_GAMMA + LOG_2PI),
-        num_odd / sums.bern_odd_spec.values, q - 1, "odd character sum")
+    odd, even = s_ratios(ctx, log_gamma_table, s_pair_table)
+    diff, r1, b1 = _take_real((q - 1) / 2 * (EULER_GAMMA + LOG_2PI), odd,
+                              q - 1, "odd character sum")
+    mq_odd = float(np.max(np.abs(EULER_GAMMA + LOG_2PI + odd)))
+    del odd
     ek_plus, r2, b2 = _take_real(
-        (q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI,
-        -0.5 * (sums.s_even_spec.values[1:] / even_den), q - 1,
-        "even character sum")
-    mq_odd = float(np.max(np.abs(odd_vals)))
-    mq_even = float(np.max(np.abs(even_vals))) if even_vals.size else 0.0
+        (q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI, -0.5 * even,
+        q - 1, "even character sum")
+    mq_even = (float(np.max(np.abs(EULER_GAMMA + LOG_2PI - 0.5 * even)))
+               if even.size else 0.0)
     return (diff + ek_plus, ek_plus, diff, mq_odd, mq_even,
             max((r1, b1), (r2, b2)))
 
@@ -293,12 +220,11 @@ def compute_ek(ctx: PrimeContext,
         caches = build_caches(ctx, method, cfg)
     discrepancy = None
     if method in (METHOD_S, METHOD_BOTH):
-        sums = character_sums(
+        ek, ek_plus, diff, mq_odd, mq_even, imag = _assemble_s(
             ctx,
             _require(caches, ctx, FunctionTag.LOGGAMMA),
             _require(caches, ctx, FunctionTag.S_PAIR),
         )
-        ek, ek_plus, diff, mq_odd, mq_even, imag = _assemble_s(ctx, sums)
     if method in (METHOD_T, METHOD_BOTH):
         out_t = _assemble_t(
             ctx,
@@ -320,15 +246,3 @@ def compute_ek(ctx: PrimeContext,
         imag_residue=imag[0], imag_bound=imag[1],
     )
 
-
-def checksum(ctx: PrimeContext, table: ValueTable) -> float:
-    """Residual of a full cache against its closed-form sum.
-
-    The caller thresholds the result; linearity makes a single corrupted
-    entry show up at its full magnitude.
-    """
-    if table.q != ctx.q:
-        raise ValueError(f"cache q={table.q} does not match context q={ctx.q}")
-    if not table.is_full_range:
-        raise ValueError("checksum requires a full-range cache")
-    return table.checksum_residual()

@@ -2,7 +2,7 @@
 decimation-in-frequency split that maps even/odd output bins of a
 length-(q-1) transform onto two length-(q-1)/2 transforms.
 
-Conventions: the forward sum is Spectrum[j] = sum_k e(sign*j*k/N) x[k] with
+Conventions: dft(x, sign).values[j] = sum_k e(sign*j*k/N) x[k] with
 e(t) = exp(2*pi*i*t), unnormalized.  sign=-1 matches the usual engineering
 DFT; sign=+1 is its unnormalized inverse.
 """
@@ -13,32 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+
 @dataclass(frozen=True)
 class Spectrum:
-    """DFT output with an explicit exponent-sign convention.
-
-    decimated=True marks half-length spectra whose bin t corresponds to the
-    full-length bin 2t (even branch) or 2t+1 (odd branch).
-    """
+    """The output of dft: values[j] is bin j of the transform."""
 
     values: np.ndarray = field(repr=False)
-    sign: int
-    decimated: bool = False
-
-    @property
-    def length(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, j):
-        return self.values[j]
-
-
-@dataclass(frozen=True)
-class DIFPair:
-    """The two half-length input sequences of the decimation split."""
-
-    b_seq: np.ndarray = field(repr=False)
-    c_seq: np.ndarray = field(repr=False)
 
 
 def _check_sign(sign: int) -> None:
@@ -46,7 +26,7 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
-def dft(x, sign: int = -1, decimated: bool = False) -> Spectrum:
+def dft(x, sign: int = -1) -> Spectrum:
     """Unnormalized transform sum_k e(sign*j*k/N) x[k], O(N log N).
 
     Arbitrary N is handled by the pocketfft backend (mixed-radix kernels
@@ -60,15 +40,16 @@ def dft(x, sign: int = -1, decimated: bool = False) -> Spectrum:
         values = np.fft.fft(x)
     else:
         values = np.fft.ifft(x) * len(x)
-    return Spectrum(values=values, sign=sign, decimated=decimated)
+    return Spectrum(values=values)
 
 
-def dif_split(f_vals, sign: int = -1) -> DIFPair:
+def dif_split(f_vals, sign: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Split f_vals (indexed by k, length q-1) for decimation in frequency.
 
-    b_seq[k] = f[k] + f[k+m] feeds the even output bins: dft(b)[t] equals
-    the full-spectrum bin 2t.  c_seq[k] = e(sign*k/(q-1))*(f[k] - f[k+m])
-    feeds the odd bins: dft(c)[t] equals bin 2t+1.
+    Returns (b, c).  b[k] = f[k] + f[k+m] feeds the even output bins:
+    dft(b)[t] equals the full-spectrum bin 2t.
+    c[k] = e(sign*k/(q-1))*(f[k] - f[k+m]) feeds the odd bins: dft(c)[t]
+    equals bin 2t+1.
     """
     _check_sign(sign)
     f = np.asarray(f_vals)
@@ -79,4 +60,4 @@ def dif_split(f_vals, sign: int = -1) -> DIFPair:
     b = f[:m] + f[m:]
     twiddle = np.exp(sign * 2j * np.pi * np.arange(m) / n)
     c = twiddle * (f[:m] - f[m:])
-    return DIFPair(b_seq=b, c_seq=c)
+    return b, c

@@ -8,7 +8,7 @@ import numpy as np
 import oracles
 from ekconst import specfun
 from ekconst.cache import FunctionTag, closed_form_sum, precompute
-from ekconst.ek import character_sums, compute_ek
+from ekconst.ek import compute_ek, s_ratios
 from ekconst.fft import dft, dif_split
 from ekconst.multgroup import build_context
 from ekconst.offsets import greedy_offsets, reciprocal_sum, v_of_q
@@ -102,9 +102,9 @@ def test_criterion_5_fft_correctness():
     for q in oracles.odd_primes_up_to(101):
         f = rng.standard_normal(q - 1)
         full = oracles.naive_dft(f, -1)
-        pair = dif_split(f, -1)
-        even = dft(pair.b_seq, -1).values
-        odd = dft(pair.c_seq, -1).values
+        b, c = dif_split(f, -1)
+        even = dft(b, -1).values
+        odd = dft(c, -1).values
         assert float(np.max(np.abs(even - full[0::2]))) <= 1e-10 * q
         assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-10 * q
     _report(5, "dft matches direct oracle; decimated bins line up",
@@ -118,12 +118,9 @@ def test_criterion_6_character_sum_oracle():
         ctx = build_context(q)
         lg = precompute(ctx, FunctionTag.LOGGAMMA)
         sp = precompute(ctx, FunctionTag.S_PAIR)
-        sums = character_sums(ctx, lg, sp)
-        full = sums.logGamma_spec.values
-        odd_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
-                    + full[1::2] / sums.bern_odd_spec.values)
-        even_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
-                     - 0.5 * sums.s_even_spec.values[1:] / full[0::2][1:])
+        odd, even = s_ratios(ctx, lg, sp)
+        odd_vals = specfun.EULER_GAMMA + specfun.LOG_2PI + odd
+        even_vals = specfun.EULER_GAMMA + specfun.LOG_2PI - 0.5 * even
         s_by_a = specfun.s_values(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):

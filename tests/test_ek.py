@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from ekconst import specfun
+import ekconst
+from ekconst import ek, specfun
 from ekconst.cache import FunctionTag, ValueTable, precompute
-from ekconst.ek import (CharacterSumError, CharacterSums, _assemble_s,
-                        bernoulli_twisted, build_caches, character_sums,
-                        checksum, compute_ek, compute_even_part, compute_mq,
-                        compute_odd_sum)
-from ekconst.fft import Spectrum, dft
+from ekconst.ek import (CharacterSumError, _assemble_s, bernoulli_twisted,
+                        build_caches, compute_ek, s_ratios)
+from ekconst.fft import dft, dif_split
 from ekconst.multgroup import build_context
 from ekconst.specfun import EULER_GAMMA
 from reference_values import EK, EK_PLUS, MQ
@@ -26,6 +25,17 @@ def small_contexts():
 def tables(ctx):
     return (precompute(ctx, FunctionTag.LOGGAMMA),
             precompute(ctx, FunctionTag.S_PAIR))
+
+
+def oracle_parts(ctx):
+    """(ek_diff, ek_plus, mq_odd, mq_even) from direct character sums."""
+    lg, _ = tables(ctx)
+    s_by_a = specfun.s_values(np.arange(1, ctx.q) / ctx.q)
+    direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
+    odd = [v for j, v in direct.items() if j % 2 == 1]
+    even = [v for j, v in direct.items() if j % 2 == 0]
+    return (sum(odd).real, EULER_GAMMA + sum(even, 0j).real,
+            max(map(abs, odd)), max(map(abs, even), default=0.0))
 
 
 class TestPublishedValues:
@@ -48,22 +58,25 @@ class TestPublishedValues:
         assert res.method_discrepancy <= 1e-11
 
     def test_q3_even_part_is_gamma(self, small_contexts):
+        # q = 3 has no nontrivial even character
         ctx = small_contexts[3]
-        lg, sp = tables(ctx)
-        assert compute_even_part(ctx, sp, lg) == pytest.approx(
+        assert oracle_parts(ctx)[1] == EULER_GAMMA
+        assert compute_ek(ctx, method="s").ek_plus == pytest.approx(
             EULER_GAMMA, abs=1e-14)
 
     def test_q3_odd_sum_is_difference(self, small_contexts):
         ctx = small_contexts[3]
-        lg, _ = tables(ctx)
         want = EK[3] - EK_PLUS[3]
-        assert compute_odd_sum(ctx, lg) == pytest.approx(want, abs=1e-12)
+        assert oracle_parts(ctx)[0] == pytest.approx(want, abs=1e-12)
+        assert compute_ek(ctx, method="s").ek_diff == pytest.approx(
+            want, abs=1e-12)
 
     def test_q5_odd_sum(self, small_contexts):
         ctx = small_contexts[5]
-        lg, _ = tables(ctx)
         want = EK[5] - EK_PLUS[5]
-        assert compute_odd_sum(ctx, lg) == pytest.approx(want, abs=1e-12)
+        assert oracle_parts(ctx)[0] == pytest.approx(want, abs=1e-12)
+        assert compute_ek(ctx, method="s").ek_diff == pytest.approx(
+            want, abs=1e-12)
 
 
 class TestStructuralIdentities:
@@ -72,24 +85,22 @@ class TestStructuralIdentities:
             res = compute_ek(ctx, method="s")
             assert res.ek_diff == pytest.approx(res.ek - res.ek_plus,
                                                 abs=1e-12)
-            lg, _ = tables(ctx)
-            assert res.ek_diff == pytest.approx(compute_odd_sum(ctx, lg),
+            assert res.ek_diff == pytest.approx(oracle_parts(ctx)[0],
                                                 abs=1e-12)
 
     def test_even_part_matches_assembly(self, small_contexts):
         for ctx in small_contexts.values():
             res = compute_ek(ctx, method="s")
-            lg, sp = tables(ctx)
-            assert compute_even_part(ctx, sp, lg) == pytest.approx(
-                res.ek_plus, abs=1e-12)
+            assert res.ek_plus == pytest.approx(oracle_parts(ctx)[1],
+                                                abs=1e-12)
 
     def test_mq_consistency(self, small_contexts):
         ctx = small_contexts[163]
-        lg, sp = tables(ctx)
-        mq_odd, mq_even = compute_mq(ctx, lg, sp)
+        _, _, mq_odd, mq_even = oracle_parts(ctx)
         res = compute_ek(ctx, method="s")
-        assert (mq_odd, mq_even) == (res.mq_odd, res.mq_even)
-        assert res.mq == max(mq_odd, mq_even)
+        assert res.mq_odd == pytest.approx(mq_odd, abs=1e-12)
+        assert res.mq_even == pytest.approx(mq_even, abs=1e-12)
+        assert res.mq == max(res.mq_odd, res.mq_even)
 
     def test_norms(self, small_contexts):
         res = compute_ek(small_contexts[7], method="s")
@@ -106,25 +117,46 @@ class TestStructuralIdentities:
                 assert res.imag_residue <= res.imag_bound
                 assert res.imag_bound <= 1e-10
 
-    def test_mispaired_characters_are_refused(self):
+    def test_mispaired_characters_are_refused(self, monkeypatch):
         # pairing each odd character's log Gamma sum with the next
         # character's Bernoulli number leaves a large imaginary part
         ctx = build_context(10007)
         lg, sp = tables(ctx)
-        sums = character_sums(ctx, lg, sp)
-        _assemble_s(ctx, sums)  # correctly paired, it passes
-        bern = sums.bern_odd_spec
-        rolled = CharacterSums(
-            logGamma_spec=sums.logGamma_spec, s_even_spec=sums.s_even_spec,
-            bern_odd_spec=Spectrum(np.roll(bern.values, 1), bern.sign,
-                                   bern.decimated))
-        with pytest.raises(CharacterSumError, match="imaginary residue"):
-            _assemble_s(ctx, rolled)
+        _assemble_s(ctx, lg, sp)  # correctly paired, it passes
+        monkeypatch.setattr(ek, "bernoulli_twisted",
+                            lambda c: np.roll(bernoulli_twisted(c), 1))
+        with pytest.raises(CharacterSumError,
+                           match="imaginary residue .* exceeds its float64 "
+                                 "budget"):
+            _assemble_s(ctx, lg, sp)
 
     def test_first_bernoulli_nonzero(self, small_contexts):
         for ctx in small_contexts.values():
             bern = bernoulli_twisted(ctx)
-            assert float(np.min(np.abs(bern.values))) > 1e-12
+            assert float(np.min(np.abs(bern))) > 1e-12
+
+    @pytest.mark.parametrize("which", ["bernoulli", "even log Gamma"])
+    def test_vanishing_denominators_are_refused(self, which, monkeypatch):
+        # a transform that returns zeros where the S method divides must
+        # raise, not turn into inf or nan
+        ctx = build_context(101)
+        lg, sp = tables(ctx)
+        if which == "bernoulli":
+            k = np.arange(ctx.m)
+            target = (np.exp(-2j * np.pi * k / (ctx.q - 1))
+                      * (2.0 * ctx.a_seq[:ctx.m] - ctx.q) / ctx.q)
+        else:
+            target = dif_split(lg.values, sign=-1)[0]
+
+        def dft_zeroing(x, *args, **kwargs):
+            spectrum = dft(x, *args, **kwargs)
+            if np.array_equal(x, target):
+                spectrum.values[:] = 0.0
+            return spectrum
+
+        monkeypatch.setattr(ek, "dft", dft_zeroing)
+        with pytest.raises(CharacterSumError):
+            compute_ek(ctx, method="s")
 
     def test_grh_style_bound(self):
         for q in oracles.odd_primes_up_to(300):
@@ -157,7 +189,7 @@ class TestSigmaConvention:
     def test_q5_bernoulli_matches_explicit(self):
         ctx = build_context(5)
         chars = oracles.character_table(ctx)
-        bern = bernoulli_twisted(ctx).values
+        bern = bernoulli_twisted(ctx)
         for t in range(2):
             j = 2 * t + 1
             direct = np.sum(np.conj(chars[j]) * ctx.a_seq / 5)
@@ -169,12 +201,9 @@ class TestPerCharacterOracle:
     def test_fft_equals_direct(self, q):
         ctx = build_context(q)
         lg, sp = tables(ctx)
-        sums = character_sums(ctx, lg, sp)
-        full = sums.logGamma_spec.values
-        odd_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
-                    + full[1::2] / sums.bern_odd_spec.values)
-        even_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
-                     - 0.5 * sums.s_even_spec.values[1:] / full[0::2][1:])
+        odd, even = s_ratios(ctx, lg, sp)
+        odd_vals = specfun.EULER_GAMMA + specfun.LOG_2PI + odd
+        even_vals = specfun.EULER_GAMMA + specfun.LOG_2PI - 0.5 * even
         s_by_a = specfun.s_values(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):
@@ -185,10 +214,8 @@ class TestPerCharacterOracle:
     def test_conjugate_pairing(self):
         ctx = build_context(31)
         lg, sp = tables(ctx)
-        sums = character_sums(ctx, lg, sp)
-        full = sums.logGamma_spec.values
-        odd_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
-                    + full[1::2] / sums.bern_odd_spec.values)
+        odd, _ = s_ratios(ctx, lg, sp)
+        odd_vals = specfun.EULER_GAMMA + specfun.LOG_2PI + odd
         m = ctx.m
         for t in range(m):
             assert odd_vals[t] == pytest.approx(
@@ -198,8 +225,9 @@ class TestPerCharacterOracle:
 class TestChecksumOp:
     def test_small_residuals(self):
         ctx = build_context(101)
-        assert checksum(ctx, precompute(ctx, FunctionTag.S_PAIR)) <= 1e-10
-        assert checksum(ctx, precompute(ctx, FunctionTag.T)) <= 1e-9
+        s_pair = precompute(ctx, FunctionTag.S_PAIR)
+        assert s_pair.checksum_residual() <= 1e-10
+        assert precompute(ctx, FunctionTag.T).checksum_residual() <= 1e-9
 
     def test_detects_corruption(self):
         ctx = build_context(101)
@@ -210,13 +238,7 @@ class TestChecksumOp:
                          function_tag=table.function_tag,
                          k_lo=table.k_lo, k_hi=table.k_hi, values=bad_values,
                          partial_sum=math.fsum(bad_values.tolist()))
-        assert checksum(ctx, bad) >= 9e-7
-
-    def test_requires_full_range(self):
-        ctx = build_context(101)
-        partial = precompute(ctx, FunctionTag.S_PAIR, (0, 10))
-        with pytest.raises(ValueError):
-            checksum(ctx, partial)
+        assert bad.checksum_residual() >= 9e-7
 
 
 class TestCacheHandling:
@@ -244,3 +266,40 @@ class TestCacheHandling:
             compute_ek(build_context(7), method="x")
         with pytest.raises(ValueError):
             build_caches(build_context(7), "x")
+
+
+class TestTransformContract:
+    @pytest.mark.parametrize("q", [13, 10007])
+    def test_every_s_transform_goes_through_ek_dft(self, q, monkeypatch):
+        # wraps ek.dft the way benchmarks/tracing.py does and counts the
+        # numpy transforms made outside the wrapper
+        counts = {"wrapped": 0, "numpy": 0, "points": 0}
+        np_fft, np_ifft, ek_dft = np.fft.fft, np.fft.ifft, ek.dft
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                counts["numpy"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def traced_dft(x, *args, **kwargs):
+            spectrum = ek_dft(x, *args, **kwargs)
+            counts["wrapped"] += 1
+            counts["points"] += len(spectrum.values)
+            return spectrum
+
+        ctx = build_context(q)
+        caches = build_caches(ctx, "s")
+        monkeypatch.setattr(np.fft, "fft", counting(np_fft))
+        monkeypatch.setattr(np.fft, "ifft", counting(np_ifft))
+        monkeypatch.setattr(ek, "dft", traced_dft)
+        compute_ek(ctx, caches, method="s")
+        assert counts["wrapped"] == counts["numpy"] == 4
+        assert counts["points"] == 2 * (q - 1)
+
+    def test_star_import_and_all(self):
+        namespace = {}
+        exec("from ekconst import *", namespace)
+        for name in ekconst.__all__:
+            assert name in namespace
+            assert getattr(ekconst, name) is namespace[name]

@@ -74,11 +74,11 @@ class TestProperties:
 class TestDecimation:
     def test_arithmetic_example_q5(self):
         f = np.array([0.0, 1.0, 2.0, 3.0])
-        pair = dif_split(f, sign=-1)
-        assert np.allclose(pair.b_seq, [2.0, 4.0], atol=1e-15)
-        assert pair.c_seq[0] == pytest.approx(-2.0, abs=1e-15)
+        b, c = dif_split(f, sign=-1)
+        assert np.allclose(b, [2.0, 4.0], atol=1e-15)
+        assert c[0] == pytest.approx(-2.0, abs=1e-15)
         want = np.exp(-2j * np.pi / 4) * (1.0 - 3.0)
-        assert pair.c_seq[1] == pytest.approx(want, abs=1e-15)
+        assert c[1] == pytest.approx(want, abs=1e-15)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
@@ -89,8 +89,8 @@ class TestDecimation:
         f = RNG.standard_normal(q - 1)
         for sign in (-1, 1):
             full = oracles.naive_dft(f, sign)
-            pair = dif_split(f, sign)
-            even = dft(pair.b_seq, sign).values
-            odd = dft(pair.c_seq, sign).values
+            b, c = dif_split(f, sign)
+            even = dft(b, sign).values
+            odd = dft(c, sign).values
             assert float(np.max(np.abs(even - full[0::2]))) <= 1e-12 * q
             assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-12 * q
