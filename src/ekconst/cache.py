@@ -142,7 +142,7 @@ def check_closed_form(table: ValueTable, source) -> None:
     """The full-range gate: ChecksumMismatchError if the closed-form
     residual exceeds checksum_tolerance(table); `source` names the table."""
     residual, tol = table.checksum_residual(), checksum_tolerance(table)
-    if residual > tol:
+    if not residual <= tol:
         raise ChecksumMismatchError(f"{source}: full-range checksum residual "
                                     f"{residual:.3e} exceeds {tol:.3e}")
 
@@ -218,8 +218,14 @@ def merge(parts: list[ValueTable]) -> ValueTable:
     )
 
 
-def part_filename(tag: FunctionTag, q: int, k_lo: int) -> str:
+def part_filename(tag: FunctionTag, q: int, k_lo: int | str) -> str:
+    """The name of the part starting at k_lo; k_lo="*" makes it a glob."""
     return f"{tag.value}_q{q}_part{k_lo}.ekc"
+
+
+def part_paths(cache_dir: Path, tag: FunctionTag, q: int) -> list[Path]:
+    """The sorted paths of every part_filename(tag, q, ...) in cache_dir."""
+    return sorted(cache_dir.glob(part_filename(tag, q, "*")))
 
 
 def save(table: ValueTable, path) -> Path:

@@ -70,7 +70,7 @@ def _load_cached_tables(args, q: int, tags, verify: bool = True) -> dict:
     if cache_dir is None or not cache_dir.is_dir():
         return tables
     for tag in tags:
-        paths = sorted(cache_dir.glob(f"{tag.value}_q{q}_part*.ekc"))
+        paths = cache_mod.part_paths(cache_dir, tag, q)
         if not paths:
             continue
         parts = [cache_mod.load(p, verify_checksum=False) for p in paths]
@@ -173,7 +173,7 @@ def cmd_merge(args) -> int:
     if cache_dir is None:
         raise UsageError("merge needs --cache DIR or EK_CACHE_DIR")
     tag = FunctionTag(args.tag)
-    paths = sorted(cache_dir.glob(f"{tag.value}_q{q}_part*.ekc"))
+    paths = cache_mod.part_paths(cache_dir, tag, q)
     if not paths:
         raise UsageError(f"no {tag.value} parts for q={q} under {cache_dir}")
     merged = cache_mod.merge([cache_mod.load(p, verify_checksum=False)

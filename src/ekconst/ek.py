@@ -2,23 +2,25 @@
 maximum logarithmic-derivative modulus M_q from precomputed value tables.
 
 Character sums over the nontrivial Dirichlet characters mod q are reordered
-through a_k = g^k into discrete Fourier transforms (bin j of the sign=-1
+through a_k = g^k into discrete Fourier transforms (bin j of the
 transform of f(a_k/q) is the sum of conj(chi_1^j)(a) f(a/q), where
 chi_1(g) = e(1/(q-1))).  chi_1^j is even exactly when j is even, so the
-even-character pipeline consumes the b branch of the decimation split and
-the odd-character pipeline the c branch.
+even characters take the b branch of the decimation split and the odd
+ones the c branch, each a transform of length m = (q-1)/2.
 
-Two independent routes are implemented:
+Two independent routes each run four such transforms and return
+per-character (odd, even) ratios indexed alike, which _reduce turns into
+the constants:
 
   method "s":  even characters through S(x) and log Gamma, odd characters
                through the first chi-Bernoulli numbers and log Gamma
-               (four half-length transforms, see s_ratios);
-  method "t":  all characters through T(x) and psi(x) with two full-length
-               sign=+1 transforms.
+               (s_ratios);
+  method "t":  all characters through T(x) and psi(x) (t_ratios).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -112,13 +114,17 @@ def bernoulli_twisted(ctx: PrimeContext) -> np.ndarray:
     q, m = ctx.q, ctx.m
     k = np.arange(m)
     c = np.exp(-2j * np.pi * k / (q - 1)) * (2.0 * ctx.a_seq[:m] - q) / q
-    bern = dft(c, sign=-1).values
-    if float(np.min(np.abs(bern))) < BERNOULLI_FLOOR:
-        raise CharacterSumError(
-            "a first chi-Bernoulli number is numerically zero; "
-            "character indexing is inconsistent"
-        )
-    return bern
+    return dft(c).values
+
+
+def _divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
+    """num / den, in place in num; CharacterSumError if some |den| is below
+    BERNOULLI_FLOOR (or NaN), where the ratio would be inf or noise."""
+    if den.size and not float(np.min(np.abs(den))) >= BERNOULLI_FLOOR:
+        raise CharacterSumError(f"{what} is numerically zero "
+                                f"(below {BERNOULLI_FLOOR:g})")
+    num /= den
+    return num
 
 
 def s_ratios(ctx: PrimeContext, log_gamma_table: ValueTable,
@@ -136,34 +142,53 @@ def s_ratios(ctx: PrimeContext, log_gamma_table: ValueTable,
     """
     # each m-length intermediate is dropped once used: this stage sets the
     # peak memory of method "s" at large q
-    b, c = dif_split(log_gamma_table.values, sign=-1)
-    odd = dft(c, sign=-1).values
+    b, c = dif_split(log_gamma_table.values)
+    odd = dft(c).values
     del c
-    odd /= bernoulli_twisted(ctx)
-    den = dft(b, sign=-1).values[1:]
+    odd = _divide(odd, bernoulli_twisted(ctx), "a first chi-Bernoulli number")
+    den = dft(b).values[1:]
     del b
-    if den.size and float(np.min(np.abs(den))) < BERNOULLI_FLOOR:
-        raise CharacterSumError(
-            "an even-character log Gamma sum vanishes (L(1,chi) = 0?)"
-        )
-    even = dft(s_pair_table.values, sign=-1).values[1:]
-    even /= den
+    even = _divide(dft(s_pair_table.values).values[1:], den,
+                   "an even-character log Gamma sum")
     return odd, even
+
+
+def t_ratios(ctx: PrimeContext, t_table: ValueTable,
+             psi_table: ValueTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-character ratios of the T method, from four transforms of length
+    m = (q-1)/2: the two decimation branches of the T and psi tables.
+
+    Returns (odd, even), indexed as by s_ratios: odd[t] belongs to
+    chi = chi_1^{2t+1}, t < m, and even[t-1] to chi = chi_1^{2t},
+    1 <= t < m.  Each is the ratio r of sum_a chi(a) T(a/q) to
+    sum_a chi(a) psi(a/q), and L'/L(1,chi) = -log q - r.
+    """
+    b, c = dif_split(t_table.values)
+    odd, even = dft(c).values, dft(b).values[1:]
+    b, c = dif_split(psi_table.values)
+    odd = _divide(odd, dft(c).values, "an odd-character psi sum")
+    del c
+    even = _divide(even, dft(b).values[1:], "an even-character psi sum")
+    # the transforms give the conj(chi) sums of real tables; conjugating
+    # their ratio gives the ratio of the chi sums
+    return np.conjugate(odd, out=odd), np.conjugate(even, out=even)
 
 
 def _take_real(constant: float, terms: np.ndarray, n: int,
                what: str) -> tuple[float, float, float]:
-    """constant + sum(terms), which must be real: returns its real part,
-    its imaginary residue and the bound that residue passed.
+    """constant + sum(terms), which must be finite and real: returns its
+    real part, its imaginary residue and the bound that residue passed.
 
     The terms come from transforms of length at most n, so each carries a
     relative float64 error of about eps*log2(n); the bound is that error
     budget, eps*log2(n)*sum|terms|, of the whole sum.
     """
     value = constant + complex(np.sum(terms))
+    if not cmath.isfinite(value):
+        raise CharacterSumError(f"{what} is not finite: {value}")
     residue = abs(value.imag)
     bound = _EPS * math.log2(n) * float(np.sum(np.abs(terms)))
-    if residue > bound:
+    if not residue <= bound:
         raise CharacterSumError(
             f"imaginary residue {residue:.3e} of {what} exceeds its float64 "
             f"budget eps*log2({n})*sum|terms| = {bound:.3e}"
@@ -171,38 +196,18 @@ def _take_real(constant: float, terms: np.ndarray, n: int,
     return value.real, residue, bound
 
 
-def _assemble_s(ctx: PrimeContext, log_gamma_table: ValueTable,
-                s_pair_table: ValueTable):
-    q = ctx.q
-    odd, even = s_ratios(ctx, log_gamma_table, s_pair_table)
-    diff, r1, b1 = _take_real((q - 1) / 2 * (EULER_GAMMA + LOG_2PI), odd,
-                              q - 1, "odd character sum")
-    mq_odd = float(np.max(np.abs(EULER_GAMMA + LOG_2PI + odd)))
-    del odd
-    ek_plus, r2, b2 = _take_real(
-        (q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI, -0.5 * even,
-        q - 1, "even character sum")
-    mq_even = (float(np.max(np.abs(EULER_GAMMA + LOG_2PI - 0.5 * even)))
-               if even.size else 0.0)
+def _reduce(q: int, odd: np.ndarray, even: np.ndarray, shift: float,
+            odd_constant: float, even_constant: float):
+    """(ek, ek_plus, ek_diff, mq_odd, mq_even, (imag residue, its bound))
+    from one route's per-character terms, indexed as by s_ratios, with
+    L'/L(1,chi) = shift + term.  ek_diff = odd_constant + sum(odd) and
+    ek_plus = even_constant + sum(even) are each gated by _take_real."""
+    diff, r1, b1 = _take_real(odd_constant, odd, q - 1, "odd character sum")
+    ek_plus, r2, b2 = _take_real(even_constant, even, q - 1,
+                                 "even character sum")
+    mq_odd = float(np.max(np.abs(shift + odd)))
+    mq_even = float(np.max(np.abs(shift + even))) if even.size else 0.0
     return (diff + ek_plus, ek_plus, diff, mq_odd, mq_even,
-            max((r1, b1), (r2, b2)))
-
-
-def _assemble_t(ctx: PrimeContext, t_table: ValueTable,
-                psi_table: ValueTable):
-    q = ctx.q
-    t_spec = dft(t_table.values, sign=1).values
-    psi_spec = dft(psi_table.values, sign=1).values
-    ratios = t_spec[1:] / psi_spec[1:]       # bins j = 1..q-2
-    per_char = -math.log(q) - ratios
-    ek, r1, b1 = _take_real(EULER_GAMMA, per_char, q - 1,
-                            "T-method character sum")
-    ek_plus, r2, b2 = _take_real(EULER_GAMMA, per_char[1::2], q - 1,
-                                 "T-method even character sum")  # even j
-    mq_odd = float(np.max(np.abs(per_char[0::2])))
-    evens = per_char[1::2]
-    mq_even = float(np.max(np.abs(evens))) if evens.size else 0.0
-    return (ek, ek_plus, ek - ek_plus, mq_odd, mq_even,
             max((r1, b1), (r2, b2)))
 
 
@@ -218,28 +223,32 @@ def compute_ek(ctx: PrimeContext,
     method_tags(method)  # rejects an unknown method
     if caches is None:
         caches = build_caches(ctx, method, cfg)
+    q = ctx.q
     discrepancy = None
     if method in (METHOD_S, METHOD_BOTH):
-        ek, ek_plus, diff, mq_odd, mq_even, imag = _assemble_s(
-            ctx,
-            _require(caches, ctx, FunctionTag.LOGGAMMA),
-            _require(caches, ctx, FunctionTag.S_PAIR),
-        )
+        odd, even = s_ratios(ctx, _require(caches, ctx, FunctionTag.LOGGAMMA),
+                             _require(caches, ctx, FunctionTag.S_PAIR))
+        even *= -0.5
+        shift = EULER_GAMMA + LOG_2PI
+        out = _reduce(q, odd, even, shift, (q - 1) / 2 * shift,
+                      (q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI)
+        del odd, even  # before the T transforms allocate theirs
     if method in (METHOD_T, METHOD_BOTH):
-        out_t = _assemble_t(
-            ctx,
-            _require(caches, ctx, FunctionTag.T),
-            _require(caches, ctx, FunctionTag.PSI),
-        )
+        odd, even = t_ratios(ctx, _require(caches, ctx, FunctionTag.T),
+                             _require(caches, ctx, FunctionTag.PSI))
+        for r in (odd, even):
+            np.subtract(-math.log(q), r, out=r)
+        out_t = _reduce(q, odd, even, 0.0, 0.0, EULER_GAMMA)
         if method == METHOD_T:
-            ek, ek_plus, diff, mq_odd, mq_even, imag = out_t
+            out = out_t
         else:
-            discrepancy = abs(ek - out_t[0])
+            discrepancy = abs(out[0] - out_t[0])
+    ek, ek_plus, diff, mq_odd, mq_even, imag = out
     mq = max(mq_odd, mq_even)
-    lq = math.log(ctx.q)
+    lq = math.log(q)
     llq = math.log(lq)
     return EKResult(
-        q=ctx.q, ek=ek, ek_plus=ek_plus, ek_diff=diff,
+        q=q, ek=ek, ek_plus=ek_plus, ek_diff=diff,
         mq_odd=mq_odd, mq_even=mq_even, mq=mq,
         ek_norm=ek / lq, ek_plus_norm=ek_plus / lq, mq_norm=mq / llq,
         method=method, method_discrepancy=discrepancy,

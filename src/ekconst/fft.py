@@ -2,9 +2,8 @@
 decimation-in-frequency split that maps even/odd output bins of a
 length-(q-1) transform onto two length-(q-1)/2 transforms.
 
-Conventions: dft(x, sign).values[j] = sum_k e(sign*j*k/N) x[k] with
-e(t) = exp(2*pi*i*t), unnormalized.  sign=-1 matches the usual engineering
-DFT; sign=+1 is its unnormalized inverse.
+Convention: dft(x).values[j] = sum_k e(-j*k/N) x[k] with
+e(t) = exp(2*pi*i*t), unnormalized (the usual engineering DFT).
 """
 
 from __future__ import annotations
@@ -21,43 +20,32 @@ class Spectrum:
     values: np.ndarray = field(repr=False)
 
 
-def _check_sign(sign: int) -> None:
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-
-def dft(x, sign: int = -1) -> Spectrum:
-    """Unnormalized transform sum_k e(sign*j*k/N) x[k], O(N log N).
+def dft(x) -> Spectrum:
+    """Unnormalized transform sum_k e(-j*k/N) x[k], O(N log N).
 
     Arbitrary N is handled by the pocketfft backend (mixed-radix kernels
     with a Bluestein chirp fallback for large prime factors).
     """
-    _check_sign(sign)
     x = np.asarray(x)
     if len(x) < 1:
         raise ValueError("empty input")
-    if sign == -1:
-        values = np.fft.fft(x)
-    else:
-        values = np.fft.ifft(x) * len(x)
-    return Spectrum(values=values)
+    return Spectrum(values=np.fft.fft(x))
 
 
-def dif_split(f_vals, sign: int = -1) -> tuple[np.ndarray, np.ndarray]:
+def dif_split(f_vals) -> tuple[np.ndarray, np.ndarray]:
     """Split f_vals (indexed by k, length q-1) for decimation in frequency.
 
     Returns (b, c).  b[k] = f[k] + f[k+m] feeds the even output bins:
     dft(b)[t] equals the full-spectrum bin 2t.
-    c[k] = e(sign*k/(q-1))*(f[k] - f[k+m]) feeds the odd bins: dft(c)[t]
+    c[k] = e(-k/(q-1))*(f[k] - f[k+m]) feeds the odd bins: dft(c)[t]
     equals bin 2t+1.
     """
-    _check_sign(sign)
     f = np.asarray(f_vals)
     n = len(f)
     if n % 2 != 0:
         raise ValueError(f"input length must be even, got {n}")
     m = n // 2
     b = f[:m] + f[m:]
-    twiddle = np.exp(sign * 2j * np.pi * np.arange(m) / n)
+    twiddle = np.exp(-2j * np.pi * np.arange(m) / n)
     c = twiddle * (f[:m] - f[m:])
     return b, c

@@ -42,10 +42,6 @@ class PrimeContext:
     a_seq: np.ndarray = field(repr=False)
     m: int
 
-    def fractions(self) -> np.ndarray:
-        """Return a_k/q as float64, ordered by k."""
-        return self.a_seq.astype(np.float64) / self.q
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality verdict for 0 <= n < 2^64."""

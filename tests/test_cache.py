@@ -11,8 +11,9 @@ import pytest
 from ekconst import specfun
 from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
                            FunctionTag, MergeError, ValueTable, _exact_sum,
-                           checksum_tolerance, closed_form_sum, load, merge,
-                           part_filename, precompute, save)
+                           check_closed_form, checksum_tolerance,
+                           closed_form_sum, load, merge, part_filename,
+                           part_paths, precompute, save)
 from ekconst.multgroup import build_context
 from ekconst.specfun import EvalConfig
 
@@ -81,6 +82,13 @@ class TestPrecompute:
                                  r"checksum residual 1\.0\d*e-09 exceeds "
                                  r"1\.000e-11"):
             precompute(ctx101, FunctionTag.S_PAIR)
+
+    def test_nan_partial_sum_fails_the_closed_form_gate(self, ctx101):
+        # a NaN residual compares false against any tolerance
+        table = dataclasses.replace(precompute(ctx101, FunctionTag.S_PAIR),
+                                    partial_sum=math.nan)
+        with pytest.raises(ChecksumMismatchError, match="nan exceeds"):
+            check_closed_form(table, "S_PAIR table")
 
     def test_determinism(self, ctx101):
         t1 = precompute(ctx101, FunctionTag.S_PAIR)
@@ -335,6 +343,10 @@ class TestSaveLoad:
             p = tmp_path / part_filename(FunctionTag.S_PAIR, 101, k0)
             save(t, p)
             paths.append(p)
+        for other in (part_filename(FunctionTag.T, 101, 0),
+                      part_filename(FunctionTag.S_PAIR, 1013, 0)):
+            (tmp_path / other).touch()
+        assert part_paths(tmp_path, FunctionTag.S_PAIR, 101) == paths
         merged = merge([load(p) for p in paths])
         direct = precompute(ctx101, FunctionTag.S_PAIR, (0, 50))
         assert np.array_equal(merged.values, direct.values)

@@ -9,8 +9,8 @@ import oracles
 import ekconst
 from ekconst import ek, specfun
 from ekconst.cache import FunctionTag, ValueTable, precompute
-from ekconst.ek import (CharacterSumError, _assemble_s, bernoulli_twisted,
-                        build_caches, compute_ek, s_ratios)
+from ekconst.ek import (CharacterSumError, _take_real, bernoulli_twisted,
+                        build_caches, compute_ek, s_ratios, t_ratios)
 from ekconst.fft import dft, dif_split
 from ekconst.multgroup import build_context
 from ekconst.specfun import EULER_GAMMA
@@ -121,14 +121,22 @@ class TestStructuralIdentities:
         # pairing each odd character's log Gamma sum with the next
         # character's Bernoulli number leaves a large imaginary part
         ctx = build_context(10007)
-        lg, sp = tables(ctx)
-        _assemble_s(ctx, lg, sp)  # correctly paired, it passes
+        caches = build_caches(ctx, "s")
+        compute_ek(ctx, caches, method="s")  # correctly paired, it passes
         monkeypatch.setattr(ek, "bernoulli_twisted",
                             lambda c: np.roll(bernoulli_twisted(c), 1))
         with pytest.raises(CharacterSumError,
                            match="imaginary residue .* exceeds its float64 "
                                  "budget"):
-            _assemble_s(ctx, lg, sp)
+            compute_ek(ctx, caches, method="s")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.inf)])
+    def test_non_finite_sum_is_refused(self, bad):
+        # NaN compares false and inf/inf passes residue <= bound, so the
+        # gate must ask for a finite sum first
+        terms = np.array([1.0 + 0.5j, 1.0 - 0.5j, bad])
+        with pytest.raises(CharacterSumError, match="not finite"):
+            _take_real(0.0, terms, 100, "test sum")
 
     def test_first_bernoulli_nonzero(self, small_contexts):
         for ctx in small_contexts.values():
@@ -146,7 +154,7 @@ class TestStructuralIdentities:
             target = (np.exp(-2j * np.pi * k / (ctx.q - 1))
                       * (2.0 * ctx.a_seq[:ctx.m] - ctx.q) / ctx.q)
         else:
-            target = dif_split(lg.values, sign=-1)[0]
+            target = dif_split(lg.values)[0]
 
         def dft_zeroing(x, *args, **kwargs):
             spectrum = dft(x, *args, **kwargs)
@@ -155,8 +163,30 @@ class TestStructuralIdentities:
             return spectrum
 
         monkeypatch.setattr(ek, "dft", dft_zeroing)
-        with pytest.raises(CharacterSumError):
+        with pytest.raises(CharacterSumError, match="numerically zero"):
             compute_ek(ctx, method="s")
+
+    @pytest.mark.parametrize("branch", ["even", "odd"])
+    @pytest.mark.parametrize("method", ["t", "both"])
+    def test_vanishing_psi_sum_is_refused(self, method, branch, monkeypatch):
+        # one zero bin of a psi transform; unchecked, the T route returned
+        # ek = -inf and mq = inf
+        ctx = build_context(101)
+        caches = build_caches(ctx, method)
+        b, c = dif_split(caches[FunctionTag.PSI].values)
+        target = b if branch == "even" else c
+
+        def dft_zeroing(x):
+            spectrum = dft(x)
+            if np.array_equal(x, target):
+                spectrum.values[3] = 0.0
+            return spectrum
+
+        monkeypatch.setattr(ek, "dft", dft_zeroing)
+        with pytest.raises(CharacterSumError,
+                           match=f"an {branch}-character psi sum is "
+                                 "numerically zero"):
+            compute_ek(ctx, caches, method=method)
 
     def test_grh_style_bound(self):
         for q in oracles.odd_primes_up_to(300):
@@ -176,11 +206,11 @@ class TestStructuralIdentities:
 
 class TestSigmaConvention:
     def test_q5_bins_match_explicit_characters(self):
-        # permanent calibration: bin j of the sign=-1 transform of values
+        # permanent calibration: bin j of the transform of values
         # ordered by k must equal sum_a conj(chi_1^j)(a) f(a/q)
         ctx = build_context(5)
         lg, _ = tables(ctx)
-        spec = dft(lg.values, sign=-1).values
+        spec = dft(lg.values).values
         chars = oracles.character_table(ctx)
         for j in range(4):
             direct = np.sum(np.conj(chars[j]) * lg.values)
@@ -210,6 +240,26 @@ class TestPerCharacterOracle:
             assert odd_vals[t] == pytest.approx(direct[2 * t + 1], abs=1e-10)
         for t in range(1, ctx.m):
             assert even_vals[t - 1] == pytest.approx(direct[2 * t], abs=1e-10)
+
+    @pytest.mark.parametrize("q", [5, 13, 31, 101])
+    def test_t_route_equals_direct_and_s(self, q):
+        ctx = build_context(q)
+        lg, sp = tables(ctx)
+        s_odd, s_even = s_ratios(ctx, lg, sp)
+        t_odd, t_even = t_ratios(ctx, precompute(ctx, FunctionTag.T),
+                                 precompute(ctx, FunctionTag.PSI))
+        s_by_a = specfun.s_values(np.arange(1, q) / q)
+        direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
+        shift = specfun.EULER_GAMMA + specfun.LOG_2PI
+        for t in range(ctx.m):
+            t_val = -math.log(q) - t_odd[t]
+            assert t_val == pytest.approx(direct[2 * t + 1], abs=1e-10)
+            assert t_val == pytest.approx(shift + s_odd[t], abs=1e-10)
+        for t in range(1, ctx.m):
+            t_val = -math.log(q) - t_even[t - 1]
+            assert t_val == pytest.approx(direct[2 * t], abs=1e-10)
+            assert t_val == pytest.approx(shift - 0.5 * s_even[t - 1],
+                                          abs=1e-10)
 
     def test_conjugate_pairing(self):
         ctx = build_context(31)
@@ -270,15 +320,20 @@ class TestCacheHandling:
 
 class TestTransformContract:
     @pytest.mark.parametrize("q", [13, 10007])
-    def test_every_s_transform_goes_through_ek_dft(self, q, monkeypatch):
+    @pytest.mark.parametrize("method", ["s", "t", "both"])
+    def test_every_transform_goes_through_ek_dft(self, method, q,
+                                                 monkeypatch):
         # wraps ek.dft the way benchmarks/tracing.py does and counts the
-        # numpy transforms made outside the wrapper
-        counts = {"wrapped": 0, "numpy": 0, "points": 0}
+        # numpy transforms made outside the wrapper: four of length m per
+        # route
+        calls = 8 if method == "both" else 4
+        counts = {"wrapped": 0, "numpy": 0, "ifft": 0, "points": 0}
+        lengths = set()
         np_fft, np_ifft, ek_dft = np.fft.fft, np.fft.ifft, ek.dft
 
-        def counting(fn):
+        def counting(fn, key):
             def wrapper(*args, **kwargs):
-                counts["numpy"] += 1
+                counts[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -286,16 +341,19 @@ class TestTransformContract:
             spectrum = ek_dft(x, *args, **kwargs)
             counts["wrapped"] += 1
             counts["points"] += len(spectrum.values)
+            lengths.add(len(x))
             return spectrum
 
         ctx = build_context(q)
-        caches = build_caches(ctx, "s")
-        monkeypatch.setattr(np.fft, "fft", counting(np_fft))
-        monkeypatch.setattr(np.fft, "ifft", counting(np_ifft))
+        caches = build_caches(ctx, method)
+        monkeypatch.setattr(np.fft, "fft", counting(np_fft, "numpy"))
+        monkeypatch.setattr(np.fft, "ifft", counting(np_ifft, "ifft"))
         monkeypatch.setattr(ek, "dft", traced_dft)
-        compute_ek(ctx, caches, method="s")
-        assert counts["wrapped"] == counts["numpy"] == 4
-        assert counts["points"] == 2 * (q - 1)
+        compute_ek(ctx, caches, method=method)
+        assert counts["wrapped"] == counts["numpy"] == calls
+        assert counts["ifft"] == 0
+        assert lengths == {ctx.m}
+        assert counts["points"] == calls // 2 * (q - 1)
 
     def test_star_import_and_all(self):
         namespace = {}

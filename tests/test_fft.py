@@ -11,20 +11,16 @@ RNG = np.random.default_rng(20240817)
 
 class TestDefinition:
     def test_delta(self):
-        spec = dft([1, 0, 0, 0], sign=1)
+        spec = dft([1, 0, 0, 0])
         assert np.allclose(spec.values, np.ones(4), atol=1e-15)
 
     def test_constant(self):
-        spec = dft([1, 1, 1, 1], sign=1)
+        spec = dft([1, 1, 1, 1])
         assert np.allclose(spec.values, [4, 0, 0, 0], atol=1e-14)
 
     def test_naive_length_two(self):
         assert np.allclose(oracles.naive_dft([1, 0], 1), [1, 1], atol=1e-15)
         assert np.allclose(oracles.naive_dft([0, 1], 1), [1, -1], atol=1e-15)
-
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            dft([1.0, 2.0], sign=0)
 
     def test_naive_guard(self):
         with pytest.raises(ValueError):
@@ -37,15 +33,14 @@ class TestOracleEquivalence:
         lengths += [int(n) for n in RNG.integers(2, 513, size=40)]
         for n in lengths[:50]:
             x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-            for sign in (-1, 1):
-                fast = dft(x, sign).values
-                slow = oracles.naive_dft(x, sign)
-                scale = float(np.sum(np.abs(x)))
-                assert float(np.max(np.abs(fast - slow))) <= 1e-10 * scale
+            fast = dft(x).values
+            slow = oracles.naive_dft(x, -1)
+            scale = float(np.sum(np.abs(x)))
+            assert float(np.max(np.abs(fast - slow))) <= 1e-10 * scale
 
     def test_real_length_360(self):
         x = RNG.standard_normal(360)
-        err = np.max(np.abs(dft(x, 1).values - oracles.naive_dft(x, 1)))
+        err = np.max(np.abs(dft(x).values - oracles.naive_dft(x, -1)))
         assert err <= 1e-10 * float(np.sum(np.abs(x)))
 
 
@@ -53,20 +48,20 @@ class TestProperties:
     @pytest.mark.parametrize("n", [2, 12, 97, 360, 509])
     def test_round_trip(self, n):
         x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-        back = dft(dft(x, 1).values, -1).values / n
+        back = oracles.naive_dft(dft(x).values, 1) / n
         assert float(np.max(np.abs(back - x))) <= 1e-12 * float(np.max(np.abs(x)))
 
     @pytest.mark.parametrize("n", [8, 101, 258])
     def test_conjugate_symmetry_real_input(self, n):
         x = RNG.standard_normal(n)
-        v = dft(x, -1).values
+        v = dft(x).values
         sym = v[1:] - np.conj(v[1:][::-1])
         assert float(np.max(np.abs(sym))) <= 1e-12 * float(np.sum(np.abs(x)))
 
     @pytest.mark.parametrize("n", [4, 100, 509])
     def test_parseval(self, n):
         x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-        lhs = float(np.sum(np.abs(dft(x, -1).values) ** 2))
+        lhs = float(np.sum(np.abs(dft(x).values) ** 2))
         rhs = n * float(np.sum(np.abs(x) ** 2))
         assert abs(lhs - rhs) <= 1e-10 * rhs
 
@@ -74,7 +69,7 @@ class TestProperties:
 class TestDecimation:
     def test_arithmetic_example_q5(self):
         f = np.array([0.0, 1.0, 2.0, 3.0])
-        b, c = dif_split(f, sign=-1)
+        b, c = dif_split(f)
         assert np.allclose(b, [2.0, 4.0], atol=1e-15)
         assert c[0] == pytest.approx(-2.0, abs=1e-15)
         want = np.exp(-2j * np.pi / 4) * (1.0 - 3.0)
@@ -87,10 +82,9 @@ class TestDecimation:
     @pytest.mark.parametrize("q", oracles.odd_primes_up_to(101))
     def test_bin_equivalence_all_primes_to_101(self, q):
         f = RNG.standard_normal(q - 1)
-        for sign in (-1, 1):
-            full = oracles.naive_dft(f, sign)
-            b, c = dif_split(f, sign)
-            even = dft(b, sign).values
-            odd = dft(c, sign).values
-            assert float(np.max(np.abs(even - full[0::2]))) <= 1e-12 * q
-            assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-12 * q
+        full = oracles.naive_dft(f, -1)
+        b, c = dif_split(f)
+        even = dft(b).values
+        odd = dft(c).values
+        assert float(np.max(np.abs(even - full[0::2]))) <= 1e-12 * q
+        assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-12 * q
