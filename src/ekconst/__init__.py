@@ -16,21 +16,20 @@ from .fft import Spectrum, dft, dif_split
 from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
                         primitive_root)
 from .offsets import OffsetSequence, greedy_offsets, scan_candidates, v_of_q
-from .specfun import (CONSTANTS, DEFAULT_CONFIG, EULER_GAMMA, GAMMA1,
-                      LOG_2PI, ZETA_DD_AT_0, Constants, DisagreementError,
-                      EvalConfig, NonConvergenceError, digamma, gamma_n,
-                      log_gamma, psi_n, s_function, s_pair, t_function)
+from .specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
+                      DisagreementError, NonConvergenceError, digamma,
+                      gamma_n, log_gamma, psi_n, s_function, s_pair,
+                      t_function)
 from .stieltjes import StieltjesTable, gamma0_aq, gamma1_aq, gammak_aq
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS", "CacheFormatError", "CharacterSumError",
-    "ChecksumMismatchError", "Constants", "DEFAULT_CONFIG",
-    "DisagreementError", "EKResult", "EULER_GAMMA", "EvalConfig",
-    "FunctionTag", "GAMMA1", "LOG_2PI", "MergeError", "NonConvergenceError",
-    "NotPrimeError", "OffsetSequence", "PrimeContext", "Spectrum",
-    "StieltjesTable", "ValueTable", "ZETA_DD_AT_0",
+    "CacheFormatError", "CharacterSumError", "ChecksumMismatchError",
+    "DisagreementError", "EKResult", "EULER_GAMMA", "FunctionTag", "GAMMA1",
+    "LOG_2PI", "MergeError", "NonConvergenceError", "NotPrimeError",
+    "OffsetSequence", "PrimeContext", "Spectrum", "StieltjesTable",
+    "ValueTable", "ZETA_DD_AT_0",
     "build_context", "closed_form_sum", "compute_ek", "dft", "dif_split",
     "digamma", "gamma0_aq", "gamma1_aq", "gamma_n", "gammak_aq",
     "greedy_offsets", "is_prime", "load", "log_gamma", "merge", "precompute",

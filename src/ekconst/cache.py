@@ -3,11 +3,14 @@ special-function values, ordered by the generator-power index k.
 
 On-disk format, version 2 (version-1 text files are refused):
 
-    EKCACHE 2 q=<q> g=<g> tag=<tag> k0=<k0> k1=<k1> target=<target_abs_error>
+    EKCACHE 2 q=<q> g=<g> tag=<tag> k0=<k0> k1=<k1> target=<target>
     <8*(k1-k0) bytes: f(a_k/q) for k = k0..k1-1 as little-endian float64>
     SUM <partial_sum> COUNT <k1-k0>
 
 The values round-trip exactly, so their exactly rounded sum must equal SUM.
+Every table is evaluated to specfun.TARGET_ABS_ERROR, which save writes as
+<target>; load refuses a file with any other target, so no table of
+another accuracy reaches a merge, a checksum or a constant.
 
 Full-range tables are validated, when precompute evaluates them and when
 they are loaded, against the closed-form sums
@@ -32,7 +35,6 @@ import numpy as np
 
 from . import specfun
 from .multgroup import PrimeContext
-from .specfun import EvalConfig, DEFAULT_CONFIG
 
 FORMAT_MAGIC = "EKCACHE"
 FORMAT_VERSION = 2
@@ -57,8 +59,7 @@ class ChecksumMismatchError(ValueError):
 
 
 class MergeError(ValueError):
-    """Tables do not fit together or with the run's configuration (gap,
-    overlap, or header mismatch)."""
+    """Tables do not fit together (gap, overlap, or header mismatch)."""
 
 
 class FunctionTag(enum.Enum):
@@ -107,7 +108,7 @@ def _exact_sum(values: np.ndarray) -> float:
 @dataclass(frozen=True)
 class ValueTable:
     """One chunk of f(a_k/q) values for k in [k_lo, k_hi), evaluated to
-    target_abs_error."""
+    TARGET_ABS_ERROR."""
 
     q: int
     g: int
@@ -115,7 +116,6 @@ class ValueTable:
     k_lo: int
     k_hi: int
     values: np.ndarray = field(repr=False)
-    target_abs_error: float = DEFAULT_CONFIG.target_abs_error
     partial_sum: float = 0.0
 
     def __post_init__(self):
@@ -134,8 +134,8 @@ class ValueTable:
 
 def checksum_tolerance(table: ValueTable) -> float:
     """Largest accepted closed-form residual of a full-range table:
-    10(q-1) * the table's target_abs_error."""
-    return 10 * (table.q - 1) * table.target_abs_error
+    10(q-1) * TARGET_ABS_ERROR."""
+    return 10 * (table.q - 1) * specfun.TARGET_ABS_ERROR
 
 
 def check_closed_form(table: ValueTable, source) -> None:
@@ -147,24 +147,23 @@ def check_closed_form(table: ValueTable, source) -> None:
                                     f"{residual:.3e} exceeds {tol:.3e}")
 
 
-def _evaluate(tag: FunctionTag, x: np.ndarray, cfg: EvalConfig) -> np.ndarray:
+def _evaluate(tag: FunctionTag, x: np.ndarray) -> np.ndarray:
     if tag is FunctionTag.LOGGAMMA:
         return specfun.log_gamma_values(x)
     if tag is FunctionTag.S_PAIR:
-        return specfun.s_pair_values(x, cfg)
+        return specfun.s_pair_values(x)
     if tag is FunctionTag.T:
-        return specfun.t_values(x, cfg)
+        return specfun.t_values(x)
     if tag is FunctionTag.PSI:
         return specfun.psi_values(x)
     raise ValueError(f"unknown tag {tag}")
 
 
 def precompute(ctx: PrimeContext, tag: FunctionTag,
-               k_range: tuple[int, int] | None = None,
-               cfg: EvalConfig = DEFAULT_CONFIG) -> ValueTable:
+               k_range: tuple[int, int] | None = None) -> ValueTable:
     """Evaluate the tagged function at a_k/q over a k-range (default: full).
 
-    Deterministic given (q, g, tag, range, cfg); chunks may be computed
+    Deterministic given (q, g, tag, range); chunks may be computed
     independently and merged.  A full-range table must pass
     check_closed_form before it is returned.
     """
@@ -176,11 +175,10 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
         # float64 keeps few bits of a small q - a
         a = np.minimum(a, ctx.q - a)
     x = a.astype(np.float64) / ctx.q
-    values = _evaluate(tag, x, cfg) if k_hi > k_lo else np.empty(0)
+    values = _evaluate(tag, x) if k_hi > k_lo else np.empty(0)
     table = ValueTable(
         q=ctx.q, g=ctx.g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
-        values=values, target_abs_error=cfg.target_abs_error,
-        partial_sum=_exact_sum(values),
+        values=values, partial_sum=_exact_sum(values),
     )
     if table.is_full_range:
         check_closed_form(table, f"{tag.value} table for q={ctx.q}")
@@ -188,14 +186,14 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
 
 
 def merge(parts: list[ValueTable]) -> ValueTable:
-    """Combine contiguous ascending chunks of one configuration into one
+    """Combine contiguous ascending chunks of one (q, g, tag) into one
     table."""
     if not parts:
         raise MergeError("nothing to merge")
     parts = sorted(parts, key=lambda t: t.k_lo)
     head = parts[0]
     for t in parts[1:]:
-        for attr in ("q", "g", "function_tag", "target_abs_error"):
+        for attr in ("q", "g", "function_tag"):
             if getattr(t, attr) != getattr(head, attr):
                 raise MergeError(
                     f"{attr} mismatch: {getattr(head, attr)} vs {getattr(t, attr)}"
@@ -211,7 +209,6 @@ def merge(parts: list[ValueTable]) -> ValueTable:
     return ValueTable(
         q=head.q, g=head.g, function_tag=head.function_tag,
         k_lo=head.k_lo, k_hi=pos, values=values,
-        target_abs_error=head.target_abs_error,
         # the exact sum of the merged values, as precompute would give it;
         # a sum of the parts' rounded sums can differ in the last bits
         partial_sum=_exact_sum(values),
@@ -242,7 +239,7 @@ def save(table: ValueTable, path) -> Path:
             fh.write(f"{FORMAT_MAGIC} {FORMAT_VERSION} q={table.q} "
                      f"g={table.g} tag={table.function_tag.value} "
                      f"k0={table.k_lo} k1={table.k_hi} "
-                     f"target={table.target_abs_error!r}\n".encode())
+                     f"target={specfun.TARGET_ABS_ERROR!r}\n".encode())
             fh.write(np.asarray(table.values, dtype=_VALUE_DTYPE).tobytes())
             fh.write(f"SUM {table.partial_sum:.18e} "
                      f"COUNT {len(table.values)}\n".encode("ascii"))
@@ -258,9 +255,9 @@ def save(table: ValueTable, path) -> Path:
 
 
 def load(path, verify_checksum: bool = True) -> ValueTable:
-    """Read a table back.  The values must reproduce the SUM trailer
-    exactly, and full-range tables must pass check_closed_form unless
-    verify_checksum is off."""
+    """Read a table back.  The header's target must be TARGET_ABS_ERROR,
+    the values must reproduce the SUM trailer exactly, and full-range
+    tables must pass check_closed_form unless verify_checksum is off."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.readline(_HEADER_MAX)
@@ -279,12 +276,12 @@ def load(path, verify_checksum: bool = True) -> ValueTable:
             tag = FunctionTag(m["tag"].decode())
             target = float(m["target"])
             _check_range(q, tag, k_lo, k_hi)
-            # checksum_tolerance scales with the target: nan or inf would
-            # switch the closed-form gate off
-            if not 0 < target < math.inf:
-                raise ValueError(f"target={target!r}")
         except ValueError as exc:
             raise CacheFormatError(f"{path}: bad header ({exc})") from exc
+        if target != specfun.TARGET_ABS_ERROR:  # nan and inf included
+            raise CacheFormatError(
+                f"{path}: evaluated to target {target!r}, not "
+                f"{specfun.TARGET_ABS_ERROR!r}; re-run `ek precompute`")
         size = os.fstat(fh.fileno()).st_size
         if not 0 < size - len(header) - 8 * (k_hi - k_lo) <= _TRAILER_MAX:
             raise CacheFormatError(f"{path}: {size} bytes do not hold a "
@@ -300,8 +297,7 @@ def load(path, verify_checksum: bool = True) -> ValueTable:
         raise ChecksumMismatchError(f"{path}: values do not reproduce SUM "
                                     f"trailer ({total!r} vs {stored_sum!r})")
     table = ValueTable(q=q, g=g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
-                       values=values, target_abs_error=target,
-                       partial_sum=stored_sum)
+                       values=values, partial_sum=stored_sum)
     if verify_checksum and table.is_full_range:
         check_closed_form(table, path)
     return table

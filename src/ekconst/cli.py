@@ -29,7 +29,7 @@ from . import specfun
 from . import stieltjes as stieltjes_mod
 from .cache import FunctionTag
 from .multgroup import build_context, is_prime
-from .specfun import DEFAULT_CONFIG, gamma_n
+from .specfun import gamma_n
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -37,6 +37,7 @@ EXIT_USAGE = 2
 
 CSV_HEADER = ("q,ek,ek_plus,ek_diff,mq,mq_odd,mq_even,"
               "ek_norm,ek_plus_norm,mq_norm,v_q")
+MAX_DIGITS = 17  # significant digits that round-trip a float64
 
 
 class UsageError(Exception):
@@ -61,9 +62,10 @@ def _load_cached_tables(args, q: int, tags, verify: bool = True) -> dict:
     """Load (merging chunked parts) every requested tag found in the
     cache directory, if there is one.
 
-    Tables evaluated to another target than DEFAULT_CONFIG are refused;
-    full-range tables must pass the closed-form gate unless verify is off
-    (the checksum command reports the residual itself).
+    cache_mod.load refuses a file evaluated to another target than
+    specfun.TARGET_ABS_ERROR; full-range tables must pass the closed-form
+    gate unless verify is off (the checksum command reports the residual
+    itself).
     """
     cache_dir = _cache_dir(args)
     tables = {}
@@ -75,13 +77,8 @@ def _load_cached_tables(args, q: int, tags, verify: bool = True) -> dict:
             continue
         parts = [cache_mod.load(p, verify_checksum=False) for p in paths]
         table = parts[0] if len(parts) == 1 else cache_mod.merge(parts)
-        source = f"{tag.value} cache for q={q}"
-        if table.target_abs_error != DEFAULT_CONFIG.target_abs_error:
-            raise cache_mod.MergeError(
-                f"{source} has target {table.target_abs_error!r}, this run "
-                f"{DEFAULT_CONFIG.target_abs_error!r}; re-run `ek precompute`")
         if verify and table.is_full_range:
-            cache_mod.check_closed_form(table, source)
+            cache_mod.check_closed_form(table, f"{tag.value} cache for q={q}")
         tables[tag] = table
     return tables
 
@@ -91,7 +88,7 @@ def _result_caches(args, ctx, method):
     caches = _load_cached_tables(args, ctx.q, tags)
     for tag in tags:
         if tag not in caches:
-            caches[tag] = cache_mod.precompute(ctx, tag, cfg=DEFAULT_CONFIG)
+            caches[tag] = cache_mod.precompute(ctx, tag)
     return caches
 
 
@@ -265,21 +262,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, cache=True):
         p.add_argument("--digits", type=int, default=15,
-                       help="significant digits in printed values")
+                       choices=range(1, MAX_DIGITS + 1), metavar="N",
+                       help="significant digits in printed values, "
+                            f"1..{MAX_DIGITS}")
         if cache:
             p.add_argument("--cache", default=None,
                            help="cache directory (default $EK_CACHE_DIR)")
 
     p = sub.add_parser("compute", help="constants for one odd prime")
     p.add_argument("q", type=int)
-    p.add_argument("--method", choices=["s", "t", "both"], default="s")
+    p.add_argument("--method", choices=ek_mod.METHOD_TAGS,
+                   default=ek_mod.METHOD_S)
     common(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("scan", help="CSV of constants over a prime range")
     p.add_argument("q_min", type=int)
     p.add_argument("q_max", type=int)
-    p.add_argument("--method", choices=["s", "t", "both"], default="s")
+    p.add_argument("--method", choices=ek_mod.METHOD_TAGS,
+                   default=ek_mod.METHOD_S)
     p.add_argument("--out", default=None)
     p.add_argument("--with-vq", action="store_true", dest="with_vq")
     p.add_argument("--threads", type=int, default=1,

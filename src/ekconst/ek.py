@@ -31,7 +31,7 @@ from . import cache as cache_mod
 from .cache import FunctionTag, ValueTable
 from .fft import dft, dif_split
 from .multgroup import PrimeContext
-from .specfun import DEFAULT_CONFIG, EULER_GAMMA, EvalConfig, LOG_2PI
+from .specfun import EULER_GAMMA, LOG_2PI
 
 BERNOULLI_FLOOR = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
@@ -97,11 +97,10 @@ def method_tags(method: str) -> tuple[FunctionTag, ...]:
         raise ValueError(f"unknown method {method!r}") from None
 
 
-def build_caches(ctx: PrimeContext, method: str = METHOD_S,
-                 cfg: EvalConfig = DEFAULT_CONFIG,
-                 ) -> dict[FunctionTag, ValueTable]:
+def build_caches(ctx: PrimeContext,
+                 method: str = METHOD_S) -> dict[FunctionTag, ValueTable]:
     """Precompute in memory the tables the given method consumes."""
-    return {tag: cache_mod.precompute(ctx, tag, cfg=cfg)
+    return {tag: cache_mod.precompute(ctx, tag)
             for tag in method_tags(method)}
 
 
@@ -213,8 +212,7 @@ def _reduce(q: int, odd: np.ndarray, even: np.ndarray, shift: float,
 
 def compute_ek(ctx: PrimeContext,
                caches: Mapping[FunctionTag, ValueTable] | None = None,
-               method: str = METHOD_S,
-               cfg: EvalConfig = DEFAULT_CONFIG) -> EKResult:
+               method: str = METHOD_S) -> EKResult:
     """Full constant computation for one prime; see module docstring.
 
     With method "both" the S route provides the reported values and the
@@ -222,7 +220,7 @@ def compute_ek(ctx: PrimeContext,
     """
     method_tags(method)  # rejects an unknown method
     if caches is None:
-        caches = build_caches(ctx, method, cfg)
+        caches = build_caches(ctx, method)
     q = ctx.q
     discrepancy = None
     if method in (METHOD_S, METHOD_BOTH):

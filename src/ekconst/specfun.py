@@ -16,7 +16,7 @@ and the generalized Euler constants gamma_n.
 
 Series tails are accelerated with Euler-Maclaurin corrections through the
 fifth-derivative term; the first omitted term bounds the remainder, and an
-evaluation whose bound exceeds the configured target raises
+evaluation whose bound exceeds the fixed target TARGET_ABS_ERROR raises
 NonConvergenceError.  psi_n starts its series at a truncation point that
 depends on n and doubles it, point by point, until the bound meets the
 target; psi_n_values evaluates a whole array of points, and psi_n is its
@@ -41,7 +41,6 @@ summation so results carry close to full double accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,42 +58,18 @@ _B2K = (
 
 
 class NonConvergenceError(ArithmeticError):
-    """Series tail estimate stayed above the error target at max_terms."""
+    """A series remainder bound stayed above TARGET_ABS_ERROR."""
 
 
 class DisagreementError(ArithmeticError):
     """Two independent evaluation routes disagreed beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class Constants:
-    euler_gamma: float
-    gamma1: float
-    zeta_second_deriv_at_0: float
-
-
-CONSTANTS = Constants(
-    euler_gamma=EULER_GAMMA,
-    gamma1=GAMMA1,
-    zeta_second_deriv_at_0=ZETA_DD_AT_0,
-)
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Accuracy knobs shared by the series evaluators."""
-
-    target_abs_error: float = 1e-14
-    max_terms: int = 200_000
-
-    def __post_init__(self):
-        if not 0 < self.target_abs_error < math.inf:
-            raise ValueError("target_abs_error must be positive and finite")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_CONFIG = EvalConfig()
+# Every series is evaluated to this absolute error, and every cache table
+# records it; MAX_TERMS stops psi_n's doubling on a bound that never meets
+# it (a NaN, say).
+TARGET_ABS_ERROR = 1e-14
+MAX_TERMS = 200_000
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +233,7 @@ def _psi_tail(n: int, x: np.ndarray, A: float):
 def _series_start(n: int) -> int:
     # Where the per-point doubling starts.  Up to n = 8 the start fixes
     # the values.  From n = 9 no point of the a/q grids of q <= 100 meets
-    # the default target below 32, nor from n = 13 below 128 (larger powers
+    # the target below 32, nor from n = 13 below 128 (larger powers
     # of log keep the Euler-Maclaurin remainder large for longer), so these
     # starts skip only batches whose values were never used.
     if n <= 4:
@@ -268,7 +243,7 @@ def _series_start(n: int) -> int:
     return 128
 
 
-def _psi_series_checked(n: int, x: np.ndarray, cfg: EvalConfig):
+def _psi_series_checked(n: int, x: np.ndarray):
     """The series at each point, from the first start (doubling from
     _series_start(n)) whose remainder bound meets the target there.
 
@@ -277,26 +252,25 @@ def _psi_series_checked(n: int, x: np.ndarray, cfg: EvalConfig):
     of the one-point path.
     """
     def checked(xb):
-        start = min(_series_start(n), max(cfg.max_terms, 2))
+        start = _series_start(n)
         vals, rem = _psi_series_batch(n, xb, start)
-        todo = np.flatnonzero(~(rem <= cfg.target_abs_error))  # NaN misses
+        todo = np.flatnonzero(~(rem <= TARGET_ABS_ERROR))  # NaN misses
         while todo.size:
-            if start >= cfg.max_terms:
+            if start >= MAX_TERMS:
                 raise NonConvergenceError(
                     f"tail estimate {float(rem.max()):.2e} above target "
-                    f"{cfg.target_abs_error:.2e} at max_terms={cfg.max_terms}"
+                    f"{TARGET_ABS_ERROR:.2e} at MAX_TERMS={MAX_TERMS}"
                 )
-            start = min(start * 2, cfg.max_terms)
+            start = min(start * 2, MAX_TERMS)
             vals[todo], rem = _psi_series_batch(n, xb[todo], start)
-            miss = ~(rem <= cfg.target_abs_error)
+            miss = ~(rem <= TARGET_ABS_ERROR)
             todo, rem = todo[miss], rem[miss]
         return vals
 
     return _blockwise(checked, x)
 
 
-def psi_n_values(n: int, x: np.ndarray,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+def psi_n_values(n: int, x: np.ndarray) -> np.ndarray:
     """Generalized digamma psi_n on an array of points in (0, 1], n >= 0;
     psi_n(1) = -gamma_n exactly."""
     if n < 0:
@@ -308,18 +282,18 @@ def psi_n_values(n: int, x: np.ndarray,
     out = np.full_like(x, -g)
     inner = np.flatnonzero(x < 1.0)
     xi = x[inner]
-    series = _psi_series_checked(n, xi, cfg)
+    series = _psi_series_checked(n, xi)
     # math.log, not np.log: the two differ in the last bit at some points
     closed = np.array([math.log(v) ** n / v for v in xi.tolist()])
     out[inner] = -g - closed - series
     return out
 
 
-def psi_n(n: int, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def psi_n(n: int, x: float) -> float:
     """Generalized digamma psi_n(x) for n >= 0, a single 0 < x <= 1."""
     if not 0 < x <= 1:
         raise ValueError(f"psi_n requires 0 < x <= 1, got {x}")
-    return float(psi_n_values(n, np.array([x]), cfg)[0])
+    return float(psi_n_values(n, np.array([x]))[0])
 
 
 # ----------------------------------------------------------------------
@@ -347,22 +321,16 @@ def _horner(coeffs, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _fixed_start_checked(batch, x: np.ndarray, cfg: EvalConfig,
-                         what: str) -> np.ndarray:
+def _fixed_start_checked(batch, x: np.ndarray, what: str) -> np.ndarray:
     """batch over blocks of x; NonConvergenceError where a point's bound
-    exceeds the target.  The series take _SERIES_START terms whatever the
-    target, so a smaller max_terms is refused as well."""
-    if cfg.max_terms < _SERIES_START:
-        raise NonConvergenceError(f"the {what} series needs {_SERIES_START} "
-                                  f"terms, max_terms={cfg.max_terms}")
-
+    exceeds the target."""
     def checked(xb):
         vals, rem = batch(xb)
         worst = float(rem.max())
-        if not worst <= cfg.target_abs_error:  # a NaN bound fails too
+        if not worst <= TARGET_ABS_ERROR:  # a NaN bound fails too
             raise NonConvergenceError(
                 f"{what} series remainder bound {worst:.2e} above target "
-                f"{cfg.target_abs_error:.2e}")
+                f"{TARGET_ABS_ERROR:.2e}")
         return vals
 
     return _blockwise(checked, x)
@@ -410,16 +378,16 @@ def _t_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.log(x) / x - series, rem
 
 
-def t_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+def t_values(x: np.ndarray) -> np.ndarray:
     """T(x) = gamma1 + psi_1(x) on an array of points in (0, 1]."""
-    return _fixed_start_checked(_t_batch, x, cfg, "T")
+    return _fixed_start_checked(_t_batch, x, "T")
 
 
-def t_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def t_function(x: float) -> float:
     """T(x) for a single 0 < x <= 1."""
     if not 0 < x <= 1:
         raise ValueError(f"t_function requires 0 < x <= 1, got {x}")
-    return float(t_values(np.array([x]), cfg)[0])
+    return float(t_values(np.array([x]))[0])
 
 
 def _h_fams():
@@ -525,31 +493,31 @@ def _s_pair_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 # public S entry points
 
-def s_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+def s_values(x: np.ndarray) -> np.ndarray:
     """S(x) on an array of points in (0, 1)."""
-    return _fixed_start_checked(_s_series_batch, x, cfg, "S")
+    return _fixed_start_checked(_s_series_batch, x, "S")
 
 
-def s_function(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def s_function(x: float) -> float:
     """S(x) for a single x; S(1) = 0 handled exactly."""
     if x == 1.0:
         return 0.0
     if not 0 < x < 1:
         raise ValueError(f"s_function requires 0 < x < 1, got {x}")
-    return float(s_values(np.array([x]), cfg)[0])
+    return float(s_values(np.array([x]))[0])
 
 
-def s_pair_values(x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+def s_pair_values(x: np.ndarray) -> np.ndarray:
     """S(x) + S(1-x) on an array of points in (0, 1), from the symmetric
     series at min(x, 1-x)."""
-    return _fixed_start_checked(_s_pair_batch, x, cfg, "S pair")
+    return _fixed_start_checked(_s_pair_batch, x, "S pair")
 
 
-def s_pair(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def s_pair(x: float) -> float:
     """S(x) + S(1-x) for a single 0 < x < 1, one evaluation."""
     if not 0 < x < 1:
         raise ValueError(f"s_pair requires 0 < x < 1, got {x}")
-    return float(s_pair_values(np.array([x]), cfg)[0])
+    return float(s_pair_values(np.array([x]))[0])
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import specfun
-from .specfun import DEFAULT_CONFIG, EULER_GAMMA, GAMMA1, EvalConfig
+from .specfun import EULER_GAMMA, GAMMA1
 
 K_MAX = 20
 Q_MAX = 100
@@ -39,7 +39,7 @@ def _check_range(a: int, q: int) -> None:
         raise ValueError(f"a must satisfy 1 <= a <= q, got a={a}, q={q}")
 
 
-def gamma0_aq(a: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def gamma0_aq(a: int, q: int) -> float:
     """gamma_0(a, q) = -(log q + psi(a/q))/q; the a = q row collapses to
     (gamma - log q)/q since psi(1) = -gamma."""
     _check_range(a, q)
@@ -49,14 +49,14 @@ def gamma0_aq(a: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return -(lq + specfun.digamma(a / q)) / q
 
 
-def gamma1_aq(a: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def gamma1_aq(a: int, q: int) -> float:
     """gamma_1(a, q) = (gamma1 - log(q)^2/2 - log(q) psi(a/q) - T(a/q))/q."""
     _check_range(a, q)
     lq = math.log(q)
     if a == q:
         return (GAMMA1 + EULER_GAMMA * lq - lq * lq / 2) / q
     return (GAMMA1 - lq * lq / 2 - lq * specfun.digamma(a / q)
-            - specfun.t_function(a / q, cfg)) / q
+            - specfun.t_function(a / q)) / q
 
 
 def _from_psi(k: int, q: int, psi) -> float:
@@ -68,31 +68,28 @@ def _from_psi(k: int, q: int, psi) -> float:
     return -total / q
 
 
-def gammak_aq(k: int, a: int, q: int,
-              cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def gammak_aq(k: int, a: int, q: int) -> float:
     """gamma_k(a, q) by the binomial formula over psi_0..psi_k."""
     if not 0 <= k <= K_MAX:
         raise ValueError(f"k must satisfy 0 <= k <= {K_MAX}, got {k}")
     if q > Q_MAX:
         raise ValueError(f"q must satisfy q <= {Q_MAX}, got {q}")
     _check_range(a, q)
-    return _from_psi(k, q, [specfun.psi_n(n, a / q, cfg)
-                            for n in range(k + 1)])
+    return _from_psi(k, q, [specfun.psi_n(n, a / q) for n in range(k + 1)])
 
 
-def build_table(q: int, k_max: int,
-                cfg: EvalConfig = DEFAULT_CONFIG) -> StieltjesTable:
+def build_table(q: int, k_max: int) -> StieltjesTable:
     """All gamma_k(a, q) for 0 <= k <= k_max, 1 <= a <= q.
 
     Each psi_n is evaluated once, over all a/q; every cell equals
-    gammak_aq(k, a, q, cfg) bit for bit."""
+    gammak_aq(k, a, q) bit for bit."""
     if not 1 <= q <= Q_MAX:
         raise ValueError(f"q must satisfy 1 <= q <= {Q_MAX}, got {q}")
     if not 0 <= k_max <= K_MAX:
         raise ValueError(f"k_max must satisfy 0 <= k_max <= {K_MAX}, "
                          f"got {k_max}")
     x = [a / q for a in range(1, q + 1)]
-    rows = [specfun.psi_n_values(n, x, cfg).tolist() for n in range(k_max + 1)]
+    rows = [specfun.psi_n_values(n, x).tolist() for n in range(k_max + 1)]
     psi = list(zip(*rows))  # psi[a - 1][n] = psi_n(a/q)
     values = {
         (k, a): _from_psi(k, q, psi[a - 1])

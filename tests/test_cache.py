@@ -15,7 +15,6 @@ from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
                            closed_form_sum, load, merge, part_filename,
                            part_paths, precompute, save)
 from ekconst.multgroup import build_context
-from ekconst.specfun import EvalConfig
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +69,8 @@ class TestPrecompute:
                                                          monkeypatch):
         real = specfun.s_pair_values
 
-        def off_at_one_point(x, cfg):
-            values = real(x, cfg)
+        def off_at_one_point(x):
+            values = real(x)
             values[7] += 1e-9
             return values
 
@@ -96,14 +95,16 @@ class TestPrecompute:
         assert np.array_equal(t1.values, t2.values)
         assert t1.partial_sum == t2.partial_sum
 
-    def test_records_the_target(self, ctx5):
-        cfg = EvalConfig(target_abs_error=1e-12)
-        assert precompute(ctx5, FunctionTag.T, cfg=cfg).target_abs_error \
-            == 1e-12
+    def test_records_the_target(self, ctx5, tmp_path, monkeypatch):
+        # save writes the fixed target, and the checksum tolerance scales
+        # with it
         table = precompute(ctx5, FunctionTag.T)
-        assert table.target_abs_error \
-            == specfun.DEFAULT_CONFIG.target_abs_error
-        assert checksum_tolerance(table) == 10 * 4 * table.target_abs_error
+        assert checksum_tolerance(table) == 10 * 4 * 1e-14
+        assert b" target=1e-14\n" in save(table, tmp_path / "a").read_bytes()
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", 2.5e-13)
+        assert checksum_tolerance(table) == 10 * 4 * 2.5e-13
+        assert b" target=2.5e-13\n" in save(table,
+                                             tmp_path / "b").read_bytes()
 
     def test_range_validation(self, ctx5):
         with pytest.raises(ValueError):
@@ -139,12 +140,19 @@ class TestMerge:
         with pytest.raises(MergeError, match="g mismatch"):
             merge([a, bad])
 
-    def test_mixed_targets_are_refused(self, ctx5):
-        a = precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2))
-        b = precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4),
-                       cfg=EvalConfig(target_abs_error=1e-12))
-        with pytest.raises(MergeError, match="target_abs_error mismatch"):
-            merge([a, b])
+    def test_mixed_targets_are_refused(self, ctx5, tmp_path, monkeypatch):
+        # a chunk of another target cannot be loaded, so it never reaches
+        # merge
+        a = save(precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2)),
+                 tmp_path / part_filename(FunctionTag.LOGGAMMA, 5, 0))
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "TARGET_ABS_ERROR", 1e-12)
+            b = save(precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4)),
+                     tmp_path / part_filename(FunctionTag.LOGGAMMA, 5, 2))
+        paths = part_paths(tmp_path, FunctionTag.LOGGAMMA, 5)
+        assert paths == [a, b]
+        with pytest.raises(CacheFormatError, match="target 1e-12"):
+            merge([load(p) for p in paths])
 
 
 class TestExactSum:
@@ -178,7 +186,7 @@ class TestSaveLoad:
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
         back = load(path)
         for attr in ("q", "g", "function_tag", "k_lo", "k_hi",
-                     "target_abs_error", "partial_sum"):
+                     "partial_sum"):
             assert getattr(back, attr) == getattr(table, attr)
         assert back.values.tobytes() == table.values.tobytes()
         data = path.read_bytes()
@@ -189,11 +197,16 @@ class TestSaveLoad:
         body = data[_header_len(data):_header_len(data) + 8 * 50]
         assert body == table.values.astype("<f8").tobytes()
 
-    def test_round_trip_keeps_a_foreign_target(self, ctx5, tmp_path):
-        table = precompute(ctx5, FunctionTag.T,
-                           cfg=EvalConfig(target_abs_error=2.5e-13))
-        back = load(save(table, tmp_path / "t.ekc"))
-        assert back.target_abs_error == 2.5e-13
+    def test_round_trip_refuses_a_foreign_target(self, ctx5, tmp_path,
+                                                 monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "TARGET_ABS_ERROR", 2.5e-13)
+            path = save(precompute(ctx5, FunctionTag.T), tmp_path / "t.ekc")
+            load(path)
+        with pytest.raises(CacheFormatError,
+                           match=r"target 2\.5e-13, not 1e-14; re-run "
+                                 r"`ek precompute`"):
+            load(path)
 
     def test_flipped_tag_is_format_error(self, ctx5, tmp_path):
         table = precompute(ctx5, FunctionTag.LOGGAMMA)
@@ -318,7 +331,8 @@ class TestSaveLoad:
         with pytest.raises(CacheFormatError, match="k-range"):
             load(path)
 
-    @pytest.mark.parametrize("target", [b"nan", b"inf", b"0.0", b"-1e-14"])
+    @pytest.mark.parametrize("target", [b"nan", b"inf", b"0.0", b"-1e-14",
+                                        b"1e-12"])
     def test_target_not_positive_and_finite_is_format_error(self, ctx5,
                                                               tmp_path, target):
         path = save(precompute(ctx5, FunctionTag.S_PAIR), tmp_path / "t.ekc")

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import ekconst
-from ekconst import cli
+from ekconst import cli, specfun
 from ekconst.cache import (FunctionTag, checksum_tolerance, full_range, load,
                            precompute, save)
 from ekconst.multgroup import build_context
 from ekconst.offsets import greedy_offsets, v_of_q
-from ekconst.specfun import EvalConfig, gamma_n
+from ekconst.specfun import gamma_n
 from reference_values import EK
 
 
@@ -54,8 +54,8 @@ class TestCompute:
                                                      monkeypatch):
         real = cli.cache_mod.specfun.s_pair_values
 
-        def off_at_one_point(x, cfg):
-            values = real(x, cfg)
+        def off_at_one_point(x):
+            values = real(x)
             values[7] += 1e-9
             return values
 
@@ -101,6 +101,13 @@ class TestCompute:
         line = next(l for l in out.splitlines() if l.startswith("ek ="))
         mantissa = line.split("=")[1].strip().split("e")[0]
         assert len(mantissa.replace("-", "").replace(".", "")) == 8
+
+    @pytest.mark.parametrize("digits", ["0", "-3", "18"])
+    def test_digits_outside_one_to_seventeen_are_usage_errors(self, capsys,
+                                                              digits):
+        code, out, err = run(capsys, "compute", "11", "--digits", digits)
+        assert (code, out) == (2, "")
+        assert "--digits" in err
 
 
 class TestScan:
@@ -280,13 +287,36 @@ class TestCacheCommands:
             assert [m[0] for m in merges] == [0, 1, 0, 0]
             assert "SUM trailer" in merges[1][2]
 
-    def test_compute_refuses_a_foreign_target_cache(self, capsys, tmp_path):
-        table = precompute(build_context(11), FunctionTag.S_PAIR,
-                           cfg=EvalConfig(target_abs_error=1e-12))
-        save(table, tmp_path / "S_PAIR_q11_part0.ekc")
-        code, _, err = run(capsys, "compute", "11", "--cache", str(tmp_path))
-        assert code == 1
-        assert "target 1e-12" in err
+    def test_compute_refuses_a_foreign_target_cache(self, capsys, tmp_path,
+                                                    monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "TARGET_ABS_ERROR", 1e-12)
+            save(precompute(build_context(11), FunctionTag.S_PAIR),
+                 tmp_path / "S_PAIR_q11_part0.ekc")
+        for argv in (["compute", "11"], ["checksum", "11", "--tag", "S_PAIR"]):
+            code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+            assert (code, out) == (1, "")
+            assert "target 1e-12, not 1e-14" in err
+
+    @pytest.mark.parametrize("to_out", [False, True])
+    def test_merge_refuses_a_foreign_target_chunk(self, capsys, tmp_path,
+                                                  monkeypatch, to_out):
+        cache = tmp_path / "c"
+        run(capsys, "precompute", "11", "--tag", "S_PAIR", "--range", "0",
+            "2", "--cache", str(cache))
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "TARGET_ABS_ERROR", 1e-12)
+            run(capsys, "precompute", "11", "--tag", "S_PAIR", "--range",
+                "2", "5", "--cache", str(cache))
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
+        assert len(before) == 2
+        out_arg = ["--out", str(tmp_path / "merged.ekc")] if to_out else []
+        code, out, err = run(capsys, "merge", "11", "--tag", "S_PAIR",
+                             "--cache", str(cache), *out_arg)
+        assert (code, out) == (1, "")
+        assert "target 1e-12, not 1e-14" in err
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+        assert not (tmp_path / "merged.ekc").exists()
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EK_CACHE_DIR", str(tmp_path))

@@ -8,10 +8,10 @@ import pytest
 
 import oracles
 from ekconst import specfun
-from ekconst.specfun import (DEFAULT_CONFIG, EULER_GAMMA, GAMMA1, LOG_2PI,
-                             ZETA_DD_AT_0, EvalConfig, NonConvergenceError,
-                             digamma, gamma_n, log_gamma, psi_n, psi_n_values,
-                             s_function, s_pair, t_function)
+from ekconst.specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
+                             NonConvergenceError, digamma, gamma_n, log_gamma,
+                             psi_n, psi_n_values, s_function, s_pair,
+                             t_function)
 from reference_values import GAMMA_N
 
 
@@ -27,19 +27,9 @@ def t_sum_closed_form(q: int) -> float:
 
 class TestConstants:
     def test_ranges(self):
-        c = specfun.CONSTANTS
-        assert 0.577215 < c.euler_gamma < 0.577216
-        assert -0.072816 < c.gamma1 < -0.072815
-        assert -2.006357 < c.zeta_second_deriv_at_0 < -2.006356
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EvalConfig(target_abs_error=0.0)
-        for target in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                EvalConfig(target_abs_error=target)
-        with pytest.raises(ValueError):
-            EvalConfig(max_terms=0)
+        assert 0.577215 < EULER_GAMMA < 0.577216
+        assert -0.072816 < GAMMA1 < -0.072815
+        assert -2.006357 < ZETA_DD_AT_0 < -2.006356
 
 
 class TestDigamma:
@@ -113,11 +103,7 @@ class TestT:
         for q in (7, 101):
             total = math.fsum(t_function(a / q) for a in range(1, q))
             assert abs(total - t_sum_closed_form(q)) <= \
-                (q - 1) * DEFAULT_CONFIG.target_abs_error
-
-    def test_nonconvergence_error(self):
-        with pytest.raises(NonConvergenceError):
-            t_function(0.5, EvalConfig(max_terms=4))
+                (q - 1) * specfun.TARGET_ABS_ERROR
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -139,7 +125,7 @@ class TestS:
         for q in (7, 101):
             total = math.fsum(s_function(a / q) for a in range(1, q))
             assert abs(total - s_sum_closed_form(q)) <= \
-                (q - 1) * DEFAULT_CONFIG.target_abs_error
+                (q - 1) * specfun.TARGET_ABS_ERROR
 
     def test_dual_path_at_0_3(self):
         assert s_function(0.3) == pytest.approx(oracles.s_integral(0.3),
@@ -260,18 +246,20 @@ class TestPolynomialBulks:
         direct = oracles.s_pair_series_direct(x)[0]
         assert float(np.max(np.abs(poly - direct))) <= 2e-15
 
-    def test_t_truncation_bound_is_gated(self):
+    def test_t_truncation_bound_is_gated(self, monkeypatch):
         # near x = 0 the Euler-Maclaurin bound vanishes but the polynomial's
         # (at |x - 1/2| = 1/2) does not: only the latter exceeds the target
         x = np.array([1e-6])
         c, e = specfun._t_bulk_poly()
         trunc = e * abs(x[0] - 0.5) ** len(c)
         assert specfun._psi_tail(1, x, 64.0)[1][0] < trunc / 2
-        specfun.t_values(x, EvalConfig(target_abs_error=2 * trunc))
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", 2 * trunc)
+        specfun.t_values(x)
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", trunc / 2)
         with pytest.raises(NonConvergenceError):
-            specfun.t_values(x, EvalConfig(target_abs_error=trunc / 2))
+            specfun.t_values(x)
 
-    def test_s_pair_truncation_bound_is_gated(self):
+    def test_s_pair_truncation_bound_is_gated(self, monkeypatch):
         # on (0, 1/2] the Euler-Maclaurin bound is the larger one, so the
         # polynomial's shows as the excess over the direct series' bound
         x = np.array([0.4, 0.45, 0.5])
@@ -281,9 +269,9 @@ class TestPolynomialBulks:
         assert np.allclose(excess, e * x ** (2 * len(C) + 2), rtol=1e-9,
                            atol=0)
         trunc = e * 0.5 ** (2 * len(C) + 2)
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", trunc / 2)
         with pytest.raises(NonConvergenceError):
-            specfun.s_pair_values(np.array([0.5]),
-                                  EvalConfig(target_abs_error=trunc / 2))
+            specfun.s_pair_values(np.array([0.5]))
 
     def test_fold_is_exact(self):
         # 1 - x is exact for x >= 1/2, and so is the fold of 1 - x back to x
@@ -323,29 +311,31 @@ class TestBlocks:
         (specfun._s_pair_batch, specfun.s_pair_values),
         (specfun._t_batch, specfun.t_values),
     ], ids=["S", "S_PAIR", "T"])
-    def test_only_last_block_misses_target(self, batch, evaluate):
+    def test_only_last_block_misses_target(self, batch, evaluate,
+                                           monkeypatch):
         rem_near = float(batch(np.array([0.01]))[1][0])
         rem_far = float(batch(np.array([0.9]))[1][0])
         assert rem_far > 10 * rem_near
-        cfg = EvalConfig(target_abs_error=math.sqrt(rem_near * rem_far),
-                         max_terms=64)
-        evaluate(self.near_and_far(0), cfg)
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR",
+                            math.sqrt(rem_near * rem_far))
+        evaluate(self.near_and_far(0))
         with pytest.raises(NonConvergenceError):
-            evaluate(self.near_and_far(3), cfg)
+            evaluate(self.near_and_far(3))
 
-    def test_start_doubles_per_block(self):
+    def test_start_doubles_per_block(self, monkeypatch):
         rem_near = float(specfun._psi_series_batch(1, np.array([0.01]), 64)[1][0])
         rem_far = float(specfun._psi_series_batch(1, np.array([0.9]), 64)[1][0])
-        cfg = EvalConfig(target_abs_error=math.sqrt(rem_near * rem_far),
-                         max_terms=128)
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR",
+                            math.sqrt(rem_near * rem_far))
+        monkeypatch.setattr(specfun, "MAX_TERMS", 128)
         x = self.near_and_far(3)
-        got = specfun._psi_series_checked(1, x, cfg)
+        got = specfun._psi_series_checked(1, x)
         assert np.array_equal(got[:2 * self.B],
                               self.psi1_one_batch(x[:2 * self.B]))
         assert np.array_equal(got[2 * self.B:],
                               self.psi1_one_batch(x[2 * self.B:], 128))
 
-    def test_start_doubles_per_point(self):
+    def test_start_doubles_per_point(self, monkeypatch):
         # near and far points interleaved in one block: only the far ones
         # are evaluated again, at the doubled start
         rng = np.random.default_rng(7)
@@ -354,20 +344,20 @@ class TestBlocks:
         rem_near = specfun._psi_series_batch(1, near, 64)[1]
         rem_far = specfun._psi_series_batch(1, far, 64)[1]
         assert rem_far.min() > 10 * rem_near.max()
-        cfg = EvalConfig(target_abs_error=math.sqrt(rem_near.max()
-                                                    * rem_far.min()),
-                         max_terms=128)
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR",
+                            math.sqrt(rem_near.max() * rem_far.min()))
+        monkeypatch.setattr(specfun, "MAX_TERMS", 128)
         x = np.empty(60)
         is_far = np.arange(60) % 3 == 1
         x[~is_far], x[is_far] = near, far
-        got = specfun._psi_series_checked(1, x, cfg)
+        got = specfun._psi_series_checked(1, x)
         batch = specfun._psi_series_batch
         assert np.array_equal(got[~is_far], batch(1, near, 64)[0])
         assert np.array_equal(got[is_far], batch(1, far, 128)[0])
         assert not np.array_equal(got[~is_far], batch(1, near, 128)[0])
+        monkeypatch.setattr(specfun, "MAX_TERMS", 64)
         with pytest.raises(NonConvergenceError):
-            specfun._psi_series_checked(
-                1, x, EvalConfig(cfg.target_abs_error, max_terms=64))
+            specfun._psi_series_checked(1, x)
 
     @pytest.mark.parametrize("evaluate", [specfun.s_pair_values,
                                           specfun.t_values],
