@@ -12,7 +12,7 @@ from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     MergeError, ValueTable, closed_form_sum, load, merge,
                     precompute, save)
 from .ek import CharacterSumError, EKResult, compute_ek
-from .fft import Spectrum, dft, dif_split
+from .fft import Spectrum, dft, dif_split, twiddle
 from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
                         primitive_root)
 from .offsets import OffsetSequence, greedy_offsets, scan_candidates, v_of_q
@@ -34,5 +34,5 @@ __all__ = [
     "digamma", "gamma0_aq", "gamma1_aq", "gamma_n", "gammak_aq",
     "greedy_offsets", "is_prime", "load", "log_gamma", "merge", "precompute",
     "primitive_root", "psi_n", "s_function", "s_pair", "save",
-    "scan_candidates", "t_function", "v_of_q",
+    "scan_candidates", "t_function", "twiddle", "v_of_q",
 ]

@@ -11,7 +11,8 @@
     ek vq 964477901
 
 Exit codes: 0 success, 1 computation failure, 2 usage error.  The cache
-directory defaults to $EK_CACHE_DIR.
+directory defaults to $EK_CACHE_DIR.  --digits is an option of the commands
+that print floats: compute, scan, stieltjes, gamma-n and vq.
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-CSV_HEADER = ("q,ek,ek_plus,ek_diff,mq,mq_odd,mq_even,"
-              "ek_norm,ek_plus_norm,mq_norm,v_q")
+# the EKResult fields that ek compute prints as "name = value" and ek scan
+# writes as CSV cells, in this order
+RESULT_FIELDS = ("ek", "ek_plus", "ek_diff", "mq", "mq_odd", "mq_even",
+                 "ek_norm", "ek_plus_norm", "mq_norm")
+CSV_HEADER = ",".join(("q",) + RESULT_FIELDS + ("v_q",))
 MAX_DIGITS = 17  # significant digits that round-trip a float64
 
 
@@ -48,24 +52,43 @@ def _fmt(x: float, digits: int) -> str:
     return f"{x:.{digits - 1}e}"
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout if out is not given."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _check_odd_prime(q: int) -> None:
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise UsageError(f"{q} is not an odd prime")
 
 
-def _cache_dir(args) -> Path | None:
+def _cache_dir(args, required: bool = False) -> Path | None:
+    """--cache, else $EK_CACHE_DIR; UsageError if neither is set and the
+    command cannot do without a cache."""
     path = args.cache or os.environ.get("EK_CACHE_DIR")
+    if not path and required:
+        raise UsageError(f"{args.command} needs --cache DIR or EK_CACHE_DIR")
     return Path(path) if path else None
 
 
-def _load_cached_tables(args, q: int, tags, verify: bool = True) -> dict:
+def _load_parts(paths: list[Path]) -> cache_mod.ValueTable:
+    """The table stored in the given part files, merged if there are
+    several."""
+    parts = [cache_mod.load(p, verify_checksum=False) for p in paths]
+    return parts[0] if len(parts) == 1 else cache_mod.merge(parts)
+
+
+def _load_cached_tables(args, q: int, tags) -> dict:
     """Load (merging chunked parts) every requested tag found in the
     cache directory, if there is one.
 
     cache_mod.load refuses a file evaluated to another target than
-    specfun.TARGET_ABS_ERROR; full-range tables must pass the closed-form
-    gate unless verify is off (the checksum command reports the residual
-    itself).
+    specfun.TARGET_ABS_ERROR.  The closed-form gate is left to the
+    consumer: compute_ek applies it to every table it uses, and the
+    checksum command prints the residual before applying it.
     """
     cache_dir = _cache_dir(args)
     tables = {}
@@ -73,58 +96,43 @@ def _load_cached_tables(args, q: int, tags, verify: bool = True) -> dict:
         return tables
     for tag in tags:
         paths = cache_mod.part_paths(cache_dir, tag, q)
-        if not paths:
-            continue
-        parts = [cache_mod.load(p, verify_checksum=False) for p in paths]
-        table = parts[0] if len(parts) == 1 else cache_mod.merge(parts)
-        if verify and table.is_full_range:
-            cache_mod.check_closed_form(table, f"{tag.value} cache for q={q}")
-        tables[tag] = table
+        if paths:
+            tables[tag] = _load_parts(paths)
     return tables
 
 
-def _result_caches(args, ctx, method):
-    tags = ek_mod.method_tags(method)
-    caches = _load_cached_tables(args, ctx.q, tags)
+def _compute(args, q: int) -> ek_mod.EKResult:
+    """compute_ek for q with args.method, on the cached tables where the
+    cache has them and on tables evaluated here otherwise."""
+    ctx = build_context(q)
+    tags = ek_mod.method_tags(args.method)
+    caches = _load_cached_tables(args, q, tags)
     for tag in tags:
         if tag not in caches:
             caches[tag] = cache_mod.precompute(ctx, tag)
-    return caches
+    return ek_mod.compute_ek(ctx, caches, method=args.method)
 
 
 def cmd_compute(args) -> int:
-    q = args.q
-    _check_odd_prime(q)
-    ctx = build_context(q)
-    caches = _result_caches(args, ctx, args.method)
-    res = ek_mod.compute_ek(ctx, caches, method=args.method)
+    _check_odd_prime(args.q)
+    res = _compute(args, args.q)
     d = args.digits
-    print(f"q = {res.q}")
-    print(f"ek = {_fmt(res.ek, d)}")
-    print(f"ek_plus = {_fmt(res.ek_plus, d)}")
-    print(f"ek_diff = {_fmt(res.ek_diff, d)}")
-    print(f"mq = {_fmt(res.mq, d)}")
-    print(f"mq_odd = {_fmt(res.mq_odd, d)}")
-    print(f"mq_even = {_fmt(res.mq_even, d)}")
-    print(f"ek_norm = {_fmt(res.ek_norm, d)}")
-    print(f"ek_plus_norm = {_fmt(res.ek_plus_norm, d)}")
-    print(f"mq_norm = {_fmt(res.mq_norm, d)}")
-    print(f"method = {res.method}")
+    lines = [f"q = {res.q}"]
+    lines += [f"{name} = {_fmt(getattr(res, name), d)}"
+              for name in RESULT_FIELDS]
+    lines.append(f"method = {res.method}")
     if res.method_discrepancy is not None:
-        print(f"method_discrepancy = {_fmt(res.method_discrepancy, d)}")
+        lines.append(f"method_discrepancy = {_fmt(res.method_discrepancy, d)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _scan_row(q: int, args) -> str:
-    ctx = build_context(q)
-    caches = _result_caches(args, ctx, args.method)
-    res = ek_mod.compute_ek(ctx, caches, method=args.method)
-    vq = _fmt(offsets_mod.v_of_q(q), args.digits) if args.with_vq else ""
-    cells = [str(q)] + [
-        _fmt(v, args.digits)
-        for v in (res.ek, res.ek_plus, res.ek_diff, res.mq, res.mq_odd,
-                  res.mq_even, res.ek_norm, res.ek_plus_norm, res.mq_norm)
-    ] + [vq]
+    res = _compute(args, q)
+    cells = [str(q)] + [_fmt(getattr(res, name), args.digits)
+                        for name in RESULT_FIELDS]
+    cells.append(_fmt(offsets_mod.v_of_q(q), args.digits)
+                 if args.with_vq else "")
     return ",".join(cells)
 
 
@@ -139,20 +147,14 @@ def cmd_scan(args) -> int:
             rows = list(pool.map(lambda q: _scan_row(q, args), primes))
     else:
         rows = [_scan_row(q, args) for q in primes]
-    text = "\n".join([CSV_HEADER] + rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join([CSV_HEADER] + rows) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_precompute(args) -> int:
     q = args.q
     _check_odd_prime(q)
-    cache_dir = _cache_dir(args)
-    if cache_dir is None:
-        raise UsageError("precompute needs --cache DIR or EK_CACHE_DIR")
+    cache_dir = _cache_dir(args, required=True)
     cache_dir.mkdir(parents=True, exist_ok=True)
     ctx = build_context(q)
     tag = FunctionTag(args.tag)
@@ -166,15 +168,12 @@ def cmd_precompute(args) -> int:
 
 def cmd_merge(args) -> int:
     q = args.q
-    cache_dir = _cache_dir(args)
-    if cache_dir is None:
-        raise UsageError("merge needs --cache DIR or EK_CACHE_DIR")
+    cache_dir = _cache_dir(args, required=True)
     tag = FunctionTag(args.tag)
     paths = cache_mod.part_paths(cache_dir, tag, q)
     if not paths:
         raise UsageError(f"no {tag.value} parts for q={q} under {cache_dir}")
-    merged = cache_mod.merge([cache_mod.load(p, verify_checksum=False)
-                              for p in paths])
+    merged = _load_parts(paths)
     if args.out:
         out = cache_mod.save(merged, args.out)
     else:
@@ -198,7 +197,7 @@ def cmd_checksum(args) -> int:
     q = args.q
     _check_odd_prime(q)
     tag = FunctionTag(args.tag)
-    tables = _load_cached_tables(args, q, [tag], verify=False)
+    tables = _load_cached_tables(args, q, [tag])
     table = (tables[tag] if tag in tables
              else cache_mod.precompute(build_context(q), tag))
     if not table.is_full_range:
@@ -219,11 +218,7 @@ def cmd_stieltjes(args) -> int:
     for k in range(table.k_max + 1):
         for a in range(1, table.q + 1):
             lines.append(f"{k},{a},{_fmt(table[(k, a)], args.digits)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -238,11 +233,7 @@ def cmd_offsets(args) -> int:
     if not 1 <= args.count <= offsets_mod.GREEDY_COUNT:
         raise UsageError(f"count must be in [1, {offsets_mod.GREEDY_COUNT}]")
     seq = offsets_mod.greedy_offsets(args.count)
-    text = "\n".join(str(b) for b in seq.b) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(str(b) for b in seq.b) + "\n", args.out)
     return EXIT_OK
 
 
@@ -260,80 +251,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cache=True):
-        p.add_argument("--digits", type=int, default=15,
-                       choices=range(1, MAX_DIGITS + 1), metavar="N",
-                       help="significant digits in printed values, "
-                            f"1..{MAX_DIGITS}")
+    def command(name, func, summary, *ints, digits=False, cache=False,
+                method=False, tag=False, out=False):
+        """A subcommand with the integer positionals ints and the shared
+        options it asks for."""
+        p = sub.add_parser(name, help=summary)
+        for arg in ints:
+            p.add_argument(arg, type=int)
+        if method:
+            p.add_argument("--method", choices=ek_mod.METHOD_TAGS,
+                           default=ek_mod.METHOD_S)
+        if tag:
+            p.add_argument("--tag", required=True,
+                           choices=[t.value for t in FunctionTag])
+        if out:
+            p.add_argument("--out", default=None)
+        if digits:
+            p.add_argument("--digits", type=int, default=15,
+                           choices=range(1, MAX_DIGITS + 1), metavar="N",
+                           help="significant digits in printed values, "
+                                f"1..{MAX_DIGITS}")
         if cache:
             p.add_argument("--cache", default=None,
                            help="cache directory (default $EK_CACHE_DIR)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("compute", help="constants for one odd prime")
-    p.add_argument("q", type=int)
-    p.add_argument("--method", choices=ek_mod.METHOD_TAGS,
-                   default=ek_mod.METHOD_S)
-    common(p)
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("scan", help="CSV of constants over a prime range")
-    p.add_argument("q_min", type=int)
-    p.add_argument("q_max", type=int)
-    p.add_argument("--method", choices=ek_mod.METHOD_TAGS,
-                   default=ek_mod.METHOD_S)
-    p.add_argument("--out", default=None)
+    command("compute", cmd_compute, "constants for one odd prime", "q",
+            digits=True, cache=True, method=True)
+    p = command("scan", cmd_scan, "CSV of constants over a prime range",
+                "q_min", "q_max", digits=True, cache=True, method=True,
+                out=True)
     p.add_argument("--with-vq", action="store_true", dest="with_vq")
     p.add_argument("--threads", type=int, default=1,
                    help="worker bound; results do not depend on it")
-    common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("precompute", help="write a value-table chunk")
-    p.add_argument("q", type=int)
-    p.add_argument("--tag", required=True,
-                   choices=[t.value for t in FunctionTag])
+    p = command("precompute", cmd_precompute, "write a value-table chunk",
+                "q", cache=True, tag=True)
     p.add_argument("--range", type=int, nargs=2, metavar=("K0", "K1"))
-    common(p)
-    p.set_defaults(func=cmd_precompute)
-
-    p = sub.add_parser("merge", help="merge cached chunks of one table")
-    p.add_argument("q", type=int)
-    p.add_argument("--tag", required=True,
-                   choices=[t.value for t in FunctionTag])
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_merge)
-
-    p = sub.add_parser("checksum", help="closed-form residual of a cache")
-    p.add_argument("q", type=int)
-    p.add_argument("--tag", required=True,
-                   choices=[t.value for t in FunctionTag])
-    common(p)
-    p.set_defaults(func=cmd_checksum)
-
-    p = sub.add_parser("stieltjes", help="gamma_k(a,q) table")
-    p.add_argument("q", type=int)
+    command("merge", cmd_merge, "merge cached chunks of one table", "q",
+            cache=True, tag=True, out=True)
+    command("checksum", cmd_checksum, "closed-form residual of a cache", "q",
+            cache=True, tag=True)
+    p = command("stieltjes", cmd_stieltjes, "gamma_k(a,q) table", "q",
+                digits=True, out=True)
     p.add_argument("--kmax", type=int, default=1)
-    p.add_argument("--out", default=None)
-    common(p, cache=False)
-    p.set_defaults(func=cmd_stieltjes)
-
-    p = sub.add_parser("gamma-n", help="generalized Euler constant")
-    p.add_argument("n", type=int)
-    common(p, cache=False)
-    p.set_defaults(func=cmd_gamma_n)
-
-    p = sub.add_parser("offsets", help="greedy prime-offset sequence")
-    p.add_argument("count", type=int)
-    p.add_argument("--out", default=None)
-    common(p, cache=False)
-    p.set_defaults(func=cmd_offsets)
-
-    p = sub.add_parser("vq", help="offset score v(q)")
-    p.add_argument("q", type=int)
-    common(p, cache=False)
-    p.set_defaults(func=cmd_vq)
-
+    command("gamma-n", cmd_gamma_n, "generalized Euler constant", "n",
+            digits=True)
+    command("offsets", cmd_offsets, "greedy prime-offset sequence", "count",
+            out=True)
+    command("vq", cmd_vq, "offset score v(q)", "q", digits=True)
     return parser
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cache as cache_mod
 from .cache import FunctionTag, ValueTable
-from .fft import dft, dif_split
+from .fft import dft, dif_split, twiddle
 from .multgroup import PrimeContext
 from .specfun import EULER_GAMMA, LOG_2PI
 
@@ -75,6 +75,8 @@ class EKResult:
 
 def _require(caches: Mapping[FunctionTag, ValueTable], ctx: PrimeContext,
              tag: FunctionTag) -> ValueTable:
+    """The tagged table, which must be for ctx's q and g, cover the full
+    range and pass the closed-form gate, wherever it came from."""
     try:
         table = caches[tag]
     except KeyError:
@@ -86,6 +88,7 @@ def _require(caches: Mapping[FunctionTag, ValueTable], ctx: PrimeContext,
         )
     if not table.is_full_range:
         raise ValueError(f"{tag.value} cache does not cover the full range")
+    cache_mod.check_closed_form(table, f"{tag.value} cache for q={ctx.q}")
     return table
 
 
@@ -104,15 +107,15 @@ def build_caches(ctx: PrimeContext,
             for tag in method_tags(method)}
 
 
-def bernoulli_twisted(ctx: PrimeContext) -> np.ndarray:
+def bernoulli_twisted(ctx: PrimeContext, tw: np.ndarray) -> np.ndarray:
     """First chi-Bernoulli numbers B_{1, conj(chi_1^{2t+1})} for t < m.
 
     B_{1,chi} = (1/q) sum_a a chi(a); nonzero exactly for odd characters.
-    Computed as the c branch of the decimation split of f(x) = x.
+    Computed as the c branch of the decimation split of f(x) = x, with
+    tw = twiddle(q-1) as the caller's splits use it.
     """
     q, m = ctx.q, ctx.m
-    k = np.arange(m)
-    c = np.exp(-2j * np.pi * k / (q - 1)) * (2.0 * ctx.a_seq[:m] - q) / q
+    c = tw * (2.0 * ctx.a_seq[:m] - q) / q
     return dft(c).values
 
 
@@ -141,10 +144,13 @@ def s_ratios(ctx: PrimeContext, log_gamma_table: ValueTable,
     """
     # each m-length intermediate is dropped once used: this stage sets the
     # peak memory of method "s" at large q
-    b, c = dif_split(log_gamma_table.values)
+    tw = twiddle(ctx.q - 1)
+    b, c = dif_split(log_gamma_table.values, tw)
     odd = dft(c).values
     del c
-    odd = _divide(odd, bernoulli_twisted(ctx), "a first chi-Bernoulli number")
+    odd = _divide(odd, bernoulli_twisted(ctx, tw),
+                  "a first chi-Bernoulli number")
+    del tw
     den = dft(b).values[1:]
     del b
     even = _divide(dft(s_pair_table.values).values[1:], den,
@@ -162,12 +168,16 @@ def t_ratios(ctx: PrimeContext, t_table: ValueTable,
     1 <= t < m.  Each is the ratio r of sum_a chi(a) T(a/q) to
     sum_a chi(a) psi(a/q), and L'/L(1,chi) = -log q - r.
     """
-    b, c = dif_split(t_table.values)
-    odd, even = dft(c).values, dft(b).values[1:]
-    b, c = dif_split(psi_table.values)
+    tw = twiddle(ctx.q - 1)
+    b_t, c = dif_split(t_table.values, tw)
+    odd = dft(c).values
+    del c
+    b_psi, c = dif_split(psi_table.values, tw)
+    del tw
     odd = _divide(odd, dft(c).values, "an odd-character psi sum")
     del c
-    even = _divide(even, dft(b).values[1:], "an even-character psi sum")
+    even = _divide(dft(b_t).values[1:], dft(b_psi).values[1:],
+                   "an even-character psi sum")
     # the transforms give the conj(chi) sums of real tables; conjugating
     # their ratio gives the ratio of the chi sums
     return np.conjugate(odd, out=odd), np.conjugate(even, out=even)

@@ -32,8 +32,15 @@ def dft(x) -> Spectrum:
     return Spectrum(values=np.fft.fft(x))
 
 
-def dif_split(f_vals) -> tuple[np.ndarray, np.ndarray]:
-    """Split f_vals (indexed by k, length q-1) for decimation in frequency.
+def twiddle(n: int) -> np.ndarray:
+    """The factors e(-k/n), k < n/2, that dif_split applies to the odd-bin
+    branch of a length-n input."""
+    return np.exp(-2j * np.pi * np.arange(n // 2) / n)
+
+
+def dif_split(f_vals, tw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split f_vals (indexed by k, length q-1) for decimation in frequency;
+    tw is twiddle(q-1), built once by the caller for all its splits.
 
     Returns (b, c).  b[k] = f[k] + f[k+m] feeds the even output bins:
     dft(b)[t] equals the full-spectrum bin 2t.
@@ -46,6 +53,5 @@ def dif_split(f_vals) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"input length must be even, got {n}")
     m = n // 2
     b = f[:m] + f[m:]
-    twiddle = np.exp(-2j * np.pi * np.arange(m) / n)
-    c = twiddle * (f[:m] - f[m:])
+    c = tw * (f[:m] - f[m:])
     return b, c

@@ -21,10 +21,9 @@ GREEDY_COUNT = 2089
 @dataclass(frozen=True)
 class OffsetSequence:
     """Strictly increasing offsets with b[0] = 0; every prefix is admissible:
-    for each prime r <= count the residues mod r omit at least one class."""
+    for each prime r <= len(b) the residues mod r omit at least one class."""
 
     b: tuple
-    count: int
 
 
 def _primes_up_to(n: int) -> list[int]:
@@ -69,7 +68,7 @@ def greedy_offsets(count: int) -> OffsetSequence:
         b.append(candidate)
         for p in primes:
             used[p].add(candidate % p)
-    return OffsetSequence(b=tuple(b), count=count)
+    return OffsetSequence(b=tuple(b))
 
 
 def reciprocal_sum(seq: OffsetSequence) -> float:

@@ -9,7 +9,7 @@ import oracles
 from ekconst import specfun
 from ekconst.cache import FunctionTag, closed_form_sum, precompute
 from ekconst.ek import compute_ek, s_ratios
-from ekconst.fft import dft, dif_split
+from ekconst.fft import dft, dif_split, twiddle
 from ekconst.multgroup import build_context
 from ekconst.offsets import greedy_offsets, reciprocal_sum, v_of_q
 from ekconst.specfun import gamma_n
@@ -102,7 +102,7 @@ def test_criterion_5_fft_correctness():
     for q in oracles.odd_primes_up_to(101):
         f = rng.standard_normal(q - 1)
         full = oracles.naive_dft(f, -1)
-        b, c = dif_split(f)
+        b, c = dif_split(f, twiddle(len(f)))
         even = dft(b).values
         odd = dft(c).values
         assert float(np.max(np.abs(even - full[0::2]))) <= 1e-10 * q

@@ -137,6 +137,31 @@ class TestScan:
         code, _, _ = run(capsys, "compute", "3", "--threads", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["precompute", "11", "--tag", "T"],
+        ["merge", "11", "--tag", "T"],
+        ["checksum", "11", "--tag", "T"],
+        ["offsets", "5"],
+    ])
+    def test_digits_only_where_a_float_is_printed(self, capsys, tmp_path,
+                                                  monkeypatch, argv):
+        # each command would succeed without --digits
+        monkeypatch.setenv("EK_CACHE_DIR", str(tmp_path))
+        assert run(capsys, "precompute", "11", "--tag", "T")[0] == 0
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--digits", "3")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --digits 3" in err
+
+    def test_result_fields_name_the_compute_lines_and_csv_columns(
+            self, capsys):
+        _, out, _ = run(capsys, "compute", "11")
+        names = [line.split(" = ")[0] for line in out.splitlines()]
+        assert names == ["q", *cli.RESULT_FIELDS, "method"]
+        assert cli.CSV_HEADER.split(",") == ["q", *cli.RESULT_FIELDS, "v_q"]
+        assert cli.CSV_HEADER == ("q,ek,ek_plus,ek_diff,mq,mq_odd,mq_even,"
+                                  "ek_norm,ek_plus_norm,mq_norm,v_q")
+
     def test_with_vq_column(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
         run(capsys, "scan", "3", "8", "--out", str(out_path), "--with-vq")

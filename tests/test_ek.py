@@ -1,5 +1,6 @@
 """Constant assembly: published values, per-character oracle, identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 import oracles
 import ekconst
 from ekconst import ek, specfun
-from ekconst.cache import FunctionTag, ValueTable, precompute
+from ekconst.cache import (ChecksumMismatchError, FunctionTag, ValueTable,
+                           precompute)
 from ekconst.ek import (CharacterSumError, _take_real, bernoulli_twisted,
                         build_caches, compute_ek, s_ratios, t_ratios)
-from ekconst.fft import dft, dif_split
+from ekconst.fft import dft, dif_split, twiddle
 from ekconst.multgroup import build_context
 from ekconst.specfun import EULER_GAMMA
 from reference_values import EK, EK_PLUS, MQ
@@ -124,7 +126,7 @@ class TestStructuralIdentities:
         caches = build_caches(ctx, "s")
         compute_ek(ctx, caches, method="s")  # correctly paired, it passes
         monkeypatch.setattr(ek, "bernoulli_twisted",
-                            lambda c: np.roll(bernoulli_twisted(c), 1))
+                            lambda c, tw: np.roll(bernoulli_twisted(c, tw), 1))
         with pytest.raises(CharacterSumError,
                            match="imaginary residue .* exceeds its float64 "
                                  "budget"):
@@ -140,7 +142,7 @@ class TestStructuralIdentities:
 
     def test_first_bernoulli_nonzero(self, small_contexts):
         for ctx in small_contexts.values():
-            bern = bernoulli_twisted(ctx)
+            bern = bernoulli_twisted(ctx, twiddle(ctx.q - 1))
             assert float(np.min(np.abs(bern))) > 1e-12
 
     @pytest.mark.parametrize("which", ["bernoulli", "even log Gamma"])
@@ -154,7 +156,7 @@ class TestStructuralIdentities:
             target = (np.exp(-2j * np.pi * k / (ctx.q - 1))
                       * (2.0 * ctx.a_seq[:ctx.m] - ctx.q) / ctx.q)
         else:
-            target = dif_split(lg.values)[0]
+            target = dif_split(lg.values, twiddle(ctx.q - 1))[0]
 
         def dft_zeroing(x, *args, **kwargs):
             spectrum = dft(x, *args, **kwargs)
@@ -173,7 +175,7 @@ class TestStructuralIdentities:
         # ek = -inf and mq = inf
         ctx = build_context(101)
         caches = build_caches(ctx, method)
-        b, c = dif_split(caches[FunctionTag.PSI].values)
+        b, c = dif_split(caches[FunctionTag.PSI].values, twiddle(ctx.q - 1))
         target = b if branch == "even" else c
 
         def dft_zeroing(x):
@@ -219,7 +221,7 @@ class TestSigmaConvention:
     def test_q5_bernoulli_matches_explicit(self):
         ctx = build_context(5)
         chars = oracles.character_table(ctx)
-        bern = bernoulli_twisted(ctx)
+        bern = bernoulli_twisted(ctx, twiddle(ctx.q - 1))
         for t in range(2):
             j = 2 * t + 1
             direct = np.sum(np.conj(chars[j]) * ctx.a_seq / 5)
@@ -311,6 +313,21 @@ class TestCacheHandling:
         with pytest.raises(KeyError):
             compute_ek(ctx, caches, method="t")
 
+    def test_table_failing_its_closed_form_is_refused(self):
+        # the SUM is consistent with the values, so only the closed-form
+        # gate can see that one value is off by 1e-6
+        ctx = build_context(101)
+        caches = build_caches(ctx, "s")
+        table = caches[FunctionTag.S_PAIR]
+        values = table.values.copy()
+        values[7] += 1e-6
+        caches[FunctionTag.S_PAIR] = dataclasses.replace(
+            table, values=values, partial_sum=math.fsum(values.tolist()))
+        with pytest.raises(ChecksumMismatchError,
+                           match="S_PAIR cache for q=101: full-range "
+                                 "checksum residual 1.000e-06"):
+            compute_ek(ctx, caches, method="s")
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             compute_ek(build_context(7), method="x")
@@ -354,6 +371,22 @@ class TestTransformContract:
         assert counts["ifft"] == 0
         assert lengths == {ctx.m}
         assert counts["points"] == calls // 2 * (q - 1)
+
+    @pytest.mark.parametrize("method", ["s", "t", "both"])
+    def test_one_twiddle_per_route(self, method, monkeypatch):
+        # the m-length twiddle is the only np.exp of the assembly
+        ctx = build_context(101)
+        caches = build_caches(ctx, method)
+        lengths = []
+        np_exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            lengths.append(np.size(x))
+            return np_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        compute_ek(ctx, caches, method=method)
+        assert lengths == [ctx.m] * (2 if method == "both" else 1)
 
     def test_star_import_and_all(self):
         namespace = {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ekconst.fft import dft, dif_split
+from ekconst.fft import dft, dif_split, twiddle
 
 RNG = np.random.default_rng(20240817)
 
@@ -69,7 +69,7 @@ class TestProperties:
 class TestDecimation:
     def test_arithmetic_example_q5(self):
         f = np.array([0.0, 1.0, 2.0, 3.0])
-        b, c = dif_split(f)
+        b, c = dif_split(f, twiddle(len(f)))
         assert np.allclose(b, [2.0, 4.0], atol=1e-15)
         assert c[0] == pytest.approx(-2.0, abs=1e-15)
         want = np.exp(-2j * np.pi / 4) * (1.0 - 3.0)
@@ -77,13 +77,13 @@ class TestDecimation:
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            dif_split(np.zeros(5))
+            dif_split(np.zeros(5), twiddle(5))
 
     @pytest.mark.parametrize("q", oracles.odd_primes_up_to(101))
     def test_bin_equivalence_all_primes_to_101(self, q):
         f = RNG.standard_normal(q - 1)
         full = oracles.naive_dft(f, -1)
-        b, c = dif_split(f)
+        b, c = dif_split(f, twiddle(len(f)))
         even = dft(b).values
         odd = dft(c).values
         assert float(np.max(np.abs(even - full[0::2]))) <= 1e-12 * q
