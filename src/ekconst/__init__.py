@@ -15,12 +15,10 @@ from .ek import CharacterSumError, EKResult, compute_ek
 from .fft import Spectrum, dft, dif_split, twiddle
 from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
                         primitive_root)
-from .offsets import OffsetSequence, greedy_offsets, scan_candidates, v_of_q
+from .offsets import OffsetSequence, greedy_offsets, v_of_q
 from .specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
-                      DisagreementError, NonConvergenceError, digamma,
-                      gamma_n, log_gamma, psi_n, s_function, s_pair,
-                      t_function)
-from .stieltjes import StieltjesTable, gamma0_aq, gamma1_aq, gammak_aq
+                      DisagreementError, NonConvergenceError, gamma_n, psi_n)
+from .stieltjes import StieltjesTable, gammak_aq
 
 __version__ = "0.1.0"
 
@@ -31,8 +29,6 @@ __all__ = [
     "OffsetSequence", "PrimeContext", "Spectrum", "StieltjesTable",
     "ValueTable", "ZETA_DD_AT_0",
     "build_context", "closed_form_sum", "compute_ek", "dft", "dif_split",
-    "digamma", "gamma0_aq", "gamma1_aq", "gamma_n", "gammak_aq",
-    "greedy_offsets", "is_prime", "load", "log_gamma", "merge", "precompute",
-    "primitive_root", "psi_n", "s_function", "s_pair", "save",
-    "scan_candidates", "t_function", "twiddle", "v_of_q",
+    "gamma_n", "gammak_aq", "greedy_offsets", "is_prime", "load", "merge",
+    "precompute", "primitive_root", "psi_n", "save", "twiddle", "v_of_q",
 ]

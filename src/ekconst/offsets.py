@@ -71,11 +71,6 @@ def greedy_offsets(count: int) -> OffsetSequence:
     return OffsetSequence(b=tuple(b))
 
 
-def reciprocal_sum(seq: OffsetSequence) -> float:
-    """m(C) = sum of 1/b over the offsets after the leading zero."""
-    return math.fsum(1.0 / v for v in seq.b[1:])
-
-
 def v_of_q(q: int, seq: OffsetSequence | None = None) -> float:
     """Score of q against the offset sequence (default: all 2089).
 
@@ -96,19 +91,3 @@ def v_of_q(q: int, seq: OffsetSequence | None = None) -> float:
         if is_prime(n):
             terms.append(1.0 / b)
     return math.fsum(terms)
-
-
-def scan_candidates(q_min: int, q_max: int, threshold: float,
-                    seq: OffsetSequence | None = None) -> list[tuple[int, float]]:
-    """All primes q in [q_min, q_max] with v(q) > threshold, ascending."""
-    if q_min > q_max:
-        raise ValueError(f"empty range [{q_min}, {q_max}]")
-    if seq is None:
-        seq = greedy_offsets(GREEDY_COUNT)
-    out = []
-    for q in range(max(q_min, 3), q_max + 1):
-        if is_prime(q):
-            v = v_of_q(q, seq)
-            if v > threshold:
-                out.append((q, v))
-    return out

@@ -5,14 +5,13 @@ computations: the digamma psi, log Gamma, the generalized-digamma series
     psi_n(x) = -gamma_n - log(x)^n/x
                - sum_{m>=1} [ log(m+x)^n/(m+x) - log(m)^n/m ]
 
-Deninger's S function and its reflection pair
+the reflection pair of Deninger's S function
 
-    S(x)        = 2*gamma1*x + log(x)^2
-                  + sum_{m>=1} [ log(m+x)^2 - log(m)^2 - 2x*log(m)/m ]
     S(x)+S(1-x) = log(x)^2
                   + sum_{m>=1} [ log(m+x)^2 + log(m-x)^2 - 2 log(m)^2 ]
 
-and the generalized Euler constants gamma_n.
+and the generalized Euler constants gamma_n.  Every even-character sum
+needs S only through this pair, so S(x) alone is not evaluated here.
 
 Series tails are accelerated with Euler-Maclaurin corrections through the
 fifth-derivative term; the first omitted term bounds the remainder, and an
@@ -20,19 +19,19 @@ evaluation whose bound exceeds the fixed target TARGET_ABS_ERROR raises
 NonConvergenceError.  psi_n starts its series at a truncation point that
 depends on n and doubles it, point by point, until the bound meets the
 target; psi_n_values evaluates a whole array of points, and psi_n is its
-one-point form.  T, S and S(x)+S(1-x) start their tails at m = 64 and are
-checked once there.  T and S(x)+S(1-x) sum the terms m = 2..63 as a
-polynomial in x (in x - 1/2, respectively in x^2 after S(x)+S(1-x) is
-folded to x <= 1/2), whose coefficients are summed once per process; a
-bound on the polynomial's omitted terms joins the remainder bound, and
-psi_n(1, x), which sums those terms one by one, checks T.  Arrays
-of points are evaluated in fixed-size blocks, so the working memory of a
-table does not grow with its length, and no value depends on the other
-points of its block.  S and S(x)+S(1-x) are evaluated by their series
-alone; the integral representations of both, integrated by a
-double-exponential rule, live in the test suite (tests/oracles.py) as an
-independent reference.  digamma and log Gamma come from scipy.special,
-which is imported on first use.
+one-point form.  T and S(x)+S(1-x) are evaluated on arrays of points only.
+They start their tails at m = 64, are checked once there, and sum the terms
+m = 2..63 as a polynomial in x (in x - 1/2, respectively in x^2 after
+S(x)+S(1-x) is folded to x <= 1/2), whose coefficients are summed once per
+process; a bound on the polynomial's omitted terms joins the remainder
+bound, and psi_n(1, x), which sums those terms one by one, checks T.
+Arrays of points are evaluated in fixed-size blocks, so the working memory
+of a table does not grow with its length, and no value depends on the
+other points of its block.  S(x)+S(1-x) is evaluated by its series alone;
+its integral representation, integrated by a double-exponential rule,
+lives in the test suite (tests/oracles.py) as an independent reference.
+digamma and log Gamma come from scipy.special, which is imported on first
+use.
 
 Everything is plain float64; long accumulations use exact (fsum) or pairwise
 summation so results carry close to full double accuracy.
@@ -76,22 +75,6 @@ MAX_TERMS = 200_000
 # psi and log Gamma on (0,1]: standard library functions meet the target.
 # scipy.special is imported on first use: loading it costs a process about
 # a third of a second and 25 MB, and most commands never need it.
-
-def digamma(x: float) -> float:
-    """psi(x) for 0 < x <= 1."""
-    from scipy.special import digamma as sp_digamma
-    if not 0 < x <= 1:
-        raise ValueError(f"digamma requires 0 < x <= 1, got {x}")
-    return float(sp_digamma(x))
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for 0 < x < 1."""
-    from scipy.special import gammaln
-    if not 0 < x < 1:
-        raise ValueError(f"log_gamma requires 0 < x < 1, got {x}")
-    return float(gammaln(x))
-
 
 def psi_values(x: np.ndarray) -> np.ndarray:
     from scipy.special import digamma as sp_digamma
@@ -297,14 +280,13 @@ def psi_n(n: int, x: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# T, S and S(x)+S(1-x): series with a fixed start
+# T and S(x)+S(1-x): series with a fixed start
 #
-# Each series has its Euler-Maclaurin tail from m = _SERIES_START.  For T
-# and S(x)+S(1-x) the term m = 1 is summed directly and the terms
-# m = 2.._SERIES_START-1 form a polynomial in x, whose coefficients are
-# summed once per process and which is evaluated by Horner's rule; a bound
-# on the polynomial's omitted terms joins the tail's remainder bound.  S is
-# summed term by term up to _SERIES_START.
+# Each series has its Euler-Maclaurin tail from m = _SERIES_START.  The
+# term m = 1 is summed directly and the terms m = 2.._SERIES_START-1 form a
+# polynomial in x, whose coefficients are summed once per process and which
+# is evaluated by Horner's rule; a bound on the polynomial's omitted terms
+# joins the tail's remainder bound.
 
 _SERIES_START = 64
 _T_BULK_DEGREE = 28        # in x - 1/2; omitted terms below 2e-20
@@ -383,19 +365,8 @@ def t_values(x: np.ndarray) -> np.ndarray:
     return _fixed_start_checked(_t_batch, x, "T")
 
 
-def t_function(x: float) -> float:
-    """T(x) for a single 0 < x <= 1."""
-    if not 0 < x <= 1:
-        raise ValueError(f"t_function requires 0 < x <= 1, got {x}")
-    return float(t_values(np.array([x]))[0])
-
-
 def _h_fams():
     return _log_poly_family((0.0, 2.0), 1, 8)  # 2 log(u)/u and derivatives
-
-
-def _d_fams():
-    return _log_poly_family((0.0, 1.0), 1, 8)  # log(u)/u and derivatives
 
 
 @lru_cache(maxsize=None)
@@ -410,30 +381,6 @@ def _sym_cross_coeffs(nterms: int) -> tuple:
     la = np.array([-1.0 / (j + 1) for j in range(nterms)])
     at = np.array([2.0 / (2 * i + 1) for i in range(nterms)])
     return tuple(np.convolve(la, at)[:nterms])
-
-
-def _s_series_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S(x) via the accelerated asymmetric series; any x in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    A = float(_SERIES_START)
-    ms = np.arange(1.0, A)
-    lms = np.log(ms)
-    d = x[:, None] / ms
-    v = 2.0 * lms * _log1p_minus(d) + np.log1p(d) ** 2
-    bulk = v.sum(axis=1)
-
-    lA = math.log(A)
-    delta = x / A
-    integral = -A * (2.0 * lA * _int_log1p_pow(1, delta)
-                     + _int_log1p_pow(2, delta))
-    gA = 2.0 * lA * _log1p_minus(delta) + np.log1p(delta) ** 2
-    h, dfam = _h_fams(), _d_fams()
-    def deriv(j):
-        return (_family_eval(h, j, A + x) - _family_eval(h, j, A)
-                - 2.0 * x * _family_eval(dfam, j + 1, A))
-    tail = integral + gA / 2 - deriv(0) / 12 + deriv(2) / 720 - deriv(4) / 30240
-    rem = np.abs(deriv(6)) / 1209600.0
-    return 2.0 * GAMMA1 * x + np.log(x) ** 2 + bulk + tail, rem
 
 
 @lru_cache(maxsize=None)
@@ -490,34 +437,10 @@ def _s_pair_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(x) ** 2 + series, rem
 
 
-# ----------------------------------------------------------------------
-# public S entry points
-
-def s_values(x: np.ndarray) -> np.ndarray:
-    """S(x) on an array of points in (0, 1)."""
-    return _fixed_start_checked(_s_series_batch, x, "S")
-
-
-def s_function(x: float) -> float:
-    """S(x) for a single x; S(1) = 0 handled exactly."""
-    if x == 1.0:
-        return 0.0
-    if not 0 < x < 1:
-        raise ValueError(f"s_function requires 0 < x < 1, got {x}")
-    return float(s_values(np.array([x]))[0])
-
-
 def s_pair_values(x: np.ndarray) -> np.ndarray:
     """S(x) + S(1-x) on an array of points in (0, 1), from the symmetric
     series at min(x, 1-x)."""
     return _fixed_start_checked(_s_pair_batch, x, "S pair")
-
-
-def s_pair(x: float) -> float:
-    """S(x) + S(1-x) for a single 0 < x < 1, one evaluation."""
-    if not 0 < x < 1:
-        raise ValueError(f"s_pair requires 0 < x < 1, got {x}")
-    return float(s_pair_values(np.array([x]))[0])
 
 
 # ----------------------------------------------------------------------

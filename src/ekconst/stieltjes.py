@@ -5,10 +5,9 @@
                  = -(1/q) [ log(q)^{k+1}/(k+1)
                             + sum_{n<=k} C(k,n) log(q)^{k-n} psi_n(a/q) ],
 
-evaluated through the generalized digamma values.  k = 0 and k = 1 have
-dedicated closed forms in psi and T.  A table evaluates each psi_n once,
-as an array over all residues, and assembles every cell the way the
-per-cell gammak_aq does."""
+evaluated through the generalized digamma values.  A table evaluates each
+psi_n once, as an array over all residues, and assembles every cell the
+way the per-cell gammak_aq does."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 from . import specfun
-from .specfun import EULER_GAMMA, GAMMA1
 
 K_MAX = 20
 Q_MAX = 100
@@ -37,26 +35,6 @@ def _check_range(a: int, q: int) -> None:
         raise ValueError(f"q must be >= 1, got {q}")
     if not 1 <= a <= q:
         raise ValueError(f"a must satisfy 1 <= a <= q, got a={a}, q={q}")
-
-
-def gamma0_aq(a: int, q: int) -> float:
-    """gamma_0(a, q) = -(log q + psi(a/q))/q; the a = q row collapses to
-    (gamma - log q)/q since psi(1) = -gamma."""
-    _check_range(a, q)
-    lq = math.log(q)
-    if a == q:
-        return (EULER_GAMMA - lq) / q
-    return -(lq + specfun.digamma(a / q)) / q
-
-
-def gamma1_aq(a: int, q: int) -> float:
-    """gamma_1(a, q) = (gamma1 - log(q)^2/2 - log(q) psi(a/q) - T(a/q))/q."""
-    _check_range(a, q)
-    lq = math.log(q)
-    if a == q:
-        return (GAMMA1 + EULER_GAMMA * lq - lq * lq / 2) / q
-    return (GAMMA1 - lq * lq / 2 - lq * specfun.digamma(a / q)
-            - specfun.t_function(a / q)) / q
 
 
 def _from_psi(k: int, q: int, psi) -> float:

@@ -5,8 +5,10 @@ paths: transforms are summed by definition, characters are built
 explicitly from a generator, series are summed
 by brute force with only elementary tail handling, S is integrated by
 quadrature of its integral forms, and primality falls back to trial
-division.  The one exception is s_pair_series_direct: it sums its bulk
-term by term but builds its Euler-Maclaurin tail from library helpers.
+division.  The exceptions are s_pair_series_direct and s_series: they sum
+their bulk term by term but build their Euler-Maclaurin tails from library
+helpers, and s_series checks its remainder bounds with the library's block
+check.  gamma1_closed also takes T from the library's table function.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import math
 
 import numpy as np
 
+from ekconst import specfun
 from ekconst.multgroup import PrimeContext
-from ekconst.specfun import EULER_GAMMA, LOG_2PI
+from ekconst.specfun import EULER_GAMMA, GAMMA1, LOG_2PI
 
 
 def sieve(n: int) -> np.ndarray:
@@ -152,8 +155,6 @@ def t_bruteforce(x: float, terms: int = 2_000_000) -> float:
 
 def s_bruteforce(x: float, terms: int = 2_000_000) -> float:
     """S(x) by raw partial sums of the defining series plus integral tail."""
-    from ekconst.specfun import GAMMA1
-
     ms = np.arange(1.0, terms, dtype=np.float64)
     lm = np.log(ms)
     d = x / ms
@@ -165,6 +166,51 @@ def s_bruteforce(x: float, terms: int = 2_000_000) -> float:
     integral = x * la**2 - (phi(a + x) - phi(a))
     g_a = (math.log(a + x) ** 2 - la**2 - 2 * x * la / a)
     return 2 * GAMMA1 * x + math.log(x) ** 2 + total + integral + 0.5 * g_a
+
+
+# ----------------------------------------------------------------------
+# S(x) by its accelerated series
+#
+#     S(x) = 2*gamma1*x + log(x)^2
+#            + sum_{m>=1} [ log(m+x)^2 - log(m)^2 - 2x*log(m)/m ]
+#
+# The even-character sums need S only through S(x)+S(1-x), which the
+# library evaluates by its own symmetric series; the direct character sums
+# of direct_l_values take S(a/q) one residue at a time from here.
+
+def s_series(x: np.ndarray) -> np.ndarray:
+    """S(x) on an array of points in (0, 1): terms m < 64 summed one by one,
+    an Euler-Maclaurin tail from m = 64, and NonConvergenceError where its
+    remainder bound exceeds specfun.TARGET_ABS_ERROR."""
+    from ekconst.specfun import (_family_eval, _fixed_start_checked, _h_fams,
+                                 _int_log1p_pow, _log1p_minus,
+                                 _log_poly_family)
+
+    A = 64.0
+    ms = np.arange(1.0, A)
+    lms = np.log(ms)
+    lA = math.log(A)
+    h = _h_fams()
+    dfam = _log_poly_family((0.0, 1.0), 1, 8)  # log(u)/u and derivatives
+
+    def batch(x):
+        d = x[:, None] / ms
+        v = 2.0 * lms * _log1p_minus(d) + np.log1p(d) ** 2
+        bulk = v.sum(axis=1)
+        delta = x / A
+        integral = -A * (2.0 * lA * _int_log1p_pow(1, delta)
+                         + _int_log1p_pow(2, delta))
+        gA = 2.0 * lA * _log1p_minus(delta) + np.log1p(delta) ** 2
+
+        def deriv(j):
+            return (_family_eval(h, j, A + x) - _family_eval(h, j, A)
+                    - 2.0 * x * _family_eval(dfam, j + 1, A))
+        tail = (integral + gA / 2 - deriv(0) / 12 + deriv(2) / 720
+                - deriv(4) / 30240)
+        rem = np.abs(deriv(6)) / 1209600.0
+        return 2.0 * GAMMA1 * x + np.log(x) ** 2 + bulk + tail, rem
+
+    return _fixed_start_checked(batch, x, "S")
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +268,8 @@ def s_pair_series_direct(x: np.ndarray, start: int = 64):
 # form converges for 0 < x < 1 since the e^t in the denominator dominates
 # the e^{xt} and e^{(1-x)t} growth.  Both are integrated with a
 # double-exponential rule on t = exp(u - exp(-u))/c, doubling the node
-# density until successive levels agree.  The library evaluates S by its
-# series only, so this route is independent of it.
+# density until successive levels agree.  The library evaluates
+# S(x)+S(1-x) by its series only, so this route is independent of it.
 
 class QuadratureError(ArithmeticError):
     """Successive quadrature levels failed to agree within tolerance."""
@@ -357,6 +403,27 @@ def gamma_k_aq_bruteforce(k: int, a: int, q: int,
     return (8 * s4 - s2) / 7
 
 
+def gamma0_closed(a: int, q: int) -> float:
+    """gamma_0(a, q) = -(log q + psi(a/q))/q, psi from scipy.special; the
+    a = q row collapses to (gamma - log q)/q since psi(1) = -gamma."""
+    from scipy.special import digamma
+    lq = math.log(q)
+    if a == q:
+        return (EULER_GAMMA - lq) / q
+    return -(lq + float(digamma(a / q))) / q
+
+
+def gamma1_closed(a: int, q: int) -> float:
+    """gamma_1(a, q) = (gamma1 - log(q)^2/2 - log(q) psi(a/q) - T(a/q))/q,
+    T from specfun.t_values; the a = q row uses psi(1) = -gamma, T(1) = 0."""
+    from scipy.special import digamma
+    lq = math.log(q)
+    if a == q:
+        return (GAMMA1 + EULER_GAMMA * lq - lq * lq / 2) / q
+    t = float(specfun.t_values(np.array([a / q]))[0])
+    return (GAMMA1 - lq * lq / 2 - lq * float(digamma(a / q)) - t) / q
+
+
 def gamma_n_bruteforce(n: int, terms: int = 4_000_000) -> float:
     """gamma_n straight from its limit definition (low accuracy, ~1e-7)."""
     ms = np.arange(1.0, terms, dtype=np.float64)
@@ -367,6 +434,11 @@ def gamma_n_bruteforce(n: int, terms: int = 4_000_000) -> float:
 
 # ----------------------------------------------------------------------
 # greedy offsets by the literal definition
+
+def reciprocal_sum(b) -> float:
+    """m(C) = sum of 1/b over the offsets after the leading zero."""
+    return math.fsum(1.0 / v for v in b[1:])
+
 
 def greedy_offsets_bruteforce(count: int) -> list[int]:
     """Smallest-next-integer sequence, re-checking admissibility of the

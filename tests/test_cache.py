@@ -30,7 +30,7 @@ def ctx101():
 class TestPrecompute:
     def test_loggamma_q5_ordering(self, ctx5):
         table = precompute(ctx5, FunctionTag.LOGGAMMA, (0, 4))
-        want = [specfun.log_gamma(a / 5) for a in (1, 2, 4, 3)]
+        want = specfun.log_gamma_values(np.array([1, 2, 4, 3]) / 5)
         assert np.allclose(table.values, want, atol=1e-15)
 
     def test_empty_range(self, ctx5):
@@ -51,7 +51,7 @@ class TestPrecompute:
         # sum_a log Gamma(a/q) identity, checked against direct summation
         for q in (7, 31, 101):
             ctx = build_context(q)
-            direct = math.fsum(specfun.log_gamma(a / q) for a in range(1, q))
+            direct = math.fsum(specfun.log_gamma_values(np.arange(1, q) / q))
             assert direct == pytest.approx(
                 closed_form_sum(q, FunctionTag.LOGGAMMA), abs=1e-11)
 

@@ -32,7 +32,7 @@ def tables(ctx):
 def oracle_parts(ctx):
     """(ek_diff, ek_plus, mq_odd, mq_even) from direct character sums."""
     lg, _ = tables(ctx)
-    s_by_a = specfun.s_values(np.arange(1, ctx.q) / ctx.q)
+    s_by_a = oracles.s_series(np.arange(1, ctx.q) / ctx.q)
     direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
     odd = [v for j, v in direct.items() if j % 2 == 1]
     even = [v for j, v in direct.items() if j % 2 == 0]
@@ -236,7 +236,7 @@ class TestPerCharacterOracle:
         odd, even = s_ratios(ctx, lg, sp)
         odd_vals = specfun.EULER_GAMMA + specfun.LOG_2PI + odd
         even_vals = specfun.EULER_GAMMA + specfun.LOG_2PI - 0.5 * even
-        s_by_a = specfun.s_values(np.arange(1, q) / q)
+        s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):
             assert odd_vals[t] == pytest.approx(direct[2 * t + 1], abs=1e-10)
@@ -250,7 +250,7 @@ class TestPerCharacterOracle:
         s_odd, s_even = s_ratios(ctx, lg, sp)
         t_odd, t_even = t_ratios(ctx, precompute(ctx, FunctionTag.T),
                                  precompute(ctx, FunctionTag.PSI))
-        s_by_a = specfun.s_values(np.arange(1, q) / q)
+        s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
         for t in range(ctx.m):

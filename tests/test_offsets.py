@@ -5,8 +5,7 @@ import math
 import pytest
 
 import oracles
-from ekconst.offsets import (greedy_offsets, reciprocal_sum, scan_candidates,
-                             v_of_q)
+from ekconst.offsets import greedy_offsets, v_of_q
 
 
 class TestGreedy:
@@ -52,7 +51,7 @@ class TestScore:
     def test_v_bounded_by_reciprocal_sum(self):
         seq = greedy_offsets(300)
         for q in (3, 5, 101, 9973):
-            assert v_of_q(q, seq) <= reciprocal_sum(seq) + 1e-15
+            assert v_of_q(q, seq) <= oracles.reciprocal_sum(seq.b) + 1e-15
 
     def test_overflow_guard(self):
         seq = greedy_offsets(10)
@@ -62,33 +61,3 @@ class TestScore:
     def test_domain(self):
         with pytest.raises(ValueError):
             v_of_q(2)
-
-
-class TestScan:
-    def test_empty_interval_no_primes(self):
-        assert scan_candidates(4, 4, 0.0, greedy_offsets(50)) == []
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            scan_candidates(5, 3, 0.0)
-
-    def test_small_range_self_consistent(self):
-        seq = greedy_offsets(100)
-        rows = scan_candidates(3, 200, 0.0, seq)
-        assert [q for q, _ in rows] == oracles.odd_primes_up_to(200)
-        for q, v in rows:
-            assert v == pytest.approx(v_of_q(q, seq), abs=0)
-
-    def test_published_candidate_in_narrow_scan(self):
-        rows = scan_candidates(964477900, 964477902, 1.2)
-        assert len(rows) == 1
-        q, v = rows[0]
-        assert q == 964477901
-        assert v == pytest.approx(1.2369344, abs=1e-6)
-
-    def test_threshold_filters(self):
-        seq = greedy_offsets(100)
-        rows = scan_candidates(3, 60, 0.35, seq)
-        assert all(v > 0.35 for _, v in rows)
-        assert rows == [(q, v) for q, v in scan_candidates(3, 60, 0.0, seq)
-                        if v > 0.35]

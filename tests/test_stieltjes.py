@@ -7,42 +7,48 @@ import pytest
 
 import oracles
 from ekconst.specfun import EULER_GAMMA, GAMMA1, gamma_n
-from ekconst.stieltjes import (build_table, gamma0_aq, gamma1_aq, gammak_aq)
+from ekconst.stieltjes import build_table, gammak_aq
+from oracles import gamma0_closed, gamma1_closed
 
 
 class TestGamma0:
+    """The closed form through psi that checks gammak_aq at k = 0."""
+
     def test_classical_euler_constant(self):
-        assert gamma0_aq(1, 1) == pytest.approx(EULER_GAMMA, abs=1e-15)
+        assert gamma0_closed(1, 1) == pytest.approx(EULER_GAMMA, abs=1e-15)
 
     def test_a_equals_q(self):
         want = (EULER_GAMMA - math.log(3)) / 3
-        assert gamma0_aq(3, 3) == pytest.approx(want, abs=1e-15)
-        assert gamma0_aq(3, 3) == pytest.approx(-0.17379887458885898, abs=1e-13)
+        assert gamma0_closed(3, 3) == pytest.approx(want, abs=1e-15)
+        assert gamma0_closed(3, 3) == pytest.approx(-0.17379887458885898,
+                                                    abs=1e-13)
 
     def test_full_modulus_sum_vs_bruteforce(self):
-        total = math.fsum(gamma0_aq(a, 7) for a in range(1, 8))
+        total = math.fsum(gamma0_closed(a, 7) for a in range(1, 8))
         brute = math.fsum(oracles.gamma_k_aq_bruteforce(0, a, 7)
                           for a in range(1, 8))
         assert total == pytest.approx(brute, abs=1e-8)
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
-            gamma0_aq(0, 5)
+            gammak_aq(0, 0, 5)
         with pytest.raises(ValueError):
-            gamma0_aq(6, 5)
+            gammak_aq(0, 6, 5)
 
 
 class TestGamma1:
+    """The closed form through psi and T that checks gammak_aq at k = 1."""
+
     def test_reduces_to_gamma1_at_q1(self):
-        assert gamma1_aq(1, 1) == pytest.approx(GAMMA1, abs=1e-15)
+        assert gamma1_closed(1, 1) == pytest.approx(GAMMA1, abs=1e-15)
 
     def test_a_equals_q(self):
         lq = math.log(7)
         want = (GAMMA1 + EULER_GAMMA * lq - lq * lq / 2) / 7
-        assert gamma1_aq(7, 7) == pytest.approx(want, abs=1e-15)
+        assert gamma1_closed(7, 7) == pytest.approx(want, abs=1e-15)
 
     def test_vs_bruteforce(self):
-        assert gamma1_aq(2, 5) == pytest.approx(
+        assert gamma1_closed(2, 5) == pytest.approx(
             oracles.gamma_k_aq_bruteforce(1, 2, 5), abs=1e-8)
 
 
@@ -51,13 +57,13 @@ class TestGammaK:
         for q in range(1, 10):
             for a in range(1, q + 1):
                 assert gammak_aq(0, a, q) == pytest.approx(
-                    gamma0_aq(a, q), abs=1e-12)
+                    gamma0_closed(a, q), abs=1e-12)
 
     def test_specializes_to_gamma1(self):
         for q in range(1, 10):
             for a in range(1, q + 1):
                 assert gammak_aq(1, a, q) == pytest.approx(
-                    gamma1_aq(a, q), abs=1e-12)
+                    gamma1_closed(a, q), abs=1e-12)
 
     def test_full_modulus_collapse(self):
         for k in range(11):
@@ -91,7 +97,15 @@ class TestTable:
         table = build_table(5, 2)
         assert table.q == 5 and table.k_max == 2
         assert len(table.values) == 15
-        assert table[(1, 2)] == pytest.approx(gamma1_aq(2, 5), abs=1e-15)
+        assert table[(1, 2)] == pytest.approx(gamma1_closed(2, 5), abs=1e-15)
+        # every k <= 1 cell, through psi_n_values, against the closed forms
+        for q in (5, 100):
+            table = build_table(q, 1)
+            for a in range(1, q + 1):
+                assert table[(0, a)] == pytest.approx(gamma0_closed(a, q),
+                                                      abs=1e-12), (q, a)
+                assert table[(1, a)] == pytest.approx(gamma1_closed(a, q),
+                                                      abs=1e-12), (q, a)
 
     @pytest.mark.parametrize("q, k_max", [(1, 20), (2, 20), (7, 20), (100, 10)])
     def test_bitwise_equal_to_cells(self, q, k_max, gammak_cells):
