@@ -12,8 +12,8 @@ Every table is evaluated to specfun.TARGET_ABS_ERROR, which save writes as
 <target>; load refuses a file with any other target, so no table of
 another accuracy reaches a merge, a checksum or a constant.
 
-Full-range tables are validated, when precompute evaluates them and when
-they are loaded, against the closed-form sums
+Full-range tables are validated, when save writes them and when
+ek.compute_ek uses them, against the closed-form sums
 
     sum_a logGamma(a/q) = ((q-1)/2) log(2 pi) - (1/2) log q
     sum_a S(a/q)        = -zeta''(0)(q-1) - log q log(2 pi) - (log q)^2/2
@@ -138,13 +138,14 @@ def checksum_tolerance(table: ValueTable) -> float:
     return 10 * (table.q - 1) * specfun.TARGET_ABS_ERROR
 
 
-def check_closed_form(table: ValueTable, source) -> None:
+def check_closed_form(table: ValueTable) -> None:
     """The full-range gate: ChecksumMismatchError if the closed-form
-    residual exceeds checksum_tolerance(table); `source` names the table."""
+    residual exceeds checksum_tolerance(table)."""
     residual, tol = table.checksum_residual(), checksum_tolerance(table)
     if not residual <= tol:
-        raise ChecksumMismatchError(f"{source}: full-range checksum residual "
-                                    f"{residual:.3e} exceeds {tol:.3e}")
+        raise ChecksumMismatchError(
+            f"{table.function_tag.value} table for q={table.q}: full-range "
+            f"checksum residual {residual:.3e} exceeds {tol:.3e}")
 
 
 def _evaluate(tag: FunctionTag, x: np.ndarray) -> np.ndarray:
@@ -164,8 +165,7 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
     """Evaluate the tagged function at a_k/q over a k-range (default: full).
 
     Deterministic given (q, g, tag, range); chunks may be computed
-    independently and merged.  A full-range table must pass
-    check_closed_form before it is returned.
+    independently and merged.
     """
     k_lo, k_hi = k_range if k_range is not None else full_range(ctx.q, tag)
     _check_range(ctx.q, tag, k_lo, k_hi)
@@ -176,13 +176,10 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
         a = np.minimum(a, ctx.q - a)
     x = a.astype(np.float64) / ctx.q
     values = _evaluate(tag, x) if k_hi > k_lo else np.empty(0)
-    table = ValueTable(
+    return ValueTable(
         q=ctx.q, g=ctx.g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
         values=values, partial_sum=_exact_sum(values),
     )
-    if table.is_full_range:
-        check_closed_form(table, f"{tag.value} table for q={ctx.q}")
-    return table
 
 
 def merge(parts: list[ValueTable]) -> ValueTable:
@@ -226,12 +223,15 @@ def part_paths(cache_dir: Path, tag: FunctionTag, q: int) -> list[Path]:
 
 
 def save(table: ValueTable, path) -> Path:
-    """Write a table in format version 2.
+    """Write a table in format version 2; a full-range table must first
+    pass check_closed_form.
 
     The bytes go to a sibling temporary file that then replaces `path`,
     so a failure mid-write leaves any previous file at `path` intact.
     Returns `path`.
     """
+    if table.is_full_range:
+        check_closed_form(table)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -254,10 +254,9 @@ def save(table: ValueTable, path) -> Path:
     return path
 
 
-def load(path, verify_checksum: bool = True) -> ValueTable:
-    """Read a table back.  The header's target must be TARGET_ABS_ERROR,
-    the values must reproduce the SUM trailer exactly, and full-range
-    tables must pass check_closed_form unless verify_checksum is off."""
+def load(path) -> ValueTable:
+    """Read a table back.  The header's target must be TARGET_ABS_ERROR
+    and the values must reproduce the SUM trailer exactly."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.readline(_HEADER_MAX)
@@ -296,8 +295,5 @@ def load(path, verify_checksum: bool = True) -> ValueTable:
     if total != stored_sum:
         raise ChecksumMismatchError(f"{path}: values do not reproduce SUM "
                                     f"trailer ({total!r} vs {stored_sum!r})")
-    table = ValueTable(q=q, g=g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
-                       values=values, partial_sum=stored_sum)
-    if verify_checksum and table.is_full_range:
-        check_closed_form(table, path)
-    return table
+    return ValueTable(q=q, g=g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
+                      values=values, partial_sum=stored_sum)

@@ -77,7 +77,7 @@ def _cache_dir(args, required: bool = False) -> Path | None:
 def _load_parts(paths: list[Path]) -> cache_mod.ValueTable:
     """The table stored in the given part files, merged if there are
     several."""
-    parts = [cache_mod.load(p, verify_checksum=False) for p in paths]
+    parts = [cache_mod.load(p) for p in paths]
     return parts[0] if len(parts) == 1 else cache_mod.merge(parts)
 
 
@@ -102,14 +102,10 @@ def _load_cached_tables(args, q: int, tags) -> dict:
 
 
 def _compute(args, q: int) -> ek_mod.EKResult:
-    """compute_ek for q with args.method, on the cached tables where the
-    cache has them and on tables evaluated here otherwise."""
+    """compute_ek for q with args.method, on the tables the cache has;
+    compute_ek evaluates the others."""
     ctx = build_context(q)
-    tags = ek_mod.method_tags(args.method)
-    caches = _load_cached_tables(args, q, tags)
-    for tag in tags:
-        if tag not in caches:
-            caches[tag] = cache_mod.precompute(ctx, tag)
+    caches = _load_cached_tables(args, q, ek_mod.METHOD_TAGS[args.method])
     return ek_mod.compute_ek(ctx, caches, method=args.method)
 
 
@@ -139,6 +135,8 @@ def _scan_row(q: int, args) -> str:
 def cmd_scan(args) -> int:
     if args.q_min > args.q_max:
         raise UsageError(f"empty range [{args.q_min}, {args.q_max}]")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, not {args.threads}")
     primes = [q for q in range(max(3, args.q_min) | 1, args.q_max + 1, 2)
               if is_prime(q)]
     rows: list[str]
@@ -204,7 +202,7 @@ def cmd_checksum(args) -> int:
         raise UsageError(f"{tag.value} cache for q={q} is not full-range")
     print(f"residual = {table.checksum_residual():.6e} "
           f"(tolerance {cache_mod.checksum_tolerance(table):.6e})")
-    cache_mod.check_closed_form(table, f"{tag.value} table for q={q}")
+    cache_mod.check_closed_form(table)
     return EXIT_OK
 
 

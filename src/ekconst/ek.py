@@ -44,9 +44,8 @@ METHOD_BOTH = "both"
 METHOD_TAGS = {
     METHOD_S: (FunctionTag.LOGGAMMA, FunctionTag.S_PAIR),
     METHOD_T: (FunctionTag.T, FunctionTag.PSI),
-    METHOD_BOTH: (FunctionTag.LOGGAMMA, FunctionTag.S_PAIR,
-                  FunctionTag.T, FunctionTag.PSI),
 }
+METHOD_TAGS[METHOD_BOTH] = METHOD_TAGS[METHOD_S] + METHOD_TAGS[METHOD_T]
 
 
 class CharacterSumError(ArithmeticError):
@@ -73,38 +72,20 @@ class EKResult:
     imag_bound: float = 0.0
 
 
-def _require(caches: Mapping[FunctionTag, ValueTable], ctx: PrimeContext,
-             tag: FunctionTag) -> ValueTable:
-    """The tagged table, which must be for ctx's q and g, cover the full
-    range and pass the closed-form gate, wherever it came from."""
-    try:
-        table = caches[tag]
-    except KeyError:
-        raise KeyError(f"method needs a {tag.value} cache") from None
+def _table(ctx: PrimeContext, caches: Mapping[FunctionTag, ValueTable],
+           tag: FunctionTag) -> ValueTable:
+    """The tagged table from caches, or evaluated here if caches lacks it.
+    Either way it must be for ctx's q and g, cover the full range and pass
+    the closed-form gate."""
+    table = caches.get(tag) or cache_mod.precompute(ctx, tag)
     if table.q != ctx.q or table.g != ctx.g:
-        raise ValueError(
-            f"{tag.value} cache is for q={table.q}, g={table.g}, "
-            f"context has q={ctx.q}, g={ctx.g}"
-        )
+        raise ValueError(f"{tag.value} table for q={table.q}, g={table.g} "
+                         f"does not match the context q={ctx.q}, g={ctx.g}")
     if not table.is_full_range:
-        raise ValueError(f"{tag.value} cache does not cover the full range")
-    cache_mod.check_closed_form(table, f"{tag.value} cache for q={ctx.q}")
+        raise ValueError(f"{tag.value} table for q={ctx.q} does not cover "
+                         f"the full range")
+    cache_mod.check_closed_form(table)
     return table
-
-
-def method_tags(method: str) -> tuple[FunctionTag, ...]:
-    """The tables the given method consumes; ValueError if it is unknown."""
-    try:
-        return METHOD_TAGS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-
-
-def build_caches(ctx: PrimeContext,
-                 method: str = METHOD_S) -> dict[FunctionTag, ValueTable]:
-    """Precompute in memory the tables the given method consumes."""
-    return {tag: cache_mod.precompute(ctx, tag)
-            for tag in method_tags(method)}
 
 
 def bernoulli_twisted(ctx: PrimeContext, tw: np.ndarray) -> np.ndarray:
@@ -225,25 +206,28 @@ def compute_ek(ctx: PrimeContext,
                method: str = METHOD_S) -> EKResult:
     """Full constant computation for one prime; see module docstring.
 
-    With method "both" the S route provides the reported values and the
-    T route the cross-check discrepancy.
+    Each table the method needs comes from caches if it is there and is
+    evaluated here otherwise, one route at a time, so the S route's
+    evaluated tables are gone before the T route evaluates its own.  With
+    method "both" the S route provides the reported values and the T route
+    the cross-check discrepancy.
     """
-    method_tags(method)  # rejects an unknown method
-    if caches is None:
-        caches = build_caches(ctx, method)
+    if method not in METHOD_TAGS:
+        raise ValueError(f"unknown method {method!r}")
+    caches = caches or {}
     q = ctx.q
     discrepancy = None
     if method in (METHOD_S, METHOD_BOTH):
-        odd, even = s_ratios(ctx, _require(caches, ctx, FunctionTag.LOGGAMMA),
-                             _require(caches, ctx, FunctionTag.S_PAIR))
+        odd, even = s_ratios(ctx, *(_table(ctx, caches, tag)
+                                    for tag in METHOD_TAGS[METHOD_S]))
         even *= -0.5
         shift = EULER_GAMMA + LOG_2PI
         out = _reduce(q, odd, even, shift, (q - 1) / 2 * shift,
                       (q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI)
         del odd, even  # before the T transforms allocate theirs
     if method in (METHOD_T, METHOD_BOTH):
-        odd, even = t_ratios(ctx, _require(caches, ctx, FunctionTag.T),
-                             _require(caches, ctx, FunctionTag.PSI))
+        odd, even = t_ratios(ctx, *(_table(ctx, caches, tag)
+                                    for tag in METHOD_TAGS[METHOD_T]))
         for r in (odd, even):
             np.subtract(-math.log(q), r, out=r)
         out_t = _reduce(q, odd, even, 0.0, 0.0, EULER_GAMMA)

@@ -6,7 +6,9 @@ import os
 
 import pytest
 
-from ekconst import cli, multgroup
+from ekconst import cache, cli, multgroup
+
+cache_load = cache.load
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks")
@@ -32,3 +34,30 @@ def test_traced_compute_sees_every_layer(tracing, capsys):
     # four transforms of length (q-1)/2 per route
     assert tracer.counts[("setup", "fft.points")] == 4 * (q - 1)
     assert cli.build_context is multgroup.build_context  # restored
+
+
+def test_traced_cache_flow_sees_every_layer(tracing, capsys, tmp_path):
+    # the cache_reuse flow: chunked precompute, merge --out, compute from
+    # the merged tables, each call through the tracer's wrappers
+    q = 101
+    chunks, merged = tmp_path / "chunks", tmp_path / "merged"
+    merged.mkdir()
+    tracer = tracing.Tracer(True)
+    with tracer.patched():
+        for tag in tracing.TAGS:
+            hi = cache.full_range(q, cache.FunctionTag(tag))[1]
+            for k0, k1 in ((0, 10), (10, hi)):
+                assert cli.main(["precompute", str(q), "--tag", tag,
+                                 "--range", str(k0), str(k1),
+                                 "--cache", str(chunks)]) == 0
+            out = merged / cache.part_filename(cache.FunctionTag(tag), q, 0)
+            assert cli.main(["merge", str(q), "--tag", tag,
+                             "--cache", str(chunks), "--out", str(out)]) == 0
+        assert cli.main(["compute", str(q), "--method", "both",
+                         "--cache", str(merged)]) == 0
+    assert "\nmethod = both\n" in capsys.readouterr().out
+    names = {span.name for span in tracer.spans}
+    assert {"cache.save", "cache.load", "cache.merge", "cache.verify",
+            "ek.compute_ek",
+            *(f"specfun.{tag}" for tag in tracing.TAGS)} <= names
+    assert cache.load is cache_load  # restored

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ekconst import specfun
+from ekconst.ek import compute_ek
 from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
                            FunctionTag, MergeError, ValueTable, _exact_sum,
                            check_closed_form, checksum_tolerance,
@@ -66,7 +67,10 @@ class TestPrecompute:
         assert np.array_equal(table.values, want)
 
     def test_full_range_tables_pass_the_closed_form_gate(self, ctx101,
+                                                         tmp_path,
                                                          monkeypatch):
+        # precompute only evaluates; the gate runs where a full-range table
+        # is written (save) and where it is used (compute_ek)
         real = specfun.s_pair_values
 
         def off_at_one_point(x):
@@ -75,19 +79,23 @@ class TestPrecompute:
             return values
 
         monkeypatch.setattr(specfun, "s_pair_values", off_at_one_point)
-        precompute(ctx101, FunctionTag.S_PAIR, (0, 49))  # not full-range
-        with pytest.raises(ChecksumMismatchError,
-                           match=r"S_PAIR table for q=101: full-range "
-                                 r"checksum residual 1\.0\d*e-09 exceeds "
-                                 r"1\.000e-11"):
-            precompute(ctx101, FunctionTag.S_PAIR)
+        save(precompute(ctx101, FunctionTag.S_PAIR, (0, 49)),  # not full
+             tmp_path / "part.ekc")
+        table = precompute(ctx101, FunctionTag.S_PAIR)
+        match = (r"S_PAIR table for q=101: full-range checksum residual "
+                 r"1\.0\d*e-09 exceeds 1\.000e-11")
+        with pytest.raises(ChecksumMismatchError, match=match):
+            save(table, tmp_path / "full.ekc")
+        with pytest.raises(ChecksumMismatchError, match=match):
+            compute_ek(ctx101, {FunctionTag.S_PAIR: table})
+        assert [p.name for p in tmp_path.iterdir()] == ["part.ekc"]
 
     def test_nan_partial_sum_fails_the_closed_form_gate(self, ctx101):
         # a NaN residual compares false against any tolerance
         table = dataclasses.replace(precompute(ctx101, FunctionTag.S_PAIR),
                                     partial_sum=math.nan)
         with pytest.raises(ChecksumMismatchError, match="nan exceeds"):
-            check_closed_form(table, "S_PAIR table")
+            check_closed_form(table)
 
     def test_determinism(self, ctx101):
         t1 = precompute(ctx101, FunctionTag.S_PAIR)
@@ -244,7 +252,7 @@ class TestSaveLoad:
         data[at:at + 8] = struct.pack("<d", table.values[5] + 1e-6)
         path.write_bytes(data)
         with pytest.raises(ChecksumMismatchError, match="SUM trailer"):
-            load(path, verify_checksum=False)
+            load(path)
 
     def test_one_ulp_is_a_checksum_error(self, ctx101, tmp_path):
         # the values are stored exactly, so the trailer is matched exactly:
@@ -256,17 +264,21 @@ class TestSaveLoad:
         with pytest.raises(ChecksumMismatchError, match="SUM trailer"):
             load(save(bad, tmp_path / "t.ekc"))
 
-    def test_load_enforces_checksum_tolerance(self, ctx101, tmp_path,
+    def test_save_enforces_checksum_tolerance(self, ctx101, tmp_path,
                                               monkeypatch):
-        path = save(precompute(ctx101, FunctionTag.S_PAIR), tmp_path / "t.ekc")
+        table = precompute(ctx101, FunctionTag.S_PAIR)
         monkeypatch.setattr(ValueTable, "checksum_residual",
                             lambda self: checksum_tolerance(self))
-        load(path)
+        path = save(table, tmp_path / "t.ekc")
         monkeypatch.setattr(
             ValueTable, "checksum_residual",
             lambda self: float(np.nextafter(checksum_tolerance(self), np.inf)))
         with pytest.raises(ChecksumMismatchError):
-            load(path)
+            save(table, tmp_path / "u.ekc")
+        assert list(tmp_path.iterdir()) == [path]  # nothing was opened
+        # load checks the format, the target and the SUM only; the closed
+        # form is left to whoever uses the table
+        load(path)
 
     def test_failed_save_keeps_old_file(self, ctx101, tmp_path):
         path = tmp_path / "t.ekc"

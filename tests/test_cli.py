@@ -34,6 +34,21 @@ def run_fresh(script: str, timeout: float) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=timeout)
 
 
+@pytest.fixture
+def s_pair_off_at_one_point(monkeypatch):
+    """S_PAIR evaluation with 1e-9 added to the 8th value of every call, so
+    a full-range table fails its closed form by about 1e-9."""
+    real = cli.cache_mod.specfun.s_pair_values
+
+    def off_at_one_point(x):
+        values = real(x)
+        values[7] += 1e-9
+        return values
+
+    monkeypatch.setattr(cli.cache_mod.specfun, "s_pair_values",
+                        off_at_one_point)
+
+
 class TestCompute:
     def test_q3(self, capsys):
         code, out, _ = run(capsys, "compute", "3")
@@ -51,16 +66,7 @@ class TestCompute:
         assert code == 2
 
     def test_in_memory_table_must_pass_its_checksum(self, capsys,
-                                                     monkeypatch):
-        real = cli.cache_mod.specfun.s_pair_values
-
-        def off_at_one_point(x):
-            values = real(x)
-            values[7] += 1e-9
-            return values
-
-        monkeypatch.setattr(cli.cache_mod.specfun, "s_pair_values",
-                            off_at_one_point)
+                                                     s_pair_off_at_one_point):
         code, out, err = run(capsys, "compute", "101")
         assert code == 1 and out == ""
         assert ("error: S_PAIR table for q=101: full-range checksum "
@@ -132,6 +138,12 @@ class TestScan:
         run(capsys, "scan", "3", "60", "--out", str(a))
         run(capsys, "scan", "3", "60", "--out", str(b), "--threads", "4")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_are_usage_errors(self, capsys, threads):
+        code, out, err = run(capsys, "scan", "3", "30", "--threads", threads)
+        assert (code, out) == (2, "")
+        assert "--threads must be at least 1" in err
 
     def test_threads_is_a_scan_option_only(self, capsys):
         code, _, _ = run(capsys, "compute", "3", "--threads", "2")
@@ -244,10 +256,10 @@ class TestCacheCommands:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         real_load = cli.cache_mod.load
 
-        def load(path, verify_checksum=True):
+        def load(path):
             if path.name not in before:
                 raise cli.cache_mod.CacheFormatError(f"{path}: unreadable")
-            return real_load(path, verify_checksum)
+            return real_load(path)
 
         monkeypatch.setattr(cli.cache_mod, "load", load)
         code, _, err = run(capsys, "merge", "11", "--tag", "S_PAIR",
@@ -290,7 +302,7 @@ class TestCacheCommands:
                 assert run(capsys, "precompute", "101", "--tag", tag, "--range",
                            str(k0), str(k1), "--cache", str(chunks))[0] == 0
         path = chunks / "S_PAIR_q101_part10.ekc"
-        table = load(path, verify_checksum=False)
+        table = load(path)
         values = table.values.copy()
         values[0] += 1.0
         # with fix_sum the SUM trailer agrees, so only the closed form of
@@ -305,12 +317,14 @@ class TestCacheCommands:
                   for tag in tags]
         compute = run(capsys, "compute", "101", "--method", "both",
                       "--cache", str(merged))
-        if fix_sum:
-            assert [m[0] for m in merges] == [0, 0, 0, 0]
-            assert compute[0] == 1 and "residual" in compute[2]
-        else:
-            assert [m[0] for m in merges] == [0, 1, 0, 0]
-            assert "SUM trailer" in merges[1][2]
+        # with fix_sum the merged S_PAIR table fails its closed form, so
+        # merge writes no file either way
+        assert [m[0] for m in merges] == [0, 1, 0, 0]
+        assert ("S_PAIR table for q=101: full-range checksum residual"
+                if fix_sum else "SUM trailer") in merges[1][2]
+        assert not (merged / "S_PAIR_q101_part0.ekc").exists()
+        # so compute evaluates that table itself
+        assert compute[0] == 0
 
     def test_compute_refuses_a_foreign_target_cache(self, capsys, tmp_path,
                                                     monkeypatch):
@@ -342,6 +356,41 @@ class TestCacheCommands:
         assert "target 1e-12, not 1e-14" in err
         assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
         assert not (tmp_path / "merged.ekc").exists()
+
+    @pytest.mark.parametrize("to_out", [False, True])
+    def test_merge_refuses_a_table_failing_its_closed_form(
+            self, capsys, tmp_path, to_out):
+        cache = tmp_path / "c"
+        for k0, k1 in (("0", "20"), ("20", "50")):
+            run(capsys, "precompute", "101", "--tag", "S_PAIR",
+                "--range", k0, k1, "--cache", str(cache))
+        # one value off by 1, with a SUM trailer that agrees with it
+        path = cache / "S_PAIR_q101_part20.ekc"
+        table = load(path)
+        values = table.values.copy()
+        values[0] += 1.0
+        save(dataclasses.replace(table, values=values,
+                                 partial_sum=math.fsum(values)), path)
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
+        out_arg = ["--out", str(tmp_path / "merged.ekc")] if to_out else []
+        code, out, err = run(capsys, "merge", "101", "--tag", "S_PAIR",
+                             "--cache", str(cache), *out_arg)
+        assert (code, out) == (1, "")
+        assert "S_PAIR table for q=101: full-range checksum residual" in err
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+        assert not (tmp_path / "merged.ekc").exists()
+
+    def test_checksum_of_an_evaluated_table_prints_then_fails(
+            self, capsys, monkeypatch, s_pair_off_at_one_point):
+        # no cache: the table is evaluated, and its residual is printed
+        # before the gate refuses it, as for a cached table
+        monkeypatch.delenv("EK_CACHE_DIR", raising=False)
+        code, out, err = run(capsys, "checksum", "101", "--tag", "S_PAIR")
+        assert code == 1
+        assert out.startswith("residual = ") and out.endswith(
+            " (tolerance 1.000000e-11)\n")
+        assert float(out.split()[2]) == pytest.approx(1e-9, rel=1e-3)
+        assert "S_PAIR table for q=101: full-range checksum residual" in err
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EK_CACHE_DIR", str(tmp_path))

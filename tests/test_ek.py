@@ -11,8 +11,8 @@ import ekconst
 from ekconst import ek, specfun
 from ekconst.cache import (ChecksumMismatchError, FunctionTag, ValueTable,
                            precompute)
-from ekconst.ek import (CharacterSumError, _take_real, bernoulli_twisted,
-                        build_caches, compute_ek, s_ratios, t_ratios)
+from ekconst.ek import (METHOD_TAGS, CharacterSumError, _take_real,
+                        bernoulli_twisted, compute_ek, s_ratios, t_ratios)
 from ekconst.fft import dft, dif_split, twiddle
 from ekconst.multgroup import build_context
 from ekconst.specfun import EULER_GAMMA
@@ -27,6 +27,31 @@ def small_contexts():
 def tables(ctx):
     return (precompute(ctx, FunctionTag.LOGGAMMA),
             precompute(ctx, FunctionTag.S_PAIR))
+
+
+def method_tables(ctx, method):
+    """Every table the method consumes, evaluated here."""
+    return {tag: precompute(ctx, tag) for tag in METHOD_TAGS[method]}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """What compute_ek does, in order: the tag of each table it evaluates
+    through cache.precompute and "dft" for each transform."""
+    seen = []
+    real_precompute, real_dft = ek.cache_mod.precompute, ek.dft
+
+    def precompute_(ctx, tag, *args):
+        seen.append(tag.value)
+        return real_precompute(ctx, tag, *args)
+
+    def dft_(x):
+        seen.append("dft")
+        return real_dft(x)
+
+    monkeypatch.setattr(ek.cache_mod, "precompute", precompute_)
+    monkeypatch.setattr(ek, "dft", dft_)
+    return seen
 
 
 def oracle_parts(ctx):
@@ -123,7 +148,7 @@ class TestStructuralIdentities:
         # pairing each odd character's log Gamma sum with the next
         # character's Bernoulli number leaves a large imaginary part
         ctx = build_context(10007)
-        caches = build_caches(ctx, "s")
+        caches = method_tables(ctx, "s")
         compute_ek(ctx, caches, method="s")  # correctly paired, it passes
         monkeypatch.setattr(ek, "bernoulli_twisted",
                             lambda c, tw: np.roll(bernoulli_twisted(c, tw), 1))
@@ -174,7 +199,7 @@ class TestStructuralIdentities:
         # one zero bin of a psi transform; unchecked, the T route returned
         # ek = -inf and mq = inf
         ctx = build_context(101)
-        caches = build_caches(ctx, method)
+        caches = method_tables(ctx, method)
         b, c = dif_split(caches[FunctionTag.PSI].values, twiddle(ctx.q - 1))
         target = b if branch == "even" else c
 
@@ -294,45 +319,58 @@ class TestChecksumOp:
 
 
 class TestCacheHandling:
-    def test_build_caches_tags(self):
+    def test_each_method_evaluates_its_tables(self, calls):
         ctx = build_context(7)
-        assert set(build_caches(ctx, "s")) == {FunctionTag.LOGGAMMA,
-                                               FunctionTag.S_PAIR}
-        assert set(build_caches(ctx, "t")) == {FunctionTag.T, FunctionTag.PSI}
-        assert len(build_caches(ctx, "both")) == 4
+        for method, tags in (("s", ["LOGGAMMA", "S_PAIR"]),
+                             ("t", ["T", "PSI"]),
+                             ("both", ["LOGGAMMA", "S_PAIR", "T", "PSI"])):
+            calls.clear()
+            compute_ek(ctx, method=method)
+            assert [c for c in calls if c != "dft"] == tags
 
     def test_mismatched_cache_rejected(self):
         ctx7, ctx11 = build_context(7), build_context(11)
-        caches = build_caches(ctx11, "s")
-        with pytest.raises(ValueError):
+        caches = method_tables(ctx11, "s")
+        with pytest.raises(ValueError,
+                           match="LOGGAMMA table for q=11, g=2 does not "
+                                 "match the context q=7, g=3"):
             compute_ek(ctx7, caches, method="s")
 
-    def test_missing_cache_rejected(self):
-        ctx = build_context(7)
-        caches = build_caches(ctx, "s")
-        with pytest.raises(KeyError):
-            compute_ek(ctx, caches, method="t")
+    def test_missing_tables_are_evaluated(self, calls):
+        # given the S tables only, "both" evaluates T and PSI itself, and
+        # the result is the one made from all four tables given
+        ctx = build_context(101)
+        res = compute_ek(ctx, method_tables(ctx, "s"), method="both")
+        assert [c for c in calls if c != "dft"] == ["T", "PSI"]
+        assert res == compute_ek(ctx, method_tables(ctx, "both"),
+                                 method="both")
+
+    def test_partial_table_is_refused(self):
+        ctx = build_context(101)
+        caches = {FunctionTag.S_PAIR: precompute(ctx, FunctionTag.S_PAIR,
+                                                 (0, 49))}
+        with pytest.raises(ValueError, match="S_PAIR table for q=101 does "
+                                             "not cover the full range"):
+            compute_ek(ctx, caches, method="s")
 
     def test_table_failing_its_closed_form_is_refused(self):
         # the SUM is consistent with the values, so only the closed-form
         # gate can see that one value is off by 1e-6
         ctx = build_context(101)
-        caches = build_caches(ctx, "s")
+        caches = method_tables(ctx, "s")
         table = caches[FunctionTag.S_PAIR]
         values = table.values.copy()
         values[7] += 1e-6
         caches[FunctionTag.S_PAIR] = dataclasses.replace(
             table, values=values, partial_sum=math.fsum(values.tolist()))
         with pytest.raises(ChecksumMismatchError,
-                           match="S_PAIR cache for q=101: full-range "
+                           match="S_PAIR table for q=101: full-range "
                                  "checksum residual 1.000e-06"):
             compute_ek(ctx, caches, method="s")
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method 'x'"):
             compute_ek(build_context(7), method="x")
-        with pytest.raises(ValueError):
-            build_caches(build_context(7), "x")
 
 
 class TestTransformContract:
@@ -362,7 +400,7 @@ class TestTransformContract:
             return spectrum
 
         ctx = build_context(q)
-        caches = build_caches(ctx, method)
+        caches = method_tables(ctx, method)
         monkeypatch.setattr(np.fft, "fft", counting(np_fft, "numpy"))
         monkeypatch.setattr(np.fft, "ifft", counting(np_ifft, "ifft"))
         monkeypatch.setattr(ek, "dft", traced_dft)
@@ -372,11 +410,17 @@ class TestTransformContract:
         assert lengths == {ctx.m}
         assert counts["points"] == calls // 2 * (q - 1)
 
+    def test_tables_are_evaluated_route_by_route(self, calls):
+        # the S tables are used up before the T route evaluates its own
+        compute_ek(build_context(101), method="both")
+        assert calls == ["LOGGAMMA", "S_PAIR", *["dft"] * 4,
+                         "T", "PSI", *["dft"] * 4]
+
     @pytest.mark.parametrize("method", ["s", "t", "both"])
     def test_one_twiddle_per_route(self, method, monkeypatch):
         # the m-length twiddle is the only np.exp of the assembly
         ctx = build_context(101)
-        caches = build_caches(ctx, method)
+        caches = method_tables(ctx, method)
         lengths = []
         np_exp = np.exp
 
