@@ -128,7 +128,11 @@ class ValueTable:
         return (self.k_lo, self.k_hi) == full_range(self.q, self.function_tag)
 
     def checksum_residual(self) -> float:
-        """|partial_sum - closed form|; meaningful for full-range tables."""
+        """|partial_sum - closed form|; ValueError unless the table covers
+        the full range, the one range the closed form sums over."""
+        if not self.is_full_range:
+            raise ValueError(f"{self.function_tag.value} table for q={self.q} "
+                             f"does not cover the full range")
         return abs(self.partial_sum - closed_form_sum(self.q, self.function_tag))
 
 
@@ -217,9 +221,21 @@ def part_filename(tag: FunctionTag, q: int, k_lo: int | str) -> str:
     return f"{tag.value}_q{q}_part{k_lo}.ekc"
 
 
-def part_paths(cache_dir: Path, tag: FunctionTag, q: int) -> list[Path]:
-    """The sorted paths of every part_filename(tag, q, ...) in cache_dir."""
-    return sorted(cache_dir.glob(part_filename(tag, q, "*")))
+def find(cache_dir, q: int, tag: FunctionTag
+         ) -> tuple[ValueTable | None, list[Path]]:
+    """The tag's table for q in cache_dir, merged from every part named
+    part_filename(tag, q, ...), and the sorted paths of those parts;
+    (None, []) if there is none.  MergeError if a part's header names
+    another tag or q than its file name."""
+    paths = sorted(Path(cache_dir).glob(part_filename(tag, q, "*")))
+    parts = [load(path) for path in paths]
+    for path, part in zip(paths, parts):
+        if (part.function_tag, part.q) != (tag, q):
+            raise MergeError(f"{path}: holds the {part.function_tag.value} "
+                             f"table for q={part.q}")
+    if len(parts) > 1:
+        return merge(parts), paths
+    return (parts[0] if parts else None), paths
 
 
 def save(table: ValueTable, path) -> Path:

@@ -74,16 +74,9 @@ def _cache_dir(args, required: bool = False) -> Path | None:
     return Path(path) if path else None
 
 
-def _load_parts(paths: list[Path]) -> cache_mod.ValueTable:
-    """The table stored in the given part files, merged if there are
-    several."""
-    parts = [cache_mod.load(p) for p in paths]
-    return parts[0] if len(parts) == 1 else cache_mod.merge(parts)
-
-
 def _load_cached_tables(args, q: int, tags) -> dict:
-    """Load (merging chunked parts) every requested tag found in the
-    cache directory, if there is one.
+    """Every requested tag's table that cache_mod.find finds in the cache
+    directory, if there is one.
 
     cache_mod.load refuses a file evaluated to another target than
     specfun.TARGET_ABS_ERROR.  The closed-form gate is left to the
@@ -91,14 +84,9 @@ def _load_cached_tables(args, q: int, tags) -> dict:
     checksum command prints the residual before applying it.
     """
     cache_dir = _cache_dir(args)
-    tables = {}
-    if cache_dir is None or not cache_dir.is_dir():
-        return tables
-    for tag in tags:
-        paths = cache_mod.part_paths(cache_dir, tag, q)
-        if paths:
-            tables[tag] = _load_parts(paths)
-    return tables
+    found = ({tag: cache_mod.find(cache_dir, q, tag)[0] for tag in tags}
+             if cache_dir else {})
+    return {tag: table for tag, table in found.items() if table is not None}
 
 
 def _compute(args, q: int) -> ek_mod.EKResult:
@@ -139,12 +127,8 @@ def cmd_scan(args) -> int:
         raise UsageError(f"--threads must be at least 1, not {args.threads}")
     primes = [q for q in range(max(3, args.q_min) | 1, args.q_max + 1, 2)
               if is_prime(q)]
-    rows: list[str]
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
-            rows = list(pool.map(lambda q: _scan_row(q, args), primes))
-    else:
-        rows = [_scan_row(q, args) for q in primes]
+    with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
+        rows = list(pool.map(lambda q: _scan_row(q, args), primes))
     _emit("\n".join([CSV_HEADER] + rows) + "\n", args.out)
     return EXIT_OK
 
@@ -168,10 +152,9 @@ def cmd_merge(args) -> int:
     q = args.q
     cache_dir = _cache_dir(args, required=True)
     tag = FunctionTag(args.tag)
-    paths = cache_mod.part_paths(cache_dir, tag, q)
-    if not paths:
+    merged, paths = cache_mod.find(cache_dir, q, tag)
+    if merged is None:
         raise UsageError(f"no {tag.value} parts for q={q} under {cache_dir}")
-    merged = _load_parts(paths)
     if args.out:
         out = cache_mod.save(merged, args.out)
     else:
@@ -195,11 +178,9 @@ def cmd_checksum(args) -> int:
     q = args.q
     _check_odd_prime(q)
     tag = FunctionTag(args.tag)
-    tables = _load_cached_tables(args, q, [tag])
-    table = (tables[tag] if tag in tables
-             else cache_mod.precompute(build_context(q), tag))
-    if not table.is_full_range:
-        raise UsageError(f"{tag.value} cache for q={q} is not full-range")
+    table = (_load_cached_tables(args, q, [tag]).get(tag)
+             or cache_mod.precompute(build_context(q), tag))
+    # checksum_residual refuses a table short of the full range
     print(f"residual = {table.checksum_residual():.6e} "
           f"(tolerance {cache_mod.checksum_tolerance(table):.6e})")
     cache_mod.check_closed_form(table)

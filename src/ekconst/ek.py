@@ -75,15 +75,13 @@ class EKResult:
 def _table(ctx: PrimeContext, caches: Mapping[FunctionTag, ValueTable],
            tag: FunctionTag) -> ValueTable:
     """The tagged table from caches, or evaluated here if caches lacks it.
-    Either way it must be for ctx's q and g, cover the full range and pass
-    the closed-form gate."""
+    Either way it must hold the tag's values for ctx's q and g, and pass
+    the closed-form gate, which refuses a table short of the full range."""
     table = caches.get(tag) or cache_mod.precompute(ctx, tag)
-    if table.q != ctx.q or table.g != ctx.g:
+    if (table.function_tag, table.q, table.g) != (tag, ctx.q, ctx.g):
         raise ValueError(f"{tag.value} table for q={table.q}, g={table.g} "
-                         f"does not match the context q={ctx.q}, g={ctx.g}")
-    if not table.is_full_range:
-        raise ValueError(f"{tag.value} table for q={ctx.q} does not cover "
-                         f"the full range")
+                         f"does not match the context q={ctx.q}, g={ctx.g}"
+                         f" (it holds {table.function_tag.value} values)")
     cache_mod.check_closed_form(table)
     return table
 

@@ -61,3 +61,25 @@ def test_traced_cache_flow_sees_every_layer(tracing, capsys, tmp_path):
             "ek.compute_ek",
             *(f"specfun.{tag}" for tag in tracing.TAGS)} <= names
     assert cache.load is cache_load  # restored
+
+
+def test_traced_scan_sees_its_rows_under_the_cli_span(tracing, capsys):
+    # scan runs its rows in worker threads; their spans still nest under
+    # the span of the cli.main call that started them
+    tracer = tracing.Tracer(True)
+    with tracer.patched():
+        code = cli.main(["scan", "3", "30", "--with-vq", "--threads", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(cli.CSV_HEADER + "\n")
+
+    def under_cli(i):
+        while tracer.spans[i].parent is not None:
+            i = tracer.spans[i].parent
+            if tracer.spans[i].name == "cli":
+                return True
+        return False
+
+    layers = ("ek.compute_ek", "offsets.v_of_q", "multgroup.build_context")
+    seen = {span.name for i, span in enumerate(tracer.spans)
+            if span.name in layers and under_cli(i)}
+    assert seen == set(layers)

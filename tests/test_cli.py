@@ -134,10 +134,13 @@ class TestScan:
         assert lines[1].endswith(",")  # v_q column empty when not requested
 
     def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, "scan", "3", "60", "--out", str(a))
-        run(capsys, "scan", "3", "60", "--out", str(b), "--threads", "4")
-        assert a.read_bytes() == b.read_bytes()
+        outs = []
+        for threads in ([], ["--threads", "1"], ["--threads", "4"]):
+            out = tmp_path / f"{len(outs)}.csv"
+            assert run(capsys, "scan", "3", "60", "--out", str(out),
+                       *threads)[0] == 0
+            outs.append(out.read_bytes())
+        assert outs[1:] == outs[:1] * 2
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_are_usage_errors(self, capsys, threads):
@@ -379,6 +382,49 @@ class TestCacheCommands:
         assert "S_PAIR table for q=101: full-range checksum residual" in err
         assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
         assert not (tmp_path / "merged.ekc").exists()
+
+    def test_partial_cache_fails_checksum_and_compute_alike(self, capsys,
+                                                            tmp_path):
+        # the fault is in the data, so both exit 1 with compute_ek's wording
+        run(capsys, "precompute", "101", "--tag", "S_PAIR", "--range", "0",
+            "20", "--cache", str(tmp_path))
+        for argv in (["checksum", "101", "--tag", "S_PAIR"],
+                     ["compute", "101"]):
+            code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+            assert (code, out) == (1, "")
+            assert ("error: S_PAIR table for q=101 does not cover the full "
+                    "range") in err
+
+    def test_table_of_another_tag_under_a_t_name_is_refused(self, capsys,
+                                                            tmp_path):
+        path = save(precompute(build_context(101), FunctionTag.PSI),
+                    tmp_path / "T_q101_part0.ekc")
+        before = path.read_bytes()
+        for argv in (["compute", "101", "--method", "t"],
+                     ["checksum", "101", "--tag", "T"]):
+            code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+            assert (code, out) == (1, "")
+            assert "holds the PSI table for q=101" in err
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+    def test_table_of_another_q_under_a_q101_name_is_refused(self, capsys,
+                                                             tmp_path):
+        cache = tmp_path / "c"
+        cache.mkdir()
+        path = save(precompute(build_context(103), FunctionTag.T),
+                    cache / "T_q101_part0.ekc")
+        before = path.read_bytes()
+        merged = tmp_path / "merged.ekc"
+        for argv in (["checksum", "101", "--tag", "T"],
+                     ["merge", "101", "--tag", "T"],
+                     ["merge", "101", "--tag", "T", "--out", str(merged)]):
+            code, out, err = run(capsys, *argv, "--cache", str(cache))
+            assert (code, out) == (1, "")
+            assert "holds the T table for q=103" in err
+        assert list(cache.iterdir()) == [path]
+        assert path.read_bytes() == before
+        assert not merged.exists()
 
     def test_checksum_of_an_evaluated_table_prints_then_fails(
             self, capsys, monkeypatch, s_pair_off_at_one_point):

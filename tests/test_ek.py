@@ -336,6 +336,16 @@ class TestCacheHandling:
                                  "match the context q=7, g=3"):
             compute_ek(ctx7, caches, method="s")
 
+    def test_table_of_another_tag_rejected(self):
+        # a PSI table given as the T table, though q and g agree
+        ctx = build_context(101)
+        caches = {FunctionTag.T: precompute(ctx, FunctionTag.PSI)}
+        with pytest.raises(ValueError,
+                           match=r"T table for q=101, g=2 does not match the "
+                                 r"context q=101, g=2 \(it holds PSI "
+                                 r"values\)"):
+            compute_ek(ctx, caches, method="t")
+
     def test_missing_tables_are_evaluated(self, calls):
         # given the S tables only, "both" evaluates T and PSI itself, and
         # the result is the one made from all four tables given
