@@ -26,9 +26,6 @@ def dft(x) -> Spectrum:
     Arbitrary N is handled by the pocketfft backend (mixed-radix kernels
     with a Bluestein chirp fallback for large prime factors).
     """
-    x = np.asarray(x)
-    if len(x) < 1:
-        raise ValueError("empty input")
     return Spectrum(values=np.fft.fft(x))
 
 

@@ -26,17 +26,6 @@ class OffsetSequence:
     b: tuple
 
 
-def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
 @lru_cache(maxsize=4)
 def greedy_offsets(count: int) -> OffsetSequence:
     """First `count` elements: b(1) = 0, then each next element is the
@@ -47,7 +36,7 @@ def greedy_offsets(count: int) -> OffsetSequence:
     """
     if not 1 <= count <= GREEDY_COUNT:
         raise ValueError(f"count must be in [1, {GREEDY_COUNT}], got {count}")
-    primes = _primes_up_to(count)
+    primes = [p for p in range(2, count + 1) if is_prime(p)]
     used: dict[int, set] = {p: {0} for p in primes}
     b = [0]
     candidate = 0

@@ -47,7 +47,8 @@ class TestIsPrime:
 
 class TestFactorize:
     def test_roundtrip(self):
-        for n in (2, 60, 1008, 2**20 - 1, 600851475143):
+        for n in (2, 60, 1008, 2**20 - 1, 600851475143, 9854964400,
+                  3037000426):
             fac = factorize(n)
             prod = 1
             for p, e in fac.items():
@@ -55,7 +56,7 @@ class TestFactorize:
                 prod *= p**e
             assert prod == n
 
-    def test_large_prime_factors_beyond_trial_division(self):
+    def test_prime_factors_above_a_million(self):
         assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
         assert factorize(1000003**2) == {1000003: 2}
         assert factorize(9109334830) == {2: 1, 5: 1, 910933483: 1}
@@ -68,8 +69,14 @@ class TestPrimitiveRoot:
         assert primitive_root(7) == 3
 
     def test_order_is_maximal(self):
-        for q in (1009, 104729):
-            g = primitive_root(q)
+        # 9109334831 and 9854964401 are the paper's record primes;
+        # 3037000427 is the largest safe prime build_context accepts,
+        # so q - 1 = 2 * 1518500213 is its longest trial-division loop
+        roots = {q: primitive_root(q) for q in (1009, 104729, 9109334831,
+                                                 9854964401, 3037000427)}
+        assert roots[9109334831] == 7
+        assert roots[9854964401] == 3
+        for q, g in roots.items():
             assert pow(g, q - 1, q) == 1
             for p in factorize(q - 1):
                 assert pow(g, (q - 1) // p, q) != 1
