@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from ekconst import cache, cli, multgroup
+from ekconst import cache, cli, multgroup, offsets
 
 cache_load = cache.load
 
@@ -79,7 +79,19 @@ def test_traced_scan_sees_its_rows_under_the_cli_span(tracing, capsys):
                 return True
         return False
 
-    layers = ("ek.compute_ek", "offsets.v_of_q", "multgroup.build_context")
+    # the rows read v(q) from one offsets.v_values call made before them
+    layers = ("ek.compute_ek", "multgroup.build_context")
     seen = {span.name for i, span in enumerate(tracer.spans)
             if span.name in layers and under_cli(i)}
     assert seen == set(layers)
+
+
+def test_traced_vq_sees_v_of_q_under_the_cli_span(tracing, capsys):
+    tracer = tracing.Tracer(True)
+    with tracer.patched():
+        assert cli.main(["vq", "1009"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1
+    assert [(span.name, span.parent) for span in tracer.spans] == [
+        ("cli", None), ("offsets.v_of_q", 0)]
+    assert tracer.counts[("setup", "offsets.v_of_q.candidates")] == (
+        offsets.GREEDY_COUNT - 1)

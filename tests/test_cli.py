@@ -138,7 +138,7 @@ class TestScan:
         for threads in ([], ["--threads", "1"], ["--threads", "4"]):
             out = tmp_path / f"{len(outs)}.csv"
             assert run(capsys, "scan", "3", "60", "--out", str(out),
-                       *threads)[0] == 0
+                       "--with-vq", *threads)[0] == 0
             outs.append(out.read_bytes())
         assert outs[1:] == outs[:1] * 2
 
@@ -186,6 +186,16 @@ class TestScan:
             cells = row.split(",")
             assert float(cells[-1]) == pytest.approx(
                 v_of_q(int(cells[0]), seq), abs=1e-9)
+
+    def test_each_v_q_cell_is_what_ek_vq_prints(self, capsys):
+        # the scan decides v(q) for all its rows at once, ek vq for one q
+        code, out, _ = run(capsys, "scan", "1000", "1100", "--with-vq",
+                           "--threads", "2")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 16
+        for row in rows:
+            assert run(capsys, "vq", row[0]) == (0, row[-1] + "\n", "")
 
     def test_method_t_scan_matches_method_s(self, capsys, tmp_path):
         a, b = tmp_path / "s.csv", tmp_path / "t.csv"

@@ -5,7 +5,15 @@ import math
 import pytest
 
 import oracles
-from ekconst.offsets import greedy_offsets, v_of_q
+from ekconst import offsets
+from ekconst.multgroup import is_prime
+from ekconst.offsets import GREEDY_COUNT, greedy_offsets, v_of_q, v_values
+
+
+def v_reference(q):
+    """v(q) with one Miller-Rabin test of each point b*q+1."""
+    return math.fsum(1.0 / b for b in greedy_offsets(GREEDY_COUNT).b[1:]
+                     if is_prime(b * q + 1))
 
 
 class TestGreedy:
@@ -61,3 +69,44 @@ class TestScore:
     def test_domain(self):
         with pytest.raises(ValueError):
             v_of_q(2)
+
+
+class TestBatch:
+    def test_every_odd_prime_to_3000_in_one_call(self):
+        qs = [q for q in range(3, 3001, 2) if is_prime(q)]
+        assert v_values(qs) == [v_reference(q) for q in qs]
+
+    def test_sieve_and_is_prime_share_one_q(self, monkeypatch):
+        # with q = 3 in the call, the first sieve window is dense enough to
+        # sieve; the later points of q = 1009 are each tested
+        q = 1009
+        points = {b * q + 1 for b in greedy_offsets(GREEDY_COUNT).b[1:]}
+        tested = []
+
+        def counting_is_prime(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(offsets, "is_prime", counting_is_prime)
+        got = v_values([3, q])
+        monkeypatch.undo()
+        assert got == [v_reference(3), v_reference(q)]
+        assert 0 < len(points.intersection(tested)) < len(points)
+
+    def test_q_beyond_the_sieve(self):
+        assert v_values([964477901]) == [v_reference(964477901)]
+
+    def test_order_and_repeats_follow_the_input(self):
+        assert v_values([7, 3, 7]) == [v_of_q(7), v_of_q(3), v_of_q(7)]
+
+    def test_empty(self):
+        assert v_values([]) == []
+
+    def test_overflow_guard_covers_the_largest_q(self):
+        with pytest.raises(OverflowError,
+                           match=r"^18932\*1000000000000000\+1 exceeds"):
+            v_values([3, 10**15])
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            v_values([5, 2])
