@@ -15,7 +15,7 @@ from .ek import CharacterSumError, EKResult, compute_ek
 from .fft import Spectrum, dft, dif_split, twiddle
 from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
                         primitive_root)
-from .offsets import OffsetSequence, greedy_offsets, v_of_q, v_values
+from .offsets import OffsetSequence, greedy_offsets, v_of_q
 from .specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
                       DisagreementError, NonConvergenceError, gamma_n, psi_n)
 from .stieltjes import StieltjesTable, gammak_aq
@@ -31,5 +31,4 @@ __all__ = [
     "build_context", "closed_form_sum", "compute_ek", "dft", "dif_split",
     "gamma_n", "gammak_aq", "greedy_offsets", "is_prime", "load", "merge",
     "precompute", "primitive_root", "psi_n", "save", "twiddle", "v_of_q",
-    "v_values",
 ]

@@ -111,11 +111,13 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _scan_row(q: int, v_q: str, args) -> str:
+def _scan_row(q: int, args) -> str:
     res = _compute(args, q)
     cells = [str(q)] + [_fmt(getattr(res, name), args.digits)
                         for name in RESULT_FIELDS]
-    return ",".join(cells + [v_q])
+    cells.append(_fmt(offsets_mod.v_of_q(q), args.digits)
+                 if args.with_vq else "")
+    return ",".join(cells)
 
 
 def cmd_scan(args) -> int:
@@ -125,10 +127,8 @@ def cmd_scan(args) -> int:
         raise UsageError(f"--threads must be at least 1, not {args.threads}")
     primes = [q for q in range(max(3, args.q_min) | 1, args.q_max + 1, 2)
               if is_prime(q)]
-    v_q = ([_fmt(v, args.digits) for v in offsets_mod.v_values(primes)]
-           if args.with_vq else [""] * len(primes))
     with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
-        rows = list(pool.map(lambda q, v: _scan_row(q, v, args), primes, v_q))
+        rows = list(pool.map(lambda q: _scan_row(q, args), primes))
     _emit("\n".join([CSV_HEADER] + rows) + "\n", args.out)
     return EXIT_OK
 

@@ -10,7 +10,6 @@ each prime b q + 1 splits completely often enough to drag the constant down.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,16 +18,10 @@ import numpy as np
 from .multgroup import PRIME_LIMIT, is_prime
 
 GREEDY_COUNT = 2089
-# integers per sieve window; a window's sieve holds one byte per odd integer
-SIEVE_WINDOW = 1 << 20
-# points read from one window at a time, so that their index arrays
-# take about 100 kB
-GATHER_POINTS = 1 << 11
-# K: one is_prime call on a point b*q+1 costs about as much as sieving K
-# integers.  Measured on points near 4e6, 1e9 and 1e10 (Python 3.11, numpy
-# 2.4.6): 2.4-2.8, 3.2-3.7 and 7.6-7.8 us a call against 1.2, 4.1-4.7 and
-# 11-16 ns an integer, so K = 2100-2300, 690-910 and 480-660.
-SIEVE_COST_RATIO = 850
+# v_of_q sieves with the primes below SIEVE_BOUND; those below SLICE_BELOW
+# cross off by slices, the rest by one scatter (equally fast from 32 to 1024)
+SIEVE_BOUND = 1 << 16
+SLICE_BELOW = 64
 
 
 @dataclass(frozen=True)
@@ -73,88 +66,81 @@ def greedy_offsets(count: int) -> OffsetSequence:
     return OffsetSequence(b=tuple(b))
 
 
-def v_values(qs, seq: OffsetSequence | None = None) -> list[float]:
-    """v(q) for each q of qs (default sequence: all 2089 offsets).
-
-    The points b*q+1 below L = min(b_max*max(qs) + 2, K*(number of points))
-    (odd, since an admissible sequence has even offsets after b[0] = 0)
-    are decided by an odd-only sieve of Eratosthenes, one window of
-    SIEVE_WINDOW integers at a time, and read GATHER_POINTS at a time; only
-    one flag per point outlives its window.  K = SIEVE_COST_RATIO is the
-    cost of one is_prime call in sieved integers, so a window is sieved
-    only if it holds a point per K of its integers or more.  The points of
-    the other windows, and those at or above L, get one is_prime test each.
-    The terms 1/b go through math.fsum, which rounds their exact sum once,
-    so a value does not depend on how its points were decided.
-    """
-    qs = list(qs)
-    if not qs:
-        return []
-    if min(qs) < 3:
-        raise ValueError(f"q must be >= 3, got {min(qs)}")
-    if seq is None:
-        seq = greedy_offsets(GREEDY_COUNT)
-    offs = seq.b[1:]
-    if not offs:
-        return [0.0] * len(qs)
-    # on Python ints, before any int64 array holds a product b*q
-    if offs[-1] * max(qs) + 1 >= PRIME_LIMIT:
-        raise OverflowError(
-            f"{offs[-1]}*{max(qs)}+1 exceeds the primality tester's domain"
-        )
-    uniq = sorted(set(qs))
-    q_arr = np.array(uniq, dtype=np.int64)
-    b_arr = np.array(offs, dtype=np.int64)
-    prime = np.zeros((len(uniq), len(offs)), dtype=bool)
-    limit = min(offs[-1] * uniq[-1] + 2, SIEVE_COST_RATIO * prime.size)
-    # the odd primes up to sqrt(limit), by the same sieve
-    root = math.isqrt(limit)
-    base = [p for p in range(3, math.isqrt(root) + 1, 2) if is_prime(p)]
-    base = (2 * np.flatnonzero(_odd_sieve(0, root + 1, base)) + 1).tolist()
-    last = np.zeros(len(offs), dtype=np.int64)
-    for lo in range(0, limit, SIEVE_WINDOW):
-        hi = min(lo + SIEVE_WINDOW, limit)
-        # the points in [lo, hi) are a run of q for each b: those from
-        # q_arr[first] on, below q_arr[last] = the first q with b*q+1 >= hi
-        first, last = last, np.searchsorted(q_arr, -((1 - hi) // b_arr))
-        ends = np.cumsum(last - first)
-        total = int(ends[-1])
-        if total == 0:
-            continue
-        odd = (_odd_sieve(lo, hi, base)
-               if total * SIEVE_COST_RATIO >= hi - lo else None)
-        shift = last - ends     # q index minus position, for each b
-        for s in range(0, total, GATHER_POINTS):
-            pos = np.arange(s, min(s + GATHER_POINTS, total))
-            bi = np.searchsorted(ends, pos, side="right")
-            qi = pos + shift[bi]
-            n = b_arr[bi] * q_arr[qi] + 1
-            prime[qi, bi] = ([is_prime(x) for x in n.tolist()] if odd is None
-                             else odd[(n - lo) // 2])
-    for i, q in enumerate(uniq):
-        first = bisect_left(offs, -(-(limit - 1) // q))
-        prime[i, first:] = [is_prime(b * q + 1) for b in offs[first:]]
-    inv_b = 1.0 / b_arr
-    by_q = {q: math.fsum(inv_b[row].tolist()) for q, row in zip(uniq, prime)}
-    return [by_q[q] for q in qs]
+@lru_cache(maxsize=1)
+def _sieving_primes() -> np.ndarray:
+    """The primes below SIEVE_BOUND, by a sieve of Eratosthenes."""
+    flags = np.ones(SIEVE_BOUND, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(SIEVE_BOUND - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    return np.flatnonzero(flags)
 
 
-def _odd_sieve(lo: int, hi: int, base: list[int]) -> np.ndarray:
-    """flags[k] tells whether lo + 2k + 1 is prime, for even lo < hi; base
-    holds the odd primes up to sqrt(hi) at least."""
-    flags = np.ones((hi - lo) // 2, dtype=bool)
-    if lo == 0:
-        flags[0] = False    # 1
-    for p in base:
-        if p * p >= hi:
-            break
-        # the first odd multiple of p that is at least max(p*p, lo+1)
-        m = -(-max(p * p, lo + 1) // p) * p
-        m += p * (m % 2 == 0)
-        flags[(m - lo) // 2::p] = False
+def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^(p-2) mod p elementwise, the inverse of a mod each prime p, for
+    p < 2^31 so that no product leaves int64."""
+    out = np.ones_like(p)
+    e = p - 2
+    while e.any():
+        out = np.where(e & 1, out * a % p, out)
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+def _crossed_off(q: int, b_max: int, root: int) -> np.ndarray:
+    """flags[b], for 0 <= b <= b_max, tells whether b*q+1 has a prime
+    factor p <= root below SIEVE_BOUND and is not p itself."""
+    p = _sieving_primes()
+    p = p[:np.searchsorted(p, root, side="right")]
+    a = (np.uint64(q) % p.astype(np.uint64)).astype(np.int64)  # q < 2^64
+    p, a = p[a != 0], a[a != 0]
+    b = p - _inverse(a, p)      # the least b >= 1 with p | b*q+1
+    if q < SIEVE_BOUND:
+        # where b*q+1 = p, a prime, cross off from one period later
+        b += p * (b * q + 1 == p)
+    flags = np.zeros(b_max + 1, dtype=bool)
+    # a prime below SLICE_BELOW crosses off a long run: one slice each
+    k = int(np.searchsorted(p, SLICE_BELOW))
+    for start, step in zip(b[:k].tolist(), p[:k].tolist()):
+        flags[start::step] = True
+    # the others cross off a few b each, all in one scatter
+    b, p = b[k:], p[k:]
+    counts = np.maximum(0, (b_max - b) // p + 1)
+    ends = np.cumsum(counts)
+    step = np.arange(int(counts.sum())) - np.repeat(ends - counts, counts)
+    flags[np.repeat(b, counts) + step * np.repeat(p, counts)] = True
     return flags
 
 
 def v_of_q(q: int, seq: OffsetSequence | None = None) -> float:
-    """v(q) for one q; see v_values."""
-    return v_values([q], seq)[0]
+    """Score of q against the offset sequence (default: all 2089).
+
+    A prime p that does not divide q divides b*q+1 exactly when
+    b = -1/q (mod p), so one sieve over the b in [1, b_max], with the
+    primes p below SIEVE_BOUND, crosses off each point b*q+1 with such a
+    factor other than itself.  When every point is below SIEVE_BOUND^2 the
+    points left are the primes; otherwise each point left gets one
+    is_prime test.  The terms 1/b go through math.fsum, which rounds their
+    exact sum once, so the value does not depend on how the points were
+    decided.
+    """
+    if q < 3:
+        raise ValueError(f"q must be >= 3, got {q}")
+    if seq is None:
+        seq = greedy_offsets(GREEDY_COUNT)
+    offs = np.array(seq.b[1:], dtype=np.int64)
+    if not offs.size:
+        return 0.0
+    b_max = int(offs.max())
+    # on Python ints; the sieve forms no product b*q
+    if b_max * q + 1 >= PRIME_LIMIT:
+        raise OverflowError(
+            f"{b_max}*{q}+1 exceeds the primality tester's domain"
+        )
+    root = math.isqrt(b_max * q + 1)
+    left = offs[~_crossed_off(q, b_max, root)[offs]].tolist()
+    if root >= SIEVE_BOUND:
+        left = [b for b in left if is_prime(b * q + 1)]
+    return math.fsum([1.0 / b for b in left])

@@ -79,8 +79,7 @@ def test_traced_scan_sees_its_rows_under_the_cli_span(tracing, capsys):
                 return True
         return False
 
-    # the rows read v(q) from one offsets.v_values call made before them
-    layers = ("ek.compute_ek", "multgroup.build_context")
+    layers = ("ek.compute_ek", "offsets.v_of_q", "multgroup.build_context")
     seen = {span.name for i, span in enumerate(tracer.spans)
             if span.name in layers and under_cli(i)}
     assert seen == set(layers)

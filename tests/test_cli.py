@@ -188,7 +188,6 @@ class TestScan:
                 v_of_q(int(cells[0]), seq), abs=1e-9)
 
     def test_each_v_q_cell_is_what_ek_vq_prints(self, capsys):
-        # the scan decides v(q) for all its rows at once, ek vq for one q
         code, out, _ = run(capsys, "scan", "1000", "1100", "--with-vq",
                            "--threads", "2")
         assert code == 0

@@ -7,13 +7,14 @@ import pytest
 import oracles
 from ekconst import offsets
 from ekconst.multgroup import is_prime
-from ekconst.offsets import GREEDY_COUNT, greedy_offsets, v_of_q, v_values
+from ekconst.offsets import (GREEDY_COUNT, OffsetSequence, greedy_offsets,
+                             v_of_q)
 
 
-def v_reference(q):
+def v_reference(q, seq=None):
     """v(q) with one Miller-Rabin test of each point b*q+1."""
-    return math.fsum(1.0 / b for b in greedy_offsets(GREEDY_COUNT).b[1:]
-                     if is_prime(b * q + 1))
+    seq = seq or greedy_offsets(GREEDY_COUNT)
+    return math.fsum(1.0 / b for b in seq.b[1:] if is_prime(b * q + 1))
 
 
 class TestGreedy:
@@ -71,15 +72,24 @@ class TestScore:
             v_of_q(2)
 
 
-class TestBatch:
-    def test_every_odd_prime_to_3000_in_one_call(self):
+class TestSieve:
+    def test_every_odd_prime_to_3000(self):
         qs = [q for q in range(3, 3001, 2) if is_prime(q)]
-        assert v_values(qs) == [v_reference(q) for q in qs]
+        assert [v_of_q(q) for q in qs] == [v_reference(q) for q in qs]
 
-    def test_sieve_and_is_prime_share_one_q(self, monkeypatch):
-        # with q = 3 in the call, the first sieve window is dense enough to
-        # sieve; the later points of q = 1009 are each tested
-        q = 1009
+    def test_around_the_sieve_bound(self):
+        # 65521 and 65537 are the primes either side of 2^16; the rest are
+        # composite, with the small primes that divide q left out
+        for q in (9, 15, 1001, 65521, 65535, 65537):
+            assert v_of_q(q) == v_reference(q), q
+
+    @pytest.mark.parametrize("q, tests_some", [
+        (2003, False), (226843, False), (226871, True), (964477901, True)])
+    def test_sieve_and_is_prime_share_one_q(self, monkeypatch, q,
+                                            tests_some):
+        # below SIEVE_BOUND^2 = 2^32 the sieve alone decides every point;
+        # above it, is_prime decides the points the sieve leaves.
+        # 18932*226843+1 < 2^32 < 18932*226871+1 for consecutive primes
         points = {b * q + 1 for b in greedy_offsets(GREEDY_COUNT).b[1:]}
         tested = []
 
@@ -88,25 +98,27 @@ class TestBatch:
             return is_prime(n)
 
         monkeypatch.setattr(offsets, "is_prime", counting_is_prime)
-        got = v_values([3, q])
+        got = v_of_q(q)
         monkeypatch.undo()
-        assert got == [v_reference(3), v_reference(q)]
-        assert 0 < len(points.intersection(tested)) < len(points)
+        assert got == v_reference(q)
+        assert set(tested) <= points
+        assert len(tested) < len(points)
+        assert bool(tested) == tests_some
 
-    def test_q_beyond_the_sieve(self):
-        assert v_values([964477901]) == [v_reference(964477901)]
+    def test_odd_offsets(self):
+        # b*q+1 is even for odd b and odd q; 2 crosses those off
+        seq = OffsetSequence((0, 1, 2, 3, 5, 8))
+        for q in (3, 4, 5, 7, 9):
+            assert v_of_q(q, seq) == v_reference(q, seq), q
+        assert v_of_q(3, OffsetSequence((0, 1))) == 0.0
 
-    def test_order_and_repeats_follow_the_input(self):
-        assert v_values([7, 3, 7]) == [v_of_q(7), v_of_q(3), v_of_q(7)]
+    def test_q_beyond_int64(self):
+        # 2^63 + 29 is prime
+        seq = OffsetSequence((0, 1))
+        assert v_of_q(2**63 + 28, seq) == 1.0
+        assert v_of_q(2**63 + 30, seq) == v_reference(2**63 + 30, seq)
 
-    def test_empty(self):
-        assert v_values([]) == []
-
-    def test_overflow_guard_covers_the_largest_q(self):
+    def test_overflow_message_names_the_largest_offset(self):
         with pytest.raises(OverflowError,
                            match=r"^18932\*1000000000000000\+1 exceeds"):
-            v_values([3, 10**15])
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            v_values([5, 2])
+            v_of_q(10**15)
