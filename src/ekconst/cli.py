@@ -136,6 +136,10 @@ def cmd_scan(args) -> int:
 def cmd_precompute(args) -> int:
     q = args.q
     _check_odd_prime(q)
+    if args.range and args.range[0] >= args.range[1]:
+        # an empty part would replace the part that starts at K0
+        raise UsageError(f"--range {args.range[0]} {args.range[1]} is "
+                         f"empty; K0 must be below K1")
     cache_dir = _cache_dir(args, required=True)
     cache_dir.mkdir(parents=True, exist_ok=True)
     ctx = build_context(q)

@@ -43,27 +43,29 @@ def greedy_offsets(count: int) -> OffsetSequence:
     if not 1 <= count <= GREEDY_COUNT:
         raise ValueError(f"count must be in [1, {GREEDY_COUNT}], got {count}")
     primes = [p for p in range(2, count + 1) if is_prime(p)]
-    used: dict[int, set] = {p: {0} for p in primes}
-    b = [0]
+    # taken[i][r] marks the class r mod primes[i] as covered; free[i]
+    # counts the classes left, and last maps each prime with one class
+    # left to that class, which the next element must avoid (a prime with
+    # p - 1 classes covered is at most the current length)
+    taken = [bytearray(p) for p in primes]
+    free = list(primes)
+    last: dict[int, int] = {}
+    b = []
     candidate = 0
-    while len(b) < count:
-        n = len(b) + 1
-        active = [p for p in primes if p <= n]
-        candidate += 1
-        while True:
-            ok = True
-            for p in active:
-                residues = used[p]
-                if len(residues) == p - 1 and candidate % p not in residues:
-                    ok = False
-                    break
-            if ok:
-                break
-            candidate += 1
+    while True:
+        for i, p in enumerate(primes):
+            r = candidate % p
+            if not taken[i][r]:
+                taken[i][r] = 1
+                free[i] -= 1
+                if free[i] == 1:
+                    last[p] = taken[i].index(0)
         b.append(candidate)
-        for p in primes:
-            used[p].add(candidate % p)
-    return OffsetSequence(b=tuple(b))
+        if len(b) == count:
+            return OffsetSequence(b=tuple(b))
+        candidate += 1
+        while any(candidate % p == r for p, r in last.items()):
+            candidate += 1
 
 
 @lru_cache(maxsize=1)

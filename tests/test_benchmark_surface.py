@@ -36,17 +36,17 @@ def test_traced_compute_sees_every_layer(tracing, capsys):
     assert cli.build_context is multgroup.build_context  # restored
 
 
-def test_traced_cache_flow_sees_every_layer(tracing, capsys, tmp_path):
-    # the cache_reuse flow: chunked precompute, merge --out, compute from
-    # the merged tables, each call through the tracer's wrappers
-    q = 101
+def _traced_cache_flow(tracing, tmp_path, q, cut):
+    """The cache_reuse flow for q: each table precomputed in the parts
+    [0, cut) and [cut, end), merged with --out, then compute from the
+    merged tables, each call through the tracer's wrappers; the tracer."""
     chunks, merged = tmp_path / "chunks", tmp_path / "merged"
     merged.mkdir()
     tracer = tracing.Tracer(True)
     with tracer.patched():
         for tag in tracing.TAGS:
             hi = cache.full_range(q, cache.FunctionTag(tag))[1]
-            for k0, k1 in ((0, 10), (10, hi)):
+            for k0, k1 in ((0, cut), (cut, hi)):
                 assert cli.main(["precompute", str(q), "--tag", tag,
                                  "--range", str(k0), str(k1),
                                  "--cache", str(chunks)]) == 0
@@ -55,12 +55,28 @@ def test_traced_cache_flow_sees_every_layer(tracing, capsys, tmp_path):
                              "--cache", str(chunks), "--out", str(out)]) == 0
         assert cli.main(["compute", str(q), "--method", "both",
                          "--cache", str(merged)]) == 0
+    assert cache.load is cache_load  # restored
+    return tracer
+
+
+def test_traced_cache_flow_sees_every_layer(tracing, capsys, tmp_path):
+    tracer = _traced_cache_flow(tracing, tmp_path, 101, 10)
     assert "\nmethod = both\n" in capsys.readouterr().out
     names = {span.name for span in tracer.spans}
     assert {"cache.save", "cache.load", "cache.merge", "cache.verify",
             "ek.compute_ek",
             *(f"specfun.{tag}" for tag in tracing.TAGS)} <= names
-    assert cache.load is cache_load  # restored
+
+
+def test_traced_cache_flow_above_the_fsum_cutoff(tracing, capsys, tmp_path):
+    # every part holds at least cache._FSUM_BELOW values, so no table sum
+    # goes through math.fsum
+    q = 10007
+    assert (q - 1) // 4 >= cache._FSUM_BELOW
+    tracer = _traced_cache_flow(tracing, tmp_path, q, (q - 1) // 4)
+    assert "\nmethod = both\n" in capsys.readouterr().out
+    names = {span.name for span in tracer.spans}
+    assert {"cache.load", "cache.merge", "cache.verify"} <= names
 
 
 def test_traced_scan_sees_its_rows_under_the_cli_span(tracing, capsys):

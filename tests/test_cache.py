@@ -4,14 +4,16 @@ import dataclasses
 import math
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from ekconst import specfun
+from ekconst import cache, specfun
 from ekconst.ek import compute_ek
 from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
-                           FunctionTag, MergeError, ValueTable, _exact_sum,
+                           FunctionTag, MergeError, ValueTable, _FSUM_BELOW,
+                           _SUM_SLICE, _exact_sum,
                            check_closed_form, checksum_tolerance,
                            closed_form_sum, find, load, merge,
                            part_filename, precompute, save)
@@ -163,11 +165,30 @@ class TestMerge:
 
 
 class TestExactSum:
-    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 200000])
+    @pytest.mark.parametrize("n", [
+        0, 1, 4095, 4096, 4097, 200000, _FSUM_BELOW - 1, _FSUM_BELOW,
+        _SUM_SLICE - 1, _SUM_SLICE, _SUM_SLICE + 1, 3 * _SUM_SLICE + 1])
     def test_equals_fsum_of_a_list(self, n):
         rng = np.random.default_rng(n)
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
         assert _exact_sum(values) == math.fsum(values.tolist())
+
+    @pytest.mark.parametrize("n, fsum_calls", [(_FSUM_BELOW - 1, 1),
+                                               (_FSUM_BELOW, 0)])
+    def test_fsum_adds_only_short_arrays(self, n, fsum_calls, monkeypatch):
+        calls = []
+
+        def fsum(values):
+            calls.append(len(values))
+            return math.fsum(values)
+
+        # the cache module's view of math, with a counting fsum
+        monkeypatch.setattr(cache, "math", types.SimpleNamespace(
+            **{**vars(math), "fsum": fsum}))
+        values = np.random.default_rng(n).standard_normal(n)
+        total = _exact_sum(values)
+        assert len(calls) == fsum_calls
+        assert total == math.fsum(values.tolist())
 
     def test_builds_no_list_of_all_values(self):
         values = np.random.default_rng(1).standard_normal(200_000)
@@ -186,6 +207,22 @@ def _header_len(data: bytes) -> int:
 
 
 class TestSaveLoad:
+    def test_save_copies_no_values(self, tmp_path):
+        values = np.random.default_rng(2).standard_normal(200_000)
+        table = ValueTable(q=400009, g=2, function_tag=FunctionTag.T,
+                           k_lo=0, k_hi=len(values), values=values,
+                           partial_sum=_exact_sum(values))
+        tracemalloc.start()
+        try:
+            save(table, tmp_path / "t.ekc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one copy of the values as bytes takes 1.6 MB
+        assert peak < 1_000_000
+        back = load(tmp_path / "t.ekc")
+        assert back.values.tobytes() == values.tobytes()
+
     def test_round_trip(self, ctx101, tmp_path):
         table = precompute(ctx101, FunctionTag.S_PAIR)
         path = tmp_path / part_filename(FunctionTag.S_PAIR, 101, 0)

@@ -207,6 +207,34 @@ class TestScan:
 
 
 class TestCacheCommands:
+    @pytest.mark.extended
+    def test_ten_million_psi_parts_merge_and_checksum(self, tmp_path):
+        # each step in a fresh process, so that ru_maxrss is its own peak.
+        # The bounds are the measured peaks of these steps (225, 182 and
+        # 106 MB on 2 cores, numpy 2.4.6) plus 10%; a transient of the
+        # whole 80 MB table, in a sum or a write, would exceed them
+        q, hi, cache = 10000019, 10000018, str(tmp_path)
+        steps = [(["precompute", q, "--tag", "PSI", "--range", 0, hi // 2,
+                   "--cache", cache], 248),
+                 (["precompute", q, "--tag", "PSI", "--range", hi // 2, hi,
+                   "--cache", cache], 248),
+                 (["merge", q, "--tag", "PSI", "--cache", cache], 200),
+                 (["checksum", q, "--tag", "PSI", "--cache", cache], 117)]
+        for argv, peak_mb in steps:
+            script = ("import resource, sys\n"
+                      "from ekconst import cli\n"
+                      f"code = cli.main({[str(a) for a in argv]!r})\n"
+                      "print(resource.getrusage(resource.RUSAGE_SELF)"
+                      ".ru_maxrss, file=sys.stderr)\n"
+                      "sys.exit(code)\n")
+            proc = run_fresh(script, timeout=600)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
+            assert peak_kb < peak_mb * 2**10, (argv, peak_kb)
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "PSI_q10000019_part0.ekc"]
+        assert proc.stdout.startswith("residual = ")
+
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)
         code, out, _ = run(capsys, "precompute", "101", "--tag", "S_PAIR",
@@ -222,6 +250,21 @@ class TestCacheCommands:
         header = (tmp_path / "merged.ekc").read_bytes().split(b"\n")[0]
         assert header.startswith(b"EKCACHE 2 q=101")
         assert b"k0=0 k1=50" in header
+
+    @pytest.mark.parametrize("k0, k1", [("0", "0"), ("20", "20"),
+                                        ("30", "20")])
+    def test_empty_range_is_a_usage_error(self, capsys, tmp_path, k0, k1):
+        # an empty part 0 would replace the full table part 0
+        run(capsys, "precompute", "101", "--tag", "T", "--cache",
+            str(tmp_path))
+        part = tmp_path / "T_q101_part0.ekc"
+        before = part.read_bytes()
+        code, out, err = run(capsys, "precompute", "101", "--tag", "T",
+                             "--range", k0, k1, "--cache", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert f"--range {k0} {k1} is empty" in err
+        assert sorted(tmp_path.iterdir()) == [part]
+        assert part.read_bytes() == before
 
     def test_checksum_prints_the_tolerance_load_enforces(self, capsys,
                                                          tmp_path):

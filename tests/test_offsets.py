@@ -1,6 +1,7 @@
 """Greedy prime offsets and the candidate score v(q)."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,18 @@ class TestGreedy:
     def test_strictly_increasing(self):
         seq = greedy_offsets(500).b
         assert all(a < b for a, b in zip(seq, seq[1:]))
+
+    def test_full_sequence_keeps_no_set_per_prime(self):
+        greedy_offsets.cache_clear()
+        tracemalloc.start()
+        try:
+            seq = greedy_offsets(GREEDY_COUNT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a Python set of residues per prime <= 2089 takes about 23 MB
+        assert peak < 1_000_000
+        assert len(seq.b) == GREEDY_COUNT and seq.b[-1] == 18932
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
