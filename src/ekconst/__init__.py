@@ -17,8 +17,8 @@ from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
                         primitive_root)
 from .offsets import OffsetSequence, greedy_offsets, v_of_q
 from .specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
-                      DisagreementError, NonConvergenceError, gamma_n, psi_n)
-from .stieltjes import StieltjesTable, gammak_aq
+                      DisagreementError, NonConvergenceError, gamma_n)
+from .stieltjes import StieltjesTable
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "OffsetSequence", "PrimeContext", "Spectrum", "StieltjesTable",
     "ValueTable", "ZETA_DD_AT_0",
     "build_context", "closed_form_sum", "compute_ek", "dft", "dif_split",
-    "gamma_n", "gammak_aq", "greedy_offsets", "is_prime", "load", "merge",
-    "precompute", "primitive_root", "psi_n", "save", "twiddle", "v_of_q",
+    "gamma_n", "greedy_offsets", "is_prime", "load", "merge", "precompute",
+    "primitive_root", "save", "twiddle", "v_of_q",
 ]

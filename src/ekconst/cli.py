@@ -127,7 +127,9 @@ def cmd_scan(args) -> int:
         raise UsageError(f"--threads must be at least 1, not {args.threads}")
     primes = [q for q in range(max(3, args.q_min) | 1, args.q_max + 1, 2)
               if is_prime(q)]
-    with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
+    # the pool starts a thread per submitted row while none is idle
+    workers = min(args.threads, os.cpu_count() or 1)
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
         rows = list(pool.map(lambda q: _scan_row(q, args), primes))
     _emit("\n".join([CSV_HEADER] + rows) + "\n", args.out)
     return EXIT_OK
@@ -198,9 +200,9 @@ def cmd_stieltjes(args) -> int:
         raise UsageError(f"kmax must be in [0, {stieltjes_mod.K_MAX}]")
     table = stieltjes_mod.build_table(args.q, args.kmax)
     lines = ["k,a,value"]
-    for k in range(table.k_max + 1):
-        for a in range(1, table.q + 1):
-            lines.append(f"{k},{a},{_fmt(table[(k, a)], args.digits)}")
+    for k, row in enumerate(table.values.reshape(-1, table.q).tolist()):
+        lines += [f"{k},{a},{_fmt(v, args.digits)}"
+                  for a, v in enumerate(row, 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -267,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 out=True)
     p.add_argument("--with-vq", action="store_true", dest="with_vq")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker bound; results do not depend on it")
+                   help="worker bound, at most the CPU count; results "
+                        "do not depend on it")
     p = command("precompute", cmd_precompute, "write a value-table chunk",
                 "q", cache=True, tag=True)
     p.add_argument("--range", type=int, nargs=2, metavar=("K0", "K1"))

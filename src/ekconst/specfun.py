@@ -16,22 +16,21 @@ needs S only through this pair, so S(x) alone is not evaluated here.
 Series tails are accelerated with Euler-Maclaurin corrections through the
 fifth-derivative term; the first omitted term bounds the remainder, and an
 evaluation whose bound exceeds the fixed target TARGET_ABS_ERROR raises
-NonConvergenceError.  psi_n starts its series at a truncation point that
-depends on n and doubles it, point by point, until the bound meets the
-target; psi_n_values evaluates a whole array of points, and psi_n is its
-one-point form.  T and S(x)+S(1-x) are evaluated on arrays of points only.
-They start their tails at m = 64, are checked once there, and sum the terms
-m = 2..63 as a polynomial in x (in x - 1/2, respectively in x^2 after
-S(x)+S(1-x) is folded to x <= 1/2), whose coefficients are summed once per
-process; a bound on the polynomial's omitted terms joins the remainder
-bound, and psi_n(1, x), which sums those terms one by one, checks T.
-Arrays of points are evaluated in fixed-size blocks, so the working memory
-of a table does not grow with its length, and no value depends on the
-other points of its block.  S(x)+S(1-x) is evaluated by its series alone;
-its integral representation, integrated by a double-exponential rule,
-lives in the test suite (tests/oracles.py) as an independent reference.
-digamma and log Gamma come from scipy.special, which is imported on first
-use.
+NonConvergenceError.  The functions of x take arrays of points only.
+psi_n_values starts its series at a truncation point that depends on n and
+doubles it, point by point, until the bound meets the target.  T and
+S(x)+S(1-x) start their tails at m = 64, are checked once there, and sum
+the terms m = 2..63 as a polynomial in x (in x - 1/2, respectively in x^2
+after S(x)+S(1-x) is folded to x <= 1/2), whose coefficients are summed
+once per process; a bound on the polynomial's omitted terms joins the
+remainder bound, and psi_n_values(1, x), which sums those terms one by one,
+checks T.  Arrays of points are evaluated in fixed-size blocks, so the
+working memory of a table does not grow with its length, and no value
+depends on the other points of its block.  S(x)+S(1-x) is evaluated by its
+series alone; its integral representation, integrated by a
+double-exponential rule, lives in the test suite (tests/oracles.py) as an
+independent reference.  digamma and log Gamma come from scipy.special,
+which is imported on first use.
 
 Everything is plain float64; long accumulations use exact (fsum) or pairwise
 summation so results carry close to full double accuracy.
@@ -162,6 +161,17 @@ def _blockwise(fn, x) -> np.ndarray:
     return out
 
 
+def _binomial_sum(p: int, u, v, jmax: int):
+    """sum_{j<jmax} C(p, j) u^j v^(p-j), added term by term from j = 0.
+
+    A loop, not sum(): CPython 3.12's sum() compensates float additions,
+    which would change the bits of the scalar gamma_n terms."""
+    total = 0.0
+    for j in range(jmax):
+        total = total + math.comb(p, j) * u**j * v ** (p - j)
+    return total
+
+
 # ----------------------------------------------------------------------
 # generalized digamma series: sum_{m>=1} [f(m+x) - f(m)], f(u) = log(u)^n/u
 
@@ -178,10 +188,7 @@ def _psi_series_batch(n: int, x: np.ndarray, start: int):
     L = np.log1p(xs / ms)
     term = -(lms**n) * xs / (ms * (ms + xs))
     if n > 0:
-        acc = np.zeros_like(L)
-        for j in range(n):
-            acc += math.comb(n, j) * lms**j * L ** (n - j)
-        term = term + acc / (ms + xs)
+        term = term + _binomial_sum(n, lms, L, n) / (ms + xs)
     tail, remainder = _psi_tail(n, x, float(start))
     return term.sum(axis=1) + tail, remainder
 
@@ -193,17 +200,11 @@ def _psi_tail(n: int, x: np.ndarray, A: float):
     lA = math.log(A)
     LA = np.log1p(x / A)
     # integral_A^inf = -(F(A+x) - F(A)), F = log(u)^{n+1}/(n+1)
-    Fdiff = np.zeros_like(x)
-    for j in range(n + 1):
-        Fdiff += math.comb(n + 1, j) * lA**j * LA ** (n + 1 - j)
-    integral = -Fdiff / (n + 1)
+    integral = -_binomial_sum(n + 1, lA, LA, n + 1) / (n + 1)
 
     gA = -(lA**n) * x / (A * (A + x))
     if n > 0:
-        accA = np.zeros_like(x)
-        for j in range(n):
-            accA += math.comb(n, j) * lA**j * LA ** (n - j)
-        gA = gA + accA / (A + x)
+        gA = gA + _binomial_sum(n, lA, LA, n) / (A + x)
 
     fams = _log_poly_family((0.0,) * n + (1.0,), 1, 8)
     u = A + x
@@ -232,7 +233,7 @@ def _psi_series_checked(n: int, x: np.ndarray):
 
     Only the points that miss the target are evaluated again, so a value
     does not depend on which points share its block: it equals the value
-    of the one-point path.
+    of a one-element call.
     """
     def checked(xb):
         start = _series_start(n)
@@ -270,13 +271,6 @@ def psi_n_values(n: int, x: np.ndarray) -> np.ndarray:
     closed = np.array([math.log(v) ** n / v for v in xi.tolist()])
     out[inner] = -g - closed - series
     return out
-
-
-def psi_n(n: int, x: float) -> float:
-    """Generalized digamma psi_n(x) for n >= 0, a single 0 < x <= 1."""
-    if not 0 < x <= 1:
-        raise ValueError(f"psi_n requires 0 < x <= 1, got {x}")
-    return float(psi_n_values(n, np.array([x]))[0])
 
 
 # ----------------------------------------------------------------------
@@ -468,10 +462,7 @@ def _gamma_term_a(n: int, m: int) -> float:
     # log(m)^n/m - (1/(n+1)) sum_{j<=n} C(n+1,j) log(m)^j log1p(1/m)^{n+1-j}
     lm = math.log(m)
     L = math.log1p(1.0 / m)
-    s = 0.0
-    for j in range(n + 1):
-        s += math.comb(n + 1, j) * lm**j * L ** (n + 1 - j)
-    return lm**n / m - s / (n + 1)
+    return lm**n / m - _binomial_sum(n + 1, lm, L, n + 1) / (n + 1)
 
 
 def _gamma_term_b(n: int, m: int) -> float:
@@ -479,10 +470,7 @@ def _gamma_term_b(n: int, m: int) -> float:
     lm = math.log(m)
     L = math.log1p(1.0 / m)
     first = -(lm**n) * float(_log1p_minus(np.array(1.0 / m)))
-    s = 0.0
-    for j in range(n):
-        s += math.comb(n + 1, j) * lm**j * L ** (n + 1 - j)
-    return first - s / (n + 1)
+    return first - _binomial_sum(n + 1, lm, L, n) / (n + 1)
 
 
 def _gamma_em_tail(n: int, M: int, term_fn) -> tuple[float, float]:

@@ -17,16 +17,17 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture(scope="session")
 def gammak_cells():
-    """(q, k_max) -> {(k, a): gammak_aq(k, a, q)}, one cell at a time;
-    each table is computed once per session."""
-    from ekconst.stieltjes import gammak_aq
+    """(q, k_max) -> [oracles.gammak_aq(k, a, q)] in the table's order
+    (index k*q + a - 1), one cell at a time; each table is computed once
+    per session."""
+    from oracles import gammak_aq
     tables = {}
 
-    def cells(q: int, k_max: int) -> dict:
+    def cells(q: int, k_max: int) -> list:
         if (q, k_max) not in tables:
-            tables[(q, k_max)] = {(k, a): gammak_aq(k, a, q)
+            tables[(q, k_max)] = [gammak_aq(k, a, q)
                                   for k in range(k_max + 1)
-                                  for a in range(1, q + 1)}
+                                  for a in range(1, q + 1)]
         return tables[(q, k_max)]
 
     return cells

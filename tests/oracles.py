@@ -9,11 +9,16 @@ division.  The exceptions are s_pair_series_direct and s_series: they sum
 their bulk term by term but build their Euler-Maclaurin tails from library
 helpers, and s_series checks its remainder bounds with the library's block
 check.  gamma1_closed also takes T from the library's table function.
+gammak_aq is the per-cell form of the library's gamma_k(a, q) table: it
+takes each psi_n at the one point a/q from the library's psi_n_values and
+applies the same binomial formula, so it checks the table's assembly over
+arrays, not its series.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -401,6 +406,22 @@ def gamma_k_aq_bruteforce(k: int, a: int, q: int,
     s2 = (4 * r2 - r1) / 3
     s4 = (4 * r4 - r2) / 3
     return (8 * s4 - s2) / 7
+
+
+@lru_cache(maxsize=None)
+def psi_n_at(n: int, x: float) -> float:
+    """psi_n(x) at one point, through a one-element psi_n_values call."""
+    return float(specfun.psi_n_values(n, np.array([x]))[0])
+
+
+def gammak_aq(k: int, a: int, q: int) -> float:
+    """gamma_k(a, q) = -(1/q) [log(q)^{k+1}/(k+1)
+    + sum_{n<=k} C(k,n) log(q)^{k-n} psi_n(a/q)], one cell at a time."""
+    lq = math.log(q)
+    total = lq ** (k + 1) / (k + 1)
+    for n in range(k + 1):
+        total += math.comb(k, n) * lq ** (k - n) * psi_n_at(n, a / q)
+    return -total / q
 
 
 def gamma0_closed(a: int, q: int) -> float:

@@ -101,6 +101,17 @@ def test_traced_scan_sees_its_rows_under_the_cli_span(tracing, capsys):
     assert seen == set(layers)
 
 
+def test_traced_stieltjes_sees_build_table_under_the_cli_span(tracing,
+                                                             capsys):
+    tracer = tracing.Tracer(True)
+    with tracer.patched():
+        assert cli.main(["stieltjes", "7", "--kmax", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 4 * 7
+    assert [(span.name, span.parent) for span in tracer.spans] == [
+        ("cli", None), ("stieltjes.build_table", 0)]
+    assert tracer.counts[("setup", "stieltjes.entries")] == 28
+
+
 def test_traced_vq_sees_v_of_q_under_the_cli_span(tracing, capsys):
     tracer = tracing.Tracer(True)
     with tracer.patched():

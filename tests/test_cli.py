@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -147,6 +148,24 @@ class TestScan:
         code, out, err = run(capsys, "scan", "3", "30", "--threads", threads)
         assert (code, out) == (2, "")
         assert "--threads must be at least 1" in err
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+    def test_threads_are_bounded_by_the_cpu_count(self, capsys, monkeypatch,
+                                                  cpus, workers):
+        # the pool starts a thread per submitted row while none is idle, so
+        # an unbounded --threads would start one per prime
+        seen = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "scan", "3", "30", "--threads", "4096")
+        assert code == 0 and seen == [workers]
+        assert out == run(capsys, "scan", "3", "30")[1]
 
     def test_threads_is_a_scan_option_only(self, capsys):
         code, _, _ = run(capsys, "compute", "3", "--threads", "2")
@@ -522,12 +541,16 @@ class TestSmallCommands:
         assert len(lines) == 1 + 2 * 3
 
     def test_stieltjes_equals_per_cell_values(self, capsys, gammak_cells):
-        code, out, _ = run(capsys, "stieltjes", "100", "--kmax", "10")
-        assert code == 0
-        cells = gammak_cells(100, 10)
-        want = ["k,a,value"] + [f"{k},{a},{cells[(k, a)]:.14e}"
-                                for k in range(11) for a in range(1, 101)]
-        assert out.splitlines() == want
+        # 17 significant digits round-trip a float64
+        for q, k_max in ((100, 10), (7, 20), (97, 20)):
+            code, out, _ = run(capsys, "stieltjes", str(q),
+                               "--kmax", str(k_max), "--digits", "17")
+            assert code == 0
+            cells = iter(gammak_cells(q, k_max))
+            want = ["k,a,value"] + [f"{k},{a},{next(cells):.16e}"
+                                    for k in range(k_max + 1)
+                                    for a in range(1, q + 1)]
+            assert out.splitlines() == want, (q, k_max)
 
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2

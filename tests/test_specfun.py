@@ -10,7 +10,8 @@ import pytest
 import oracles
 from ekconst import specfun
 from ekconst.specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
-                             NonConvergenceError, gamma_n, psi_n, psi_n_values)
+                             NonConvergenceError, gamma_n, psi_n_values)
+from oracles import psi_n_at
 from reference_values import GAMMA_N
 
 
@@ -359,25 +360,43 @@ class TestBlocks:
         assert peak < 32 * 2**20
 
 
+class TestBinomialSum:
+    """specfun._binomial_sum against the loop each series expansion wrote
+    out before it: terms added from j = 0 up, so every value keeps its
+    bits."""
+
+    def test_equals_the_term_by_term_loop(self):
+        rng = np.random.default_rng(19)
+        u = rng.uniform(0.0, 12.0, 40)
+        v = rng.uniform(-1.0, 1.0, (3, 40))
+        for p in range(1, 22):
+            for jmax in (p, p + 1):
+                want = np.zeros_like(v)
+                for j in range(jmax):
+                    want += math.comb(p, j) * u**j * v ** (p - j)
+                got = specfun._binomial_sum(p, u, v, jmax)
+                assert got.tolist() == want.tolist(), (p, jmax)
+                # scalars, as the gamma_n terms pass them
+                want = 0.0
+                for j in range(jmax):
+                    want += math.comb(p, j) * 2.5**j * 0.3 ** (p - j)
+                assert specfun._binomial_sum(p, 2.5, 0.3, jmax) == want
+
+
 class TestPsiN:
     def test_order_zero_is_digamma(self):
         for x in (0.1, 0.35, 0.5, 0.99, 1.0):
-            assert psi_n(0, x) == pytest.approx(digamma(x), abs=1e-13)
+            assert psi_n_at(0, x) == pytest.approx(digamma(x), abs=1e-13)
 
     def test_at_one(self):
-        assert psi_n(0, 1.0) == pytest.approx(-EULER_GAMMA, abs=1e-14)
-        assert psi_n(2, 1.0) == pytest.approx(0.0096903631928723185, abs=1e-12)
+        assert psi_n_at(0, 1.0) == pytest.approx(-EULER_GAMMA, abs=1e-14)
+        assert psi_n_at(2, 1.0) == pytest.approx(0.0096903631928723185,
+                                                 abs=1e-12)
 
     def test_order_one_matches_t(self):
         for x in (0.25, 0.5, 0.9):
-            assert psi_n(1, x) == pytest.approx(t_function(x) - GAMMA1,
-                                                abs=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            psi_n(-1, 0.5)
-        with pytest.raises(ValueError):
-            psi_n(2, 0.0)
+            assert psi_n_at(1, x) == pytest.approx(t_function(x) - GAMMA1,
+                                                   abs=1e-13)
 
 
 class TestPsiNValues:
@@ -385,7 +404,7 @@ class TestPsiNValues:
     def test_bitwise_equal_to_one_point_path(self, q):
         x = np.array([a / q for a in range(1, q + 1)])  # x = 1 included
         for n in range(21):
-            want = [psi_n(n, a / q) for a in range(1, q + 1)]
+            want = [psi_n_at(n, a / q) for a in range(1, q + 1)]
             assert psi_n_values(n, x).tolist() == want, n
 
     def test_exact_at_one(self):
