@@ -9,7 +9,7 @@ that halves the precomputation for the parity-restricted sums.
 """
 
 from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
-                    MergeError, ValueTable, closed_form_sum, load, merge,
+                    MergeError, ValueTable, closed_form_sum, load,
                     precompute, save)
 from .ek import CharacterSumError, EKResult, compute_ek
 from .fft import Spectrum, dft, dif_split, twiddle
@@ -29,6 +29,6 @@ __all__ = [
     "OffsetSequence", "PrimeContext", "Spectrum", "StieltjesTable",
     "ValueTable", "ZETA_DD_AT_0",
     "build_context", "closed_form_sum", "compute_ek", "dft", "dif_split",
-    "gamma_n", "greedy_offsets", "is_prime", "load", "merge", "precompute",
+    "gamma_n", "greedy_offsets", "is_prime", "load", "precompute",
     "primitive_root", "save", "twiddle", "v_of_q",
 ]

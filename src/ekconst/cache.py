@@ -197,16 +197,10 @@ def check_closed_form(table: ValueTable) -> None:
             f"checksum residual {residual:.3e} exceeds {tol:.3e}")
 
 
-def _evaluate(tag: FunctionTag, x: np.ndarray) -> np.ndarray:
-    if tag is FunctionTag.LOGGAMMA:
-        return specfun.log_gamma_values(x)
-    if tag is FunctionTag.S_PAIR:
-        return specfun.s_pair_values(x)
-    if tag is FunctionTag.T:
-        return specfun.t_values(x)
-    if tag is FunctionTag.PSI:
-        return specfun.psi_values(x)
-    raise ValueError(f"unknown tag {tag}")
+# the specfun function of each tag, looked up at each call
+_EVALUATOR = {FunctionTag.LOGGAMMA: "log_gamma_values",
+              FunctionTag.S_PAIR: "s_pair_values", FunctionTag.T: "t_values",
+              FunctionTag.PSI: "psi_values"}
 
 
 def precompute(ctx: PrimeContext, tag: FunctionTag,
@@ -214,7 +208,7 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
     """Evaluate the tagged function at a_k/q over a k-range (default: full).
 
     Deterministic given (q, g, tag, range); chunks may be computed
-    independently and merged.
+    independently, saved as parts and read back as one table by find.
     """
     k_lo, k_hi = k_range if k_range is not None else full_range(ctx.q, tag)
     _check_range(ctx.q, tag, k_lo, k_hi)
@@ -224,40 +218,10 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
         # float64 keeps few bits of a small q - a
         a = np.minimum(a, ctx.q - a)
     x = a.astype(np.float64) / ctx.q
-    values = _evaluate(tag, x) if k_hi > k_lo else np.empty(0)
+    values = getattr(specfun, _EVALUATOR[tag])(x)
     return ValueTable(
         q=ctx.q, g=ctx.g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
         values=values, partial_sum=_exact_sum(values),
-    )
-
-
-def merge(parts: list[ValueTable]) -> ValueTable:
-    """Combine contiguous ascending chunks of one (q, g, tag) into one
-    table."""
-    if not parts:
-        raise MergeError("nothing to merge")
-    parts = sorted(parts, key=lambda t: t.k_lo)
-    head = parts[0]
-    for t in parts[1:]:
-        for attr in ("q", "g", "function_tag"):
-            if getattr(t, attr) != getattr(head, attr):
-                raise MergeError(
-                    f"{attr} mismatch: {getattr(head, attr)} vs {getattr(t, attr)}"
-                )
-    pos = head.k_lo
-    for t in parts:
-        if t.k_lo > pos:
-            raise MergeError(f"gap at k={pos}")
-        if t.k_lo < pos:
-            raise MergeError(f"overlap at k={t.k_lo}")
-        pos = t.k_hi
-    values = np.concatenate([t.values for t in parts])
-    return ValueTable(
-        q=head.q, g=head.g, function_tag=head.function_tag,
-        k_lo=head.k_lo, k_hi=pos, values=values,
-        # the exact sum of the merged values, as precompute would give it;
-        # a sum of the parts' rounded sums can differ in the last bits
-        partial_sum=_exact_sum(values),
     )
 
 
@@ -268,19 +232,44 @@ def part_filename(tag: FunctionTag, q: int, k_lo: int | str) -> str:
 
 def find(cache_dir, q: int, tag: FunctionTag
          ) -> tuple[ValueTable | None, list[Path]]:
-    """The tag's table for q in cache_dir, merged from every part named
-    part_filename(tag, q, ...), and the sorted paths of those parts;
-    (None, []) if there is none.  MergeError if a part's header names
-    another tag or q than its file name."""
-    paths = sorted(Path(cache_dir).glob(part_filename(tag, q, "*")))
-    parts = [load(path) for path in paths]
-    for path, part in zip(paths, parts):
-        if (part.function_tag, part.q) != (tag, q):
+    """The tag's table for q in cache_dir, laid part by part into one
+    array from every file named part_filename(tag, q, k0), and the paths
+    of those parts in the order of k0; (None, []) if there is none.
+    MergeError if a name's k0 is no integer or disagrees with its header,
+    or if the parts differ in g or leave a gap or an overlap."""
+    def k0(path: Path) -> int:
+        try:
+            return int(path.stem.rpartition("part")[2])
+        except ValueError:
+            raise MergeError(f"{path}: no k0 in the name") from None
+
+    paths = sorted(Path(cache_dir).glob(part_filename(tag, q, "*")), key=k0)
+    if not paths:
+        return None, []
+    for path in paths:
+        part = load(path)
+        if path.name != part_filename(part.function_tag, part.q, part.k_lo):
             raise MergeError(f"{path}: holds the {part.function_tag.value} "
-                             f"table for q={part.q}")
-    if len(parts) > 1:
-        return merge(parts), paths
-    return (parts[0] if parts else None), paths
+                             f"table for q={part.q} over "
+                             f"[{part.k_lo},{part.k_hi})")
+        if len(paths) == 1:
+            return part, paths
+        if path == paths[0]:
+            lo, pos, g = part.k_lo, part.k_lo, part.g
+            values = np.empty(full_range(q, tag)[1] - lo, dtype=_VALUE_DTYPE)
+        elif part.g != g:
+            raise MergeError(f"g mismatch: {g} vs {part.g}")
+        if part.k_lo > pos:
+            raise MergeError(f"gap at k={pos}")
+        if part.k_lo < pos:
+            raise MergeError(f"overlap at k={part.k_lo}")
+        values[pos - lo:part.k_hi - lo] = part.values
+        pos = part.k_hi
+        del part        # before the next part is loaded
+    values = values[:pos - lo]
+    # the exact sum, as precompute gives it, not a sum of rounded sums
+    return ValueTable(q=q, g=g, function_tag=tag, k_lo=lo, k_hi=pos,
+                      values=values, partial_sum=_exact_sum(values)), paths
 
 
 def save(table: ValueTable, path) -> Path:

@@ -139,16 +139,20 @@ def cmd_precompute(args) -> int:
     q = args.q
     _check_odd_prime(q)
     if args.range and args.range[0] >= args.range[1]:
-        # an empty part would replace the part that starts at K0
         raise UsageError(f"--range {args.range[0]} {args.range[1]} is "
                          f"empty; K0 must be below K1")
     cache_dir = _cache_dir(args, required=True)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    ctx = build_context(q)
     tag = FunctionTag(args.tag)
-    k_range = tuple(args.range) if args.range else None
-    table = cache_mod.precompute(ctx, tag, k_range=k_range)
-    path = cache_dir / cache_mod.part_filename(tag, q, table.k_lo)
+    k_lo, k_hi = args.range or cache_mod.full_range(q, tag)
+    path = cache_dir / cache_mod.part_filename(tag, q, k_lo)
+    if path.exists():   # only a rerun of its range may replace a part
+        held = cache_mod.load(path)
+        if (held.k_lo, held.k_hi) != (k_lo, k_hi):
+            raise cache_mod.MergeError(f"{path} holds [{held.k_lo},"
+                                       f"{held.k_hi}), not [{k_lo},{k_hi})")
+        del held
+    table = cache_mod.precompute(build_context(q), tag, (k_lo, k_hi))
     cache_mod.save(table, path)
     print(path)
     return EXIT_OK
@@ -158,6 +162,11 @@ def cmd_merge(args) -> int:
     q = args.q
     cache_dir = _cache_dir(args, required=True)
     tag = FunctionTag(args.tag)
+    out = Path(args.out).resolve() if args.out else None
+    if out and out.parent == cache_dir.resolve() and out.match(
+            cache_mod.part_filename(tag, q, "*")):
+        raise UsageError(f"--out {args.out} would be read as a "
+                         f"{tag.value} part for q={q} in {cache_dir}")
     merged, paths = cache_mod.find(cache_dir, q, tag)
     if merged is None:
         raise UsageError(f"no {tag.value} parts for q={q} under {cache_dir}")
@@ -168,6 +177,7 @@ def cmd_merge(args) -> int:
         # merged file has been written, read back and verified
         out = cache_dir / cache_mod.part_filename(tag, q, merged.k_lo)
         staged = cache_mod.save(merged, out.with_name(f".{out.name}.merged"))
+        del merged      # the read-back holds a table of its own
         try:
             cache_mod.load(staged)
             os.replace(staged, out)

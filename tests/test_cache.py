@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import struct
 import tracemalloc
 import types
@@ -15,7 +16,7 @@ from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
                            FunctionTag, MergeError, ValueTable, _FSUM_BELOW,
                            _SUM_SLICE, _exact_sum,
                            check_closed_form, checksum_tolerance,
-                           closed_form_sum, find, load, merge,
+                           closed_form_sum, find, load,
                            part_filename, precompute, save)
 from ekconst.multgroup import build_context
 
@@ -121,38 +122,88 @@ class TestPrecompute:
             precompute(ctx5, FunctionTag.S_PAIR, (0, 3))  # beyond (q-1)/2
 
 
+def _find_saved(tmp_path, parts):
+    """find over the parts, each saved under its part_filename."""
+    for t in parts:
+        save(t, tmp_path / part_filename(t.function_tag, t.q, t.k_lo))
+    return find(tmp_path, parts[0].q, parts[0].function_tag)[0]
+
+
 class TestMerge:
-    def test_equals_whole(self, ctx5):
+    def test_equals_whole(self, ctx5, tmp_path):
         whole = precompute(ctx5, FunctionTag.LOGGAMMA)
         parts = [precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2)),
                  precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4))]
-        merged = merge(parts)
+        merged = _find_saved(tmp_path, parts)
         assert np.array_equal(merged.values, whole.values)
         assert merged.partial_sum == whole.partial_sum
         assert merged.is_full_range
 
-    def test_gap(self, ctx5):
+    def test_gap(self, ctx5, tmp_path):
         parts = [precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2)),
                  precompute(ctx5, FunctionTag.LOGGAMMA, (3, 4))]
         with pytest.raises(MergeError, match="gap at k=2"):
-            merge(parts)
+            _find_saved(tmp_path, parts)
 
-    def test_overlap(self, ctx5):
+    def test_overlap(self, ctx5, tmp_path):
         parts = [precompute(ctx5, FunctionTag.LOGGAMMA, (0, 3)),
                  precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4))]
-        with pytest.raises(MergeError, match="overlap"):
-            merge(parts)
+        with pytest.raises(MergeError, match="overlap at k=2"):
+            _find_saved(tmp_path, parts)
 
-    def test_mismatch(self, ctx5):
+    def test_mismatch(self, ctx5, tmp_path):
         a = precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2))
         b = precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4))
         bad = dataclasses.replace(b, g=b.g + 1)
         with pytest.raises(MergeError, match="g mismatch"):
-            merge([a, bad])
+            _find_saved(tmp_path, [a, bad])
+
+    def test_parts_are_ordered_by_k0_not_by_name(self, ctx101, tmp_path):
+        # part8 sorts after part30 as a string
+        parts = [precompute(ctx101, FunctionTag.T, r)
+                 for r in ((0, 8), (8, 30), (30, 100))]
+        merged = _find_saved(tmp_path, parts)
+        assert merged.values.tobytes() == precompute(
+            ctx101, FunctionTag.T).values.tobytes()
+        assert [p.name for p in find(tmp_path, 101, FunctionTag.T)[1]] == [
+            "T_q101_part0.ekc", "T_q101_part8.ekc", "T_q101_part30.ekc"]
+
+    @pytest.mark.parametrize("name", ["T_q101_part20.ekc", "T_q101_part00.ekc",
+                                      "T_q101_part+0.ekc"])
+    def test_a_part_whose_name_gives_another_k0_is_refused(
+            self, ctx101, tmp_path, name):
+        save(precompute(ctx101, FunctionTag.T, (0, 20)), tmp_path / name)
+        with pytest.raises(MergeError, match=re.escape(
+                f"{name}: holds the T table for q=101 over [0,20)")):
+            find(tmp_path, 101, FunctionTag.T)
+
+    def test_a_name_without_an_integer_k0_is_refused(self, tmp_path):
+        (tmp_path / "T_q101_partX.ekc").touch()
+        with pytest.raises(MergeError, match="no k0 in the name"):
+            find(tmp_path, 101, FunctionTag.T)
+
+    def test_find_holds_one_table_and_one_part(self, tmp_path):
+        # random values: a part that is not the full range is not gated
+        n, q = 1_000_002, 1000003
+        values = np.random.default_rng(3).standard_normal(n)
+        for lo, hi in ((0, n // 2), (n // 2, n)):
+            save(ValueTable(q=q, g=2, function_tag=FunctionTag.T, k_lo=lo,
+                            k_hi=hi, values=values[lo:hi],
+                            partial_sum=_exact_sum(values[lo:hi])),
+                 tmp_path / part_filename(FunctionTag.T, q, lo))
+        tracemalloc.start()
+        try:
+            table, _ = find(tmp_path, q, FunctionTag.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.values.tobytes() == values.tobytes()
+        # the parts and their concatenation would take 2 table sizes
+        assert peak < 1.75 * values.nbytes
 
     def test_mixed_targets_are_refused(self, ctx5, tmp_path, monkeypatch):
-        # a chunk of another target cannot be loaded, so it never reaches
-        # merge
+        # a chunk of another target cannot be loaded, so find never lays
+        # it into a table
         a = save(precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2)),
                  tmp_path / part_filename(FunctionTag.LOGGAMMA, 5, 0))
         with monkeypatch.context() as m:

@@ -13,8 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ekconst import cache  # noqa: E402
-from ekconst.cache import (FunctionTag, full_range, load, merge,  # noqa: E402
-                           precompute, save)
+from ekconst.cache import (FunctionTag, find, full_range,  # noqa: E402
+                           load, part_filename, precompute, save)
 from ekconst.multgroup import build_context  # noqa: E402
 
 CONTEXTS = {q: build_context(q) for q in (5, 101, 1009)}
@@ -27,7 +27,8 @@ def chunkings(draw):
     q = draw(st.sampled_from(sorted(CONTEXTS)))
     tag = draw(st.sampled_from(list(FunctionTag)))
     hi = full_range(q, tag)[1]
-    cuts = draw(st.lists(st.integers(0, hi), max_size=8))
+    # distinct inner cuts: two parts that start at one k would share a name
+    cuts = draw(st.lists(st.integers(1, hi - 1), unique=True, max_size=8))
     bounds = [0] + sorted(cuts) + [hi]
     return q, tag, list(zip(bounds, bounds[1:]))
 
@@ -36,16 +37,14 @@ def chunkings(draw):
 @given(chunkings())
 def test_merged_chunks_equal_one_shot_precompute(case):
     q, tag, ranges = case
-    parts = [precompute(CONTEXTS[q], tag, r) for r in ranges]
     whole = WHOLE[(q, tag)]
-    merged = merge(parts)
-    assert merged.values.tobytes() == whole.values.tobytes()
-    assert merged.partial_sum == whole.partial_sum
     with tempfile.TemporaryDirectory() as tmp:
+        for r in ranges:
+            save(precompute(CONTEXTS[q], tag, r),
+                 Path(tmp) / part_filename(tag, q, r[0]))
+        merged = find(tmp, q, tag)[0]
         back = load(save(merged, Path(tmp) / "t.ekc"))
-        reloaded = merge([load(save(t, Path(tmp) / f"p{i}.ekc"))
-                          for i, t in enumerate(parts)])
-    for table in (back, reloaded):
+    for table in (merged, back):
         assert table.values.tobytes() == whole.values.tobytes()
         assert table.partial_sum == whole.partial_sum
         assert table.checksum_residual() == whole.checksum_residual()

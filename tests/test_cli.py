@@ -229,15 +229,16 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_psi_parts_merge_and_checksum(self, tmp_path):
         # each step in a fresh process, so that ru_maxrss is its own peak.
-        # The bounds are the measured peaks of these steps (225, 182 and
+        # The bounds are the measured peaks of these steps (225, 144 and
         # 106 MB on 2 cores, numpy 2.4.6) plus 10%; a transient of the
-        # whole 80 MB table, in a sum or a write, would exceed them
+        # whole 80 MB table, in a sum or a write, would exceed them, and
+        # so would a merge that held both halves beside the table
         q, hi, cache = 10000019, 10000018, str(tmp_path)
         steps = [(["precompute", q, "--tag", "PSI", "--range", 0, hi // 2,
                    "--cache", cache], 248),
                  (["precompute", q, "--tag", "PSI", "--range", hi // 2, hi,
                    "--cache", cache], 248),
-                 (["merge", q, "--tag", "PSI", "--cache", cache], 200),
+                 (["merge", q, "--tag", "PSI", "--cache", cache], 159),
                  (["checksum", q, "--tag", "PSI", "--cache", cache], 117)]
         for argv, peak_mb in steps:
             script = ("import resource, sys\n"
@@ -284,6 +285,91 @@ class TestCacheCommands:
         assert f"--range {k0} {k1} is empty" in err
         assert sorted(tmp_path.iterdir()) == [part]
         assert part.read_bytes() == before
+
+    @pytest.mark.parametrize("first, held, second", [
+        ([], "[0,100)", ["0", "30"]),
+        (["--range", "20", "50"], "[20,50)", ["20", "40"]),
+        (["--range", "20", "50"], "[20,50)", ["20", "100"])])
+    def test_precompute_refuses_to_replace_a_part_of_another_range(
+            self, capsys, tmp_path, first, held, second):
+        cache = str(tmp_path)
+        assert run(capsys, "precompute", "101", "--tag", "T", *first,
+                   "--cache", cache)[0] == 0
+        (part,) = tmp_path.iterdir()
+        before = part.read_bytes()
+        code, out, err = run(capsys, "precompute", "101", "--tag", "T",
+                             "--range", *second, "--cache", cache)
+        assert (code, out) == (1, "")
+        assert f"{part} holds {held}, not [{second[0]},{second[1]})" in err
+        assert list(tmp_path.iterdir()) == [part]
+        assert part.read_bytes() == before
+
+    @pytest.mark.parametrize("k_range", [[], ["--range", "20", "50"]])
+    def test_precompute_rerun_of_the_same_range_writes_the_same_bytes(
+            self, capsys, tmp_path, k_range):
+        argv = ["precompute", "101", "--tag", "T", *k_range,
+                "--cache", str(tmp_path)]
+        first = run(capsys, *argv)
+        (part,) = tmp_path.iterdir()
+        before = part.read_bytes()
+        assert first == (0, f"{part}\n", "")
+        assert run(capsys, *argv) == first
+        assert list(tmp_path.iterdir()) == [part]
+        assert part.read_bytes() == before
+
+    def test_precompute_refuses_to_replace_an_unreadable_part(self, capsys,
+                                                              tmp_path):
+        part = tmp_path / "T_q101_part0.ekc"
+        part.write_bytes(b"not a table\n")
+        code, out, err = run(capsys, "precompute", "101", "--tag", "T",
+                             "--cache", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert f"{part}: not an EKCACHE file" in err
+        assert list(tmp_path.iterdir()) == [part]
+        assert part.read_bytes() == b"not a table\n"
+
+    @pytest.mark.parametrize("out_name", ["T_q101_part0.ekc",
+                                          "T_q101_part10.ekc",
+                                          "T_q101_part99.ekc"])
+    def test_merge_out_refuses_a_part_name_in_the_cache(self, capsys,
+                                                        tmp_path, out_name):
+        cache = tmp_path / "c"
+        for k0, k1 in (("0", "10"), ("10", "100")):
+            run(capsys, "precompute", "101", "--tag", "T", "--range", k0, k1,
+                "--cache", str(cache))
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
+        (tmp_path / "link").symlink_to(cache)
+        for out_path in (cache / out_name, tmp_path / "link" / out_name,
+                         cache / ".." / "c" / out_name):
+            code, out, err = run(capsys, "merge", "101", "--tag", "T",
+                                 "--cache", str(cache), "--out",
+                                 str(out_path))
+            assert (code, out) == (2, "")
+            assert (f"--out {out_path} would be read as a T part for q=101"
+                    in err)
+            assert {p.name: p.read_bytes()
+                    for p in cache.iterdir()} == before
+
+    @pytest.mark.parametrize("name, why", [
+        ("T_q101_part0.ekc", "holds the T table for q=101 over [20,50)"),
+        ("T_q101_partX.ekc", "no k0 in the name")])
+    def test_a_part_under_a_name_that_disagrees_is_refused(
+            self, capsys, tmp_path, name, why):
+        cache = tmp_path / "c"
+        cache.mkdir()
+        path = save(precompute(build_context(101), FunctionTag.T, (20, 50)),
+                    cache / name)
+        before = path.read_bytes()
+        merged = tmp_path / "merged.ekc"
+        for argv in (["compute", "101", "--method", "t"],
+                     ["merge", "101", "--tag", "T"],
+                     ["merge", "101", "--tag", "T", "--out", str(merged)]):
+            code, out, err = run(capsys, *argv, "--cache", str(cache))
+            assert (code, out) == (1, "")
+            assert f"{path}: {why}" in err
+        assert list(cache.iterdir()) == [path]
+        assert path.read_bytes() == before
+        assert not merged.exists()
 
     def test_checksum_prints_the_tolerance_load_enforces(self, capsys,
                                                          tmp_path):
