@@ -197,10 +197,16 @@ def check_closed_form(table: ValueTable) -> None:
             f"checksum residual {residual:.3e} exceeds {tol:.3e}")
 
 
-# the specfun function of each tag, looked up at each call
-_EVALUATOR = {FunctionTag.LOGGAMMA: "log_gamma_values",
-              FunctionTag.S_PAIR: "s_pair_values", FunctionTag.T: "t_values",
-              FunctionTag.PSI: "psi_values"}
+def _evaluate(tag: FunctionTag, x: np.ndarray) -> np.ndarray:
+    if tag is FunctionTag.LOGGAMMA:
+        return specfun.log_gamma_values(x)
+    if tag is FunctionTag.S_PAIR:
+        return specfun.s_pair_values(x)
+    if tag is FunctionTag.T:
+        return specfun.t_values(x)
+    if tag is FunctionTag.PSI:
+        return specfun.psi_values(x)
+    raise ValueError(f"unknown tag {tag}")
 
 
 def precompute(ctx: PrimeContext, tag: FunctionTag,
@@ -218,7 +224,7 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
         # float64 keeps few bits of a small q - a
         a = np.minimum(a, ctx.q - a)
     x = a.astype(np.float64) / ctx.q
-    values = getattr(specfun, _EVALUATOR[tag])(x)
+    values = _evaluate(tag, x)
     return ValueTable(
         q=ctx.q, g=ctx.g, function_tag=tag, k_lo=k_lo, k_hi=k_hi,
         values=values, partial_sum=_exact_sum(values),
@@ -243,21 +249,25 @@ def find(cache_dir, q: int, tag: FunctionTag
         except ValueError:
             raise MergeError(f"{path}: no k0 in the name") from None
 
-    paths = sorted(Path(cache_dir).glob(part_filename(tag, q, "*")), key=k0)
-    if not paths:
-        return None, []
-    for path in paths:
+    def checked(path: Path) -> ValueTable:
         part = load(path)
         if path.name != part_filename(part.function_tag, part.q, part.k_lo):
             raise MergeError(f"{path}: holds the {part.function_tag.value} "
                              f"table for q={part.q} over "
                              f"[{part.k_lo},{part.k_hi})")
-        if len(paths) == 1:
-            return part, paths
-        if path == paths[0]:
-            lo, pos, g = part.k_lo, part.k_lo, part.g
-            values = np.empty(full_range(q, tag)[1] - lo, dtype=_VALUE_DTYPE)
-        elif part.g != g:
+        return part
+
+    paths = sorted(Path(cache_dir).glob(part_filename(tag, q, "*")), key=k0)
+    if len(paths) < 2:
+        return (checked(paths[0]) if paths else None), paths
+    head = checked(paths[0])
+    lo, pos, g = head.k_lo, head.k_hi, head.g
+    values = np.empty(full_range(q, tag)[1] - lo, dtype=_VALUE_DTYPE)
+    values[:pos - lo] = head.values
+    del head
+    for path in paths[1:]:
+        part = checked(path)
+        if part.g != g:
             raise MergeError(f"g mismatch: {g} vs {part.g}")
         if part.k_lo > pos:
             raise MergeError(f"gap at k={pos}")
@@ -318,7 +328,8 @@ def load(path) -> ValueTable:
         if words[1] != str(FORMAT_VERSION).encode():
             raise CacheFormatError(
                 f"{path}: format version {words[1].decode('ascii', 'replace')}"
-                f" is not {FORMAT_VERSION}; re-run `ek precompute`")
+                f" is not {FORMAT_VERSION}; remove it and re-run "
+                f"`ek precompute`")
         m = _HEADER.fullmatch(header)
         try:
             if m is None:
@@ -332,7 +343,8 @@ def load(path) -> ValueTable:
         if target != specfun.TARGET_ABS_ERROR:  # nan and inf included
             raise CacheFormatError(
                 f"{path}: evaluated to target {target!r}, not "
-                f"{specfun.TARGET_ABS_ERROR!r}; re-run `ek precompute`")
+                f"{specfun.TARGET_ABS_ERROR!r}; remove it and re-run "
+                f"`ek precompute`")
         size = os.fstat(fh.fileno()).st_size
         if not 0 < size - len(header) - 8 * (k_hi - k_lo) <= _TRAILER_MAX:
             raise CacheFormatError(f"{path}: {size} bytes do not hold a "

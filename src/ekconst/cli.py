@@ -149,8 +149,9 @@ def cmd_precompute(args) -> int:
     if path.exists():   # only a rerun of its range may replace a part
         held = cache_mod.load(path)
         if (held.k_lo, held.k_hi) != (k_lo, k_hi):
-            raise cache_mod.MergeError(f"{path} holds [{held.k_lo},"
-                                       f"{held.k_hi}), not [{k_lo},{k_hi})")
+            raise FileExistsError(f"{path} holds [{held.k_lo},{held.k_hi}), "
+                                  f"not [{k_lo},{k_hi}); remove it to "
+                                  f"replace it")
         del held
     table = cache_mod.precompute(build_context(q), tag, (k_lo, k_hi))
     cache_mod.save(table, path)

@@ -299,8 +299,8 @@ class TestSaveLoad:
             path = save(precompute(ctx5, FunctionTag.T), tmp_path / "t.ekc")
             load(path)
         with pytest.raises(CacheFormatError,
-                           match=r"target 2\.5e-13, not 1e-14; re-run "
-                                 r"`ek precompute`"):
+                           match=r"target 2\.5e-13, not 1e-14; remove it and "
+                                 r"re-run `ek precompute`"):
             load(path)
 
     def test_flipped_tag_is_format_error(self, ctx5, tmp_path):
@@ -321,7 +321,7 @@ class TestSaveLoad:
             "1 2.000000000000000000e+00\n"
             "SUM 3.000000000000000000e+00 COUNT 2\n")
         with pytest.raises(CacheFormatError,
-                           match="version 1 .*re-run `ek precompute`"):
+                           match="version 1 .*remove it and re-run `ek precompute`"):
             load(path)
 
     def test_not_a_cache_file(self, tmp_path):

@@ -27,8 +27,9 @@ def chunkings(draw):
     q = draw(st.sampled_from(sorted(CONTEXTS)))
     tag = draw(st.sampled_from(list(FunctionTag)))
     hi = full_range(q, tag)[1]
-    # distinct inner cuts: two parts that start at one k would share a name
-    cuts = draw(st.lists(st.integers(1, hi - 1), unique=True, max_size=8))
+    # distinct cuts above 0: two parts that start at one k would share a
+    # name; a cut at hi gives an empty last part [hi, hi)
+    cuts = draw(st.lists(st.integers(1, hi), unique=True, max_size=8))
     bounds = [0] + sorted(cuts) + [hi]
     return q, tag, list(zip(bounds, bounds[1:]))
 

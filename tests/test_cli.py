@@ -300,7 +300,8 @@ class TestCacheCommands:
         code, out, err = run(capsys, "precompute", "101", "--tag", "T",
                              "--range", *second, "--cache", cache)
         assert (code, out) == (1, "")
-        assert f"{part} holds {held}, not [{second[0]},{second[1]})" in err
+        assert (f"{part} holds {held}, not [{second[0]},{second[1]}); "
+                f"remove it to replace it") in err
         assert list(tmp_path.iterdir()) == [part]
         assert part.read_bytes() == before
 
@@ -327,6 +328,25 @@ class TestCacheCommands:
         assert f"{part}: not an EKCACHE file" in err
         assert list(tmp_path.iterdir()) == [part]
         assert part.read_bytes() == b"not a table\n"
+
+    def test_precompute_refuses_a_stale_part_and_names_the_remedy(
+            self, capsys, monkeypatch, tmp_path):
+        argv = ["precompute", "101", "--tag", "T", "--cache", str(tmp_path)]
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "TARGET_ABS_ERROR", 2.5e-13)
+            assert run(capsys, *argv)[0] == 0
+        (part,) = tmp_path.iterdir()
+        stale = part.read_bytes()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert (f"{part}: evaluated to target 2.5e-13, not 1e-14; remove it "
+                f"and re-run `ek precompute`") in err
+        assert list(tmp_path.iterdir()) == [part]
+        assert part.read_bytes() == stale
+        # the remedy the message names works
+        part.unlink()
+        assert run(capsys, *argv) == (0, f"{part}\n", "")
+        assert load(part).values.size == 100
 
     @pytest.mark.parametrize("out_name", ["T_q101_part0.ekc",
                                           "T_q101_part10.ekc",
