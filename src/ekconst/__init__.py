@@ -11,8 +11,8 @@ that halves the precomputation for the parity-restricted sums.
 from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     MergeError, ValueTable, closed_form_sum, load,
                     precompute, save)
-from .ek import CharacterSumError, EKResult, compute_ek
-from .fft import Spectrum, dft, dif_split, twiddle
+from .ek import CharacterSumError, EKResult, compute_ek, parity_bins
+from .fft import Spectrum, dft, twiddle
 from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
                         primitive_root)
 from .offsets import OffsetSequence, greedy_offsets, v_of_q
@@ -28,7 +28,7 @@ __all__ = [
     "LOG_2PI", "MergeError", "NonConvergenceError", "NotPrimeError",
     "OffsetSequence", "PrimeContext", "Spectrum", "StieltjesTable",
     "ValueTable", "ZETA_DD_AT_0",
-    "build_context", "closed_form_sum", "compute_ek", "dft", "dif_split",
-    "gamma_n", "greedy_offsets", "is_prime", "load", "precompute",
+    "build_context", "closed_form_sum", "compute_ek", "dft", "gamma_n",
+    "greedy_offsets", "is_prime", "load", "parity_bins", "precompute",
     "primitive_root", "save", "twiddle", "v_of_q",
 ]

@@ -265,14 +265,15 @@ def find(cache_dir, q: int, tag: FunctionTag
     values = np.empty(full_range(q, tag)[1] - lo, dtype=_VALUE_DTYPE)
     values[:pos - lo] = head.values
     del head
-    for path in paths[1:]:
+    for prev, path in zip(paths, paths[1:]):
         part = checked(path)
         if part.g != g:
             raise MergeError(f"g mismatch: {g} vs {part.g}")
         if part.k_lo > pos:
-            raise MergeError(f"gap at k={pos}")
+            raise MergeError(f"gap at k={pos} between {prev} and {path}")
         if part.k_lo < pos:
-            raise MergeError(f"overlap at k={part.k_lo}")
+            raise MergeError(f"overlap at k={part.k_lo} between {prev} "
+                             f"and {path}")
         values[pos - lo:part.k_hi - lo] = part.values
         pos = part.k_hi
         del part        # before the next part is loaded
@@ -310,8 +311,11 @@ def save(table: ValueTable, path) -> Path:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # name the path asked for, not its temporary sibling
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
         raise
     return path
 

@@ -5,17 +5,19 @@ Character sums over the nontrivial Dirichlet characters mod q are reordered
 through a_k = g^k into discrete Fourier transforms (bin j of the
 transform of f(a_k/q) is the sum of conj(chi_1^j)(a) f(a/q), where
 chi_1(g) = e(1/(q-1))).  chi_1^j is even exactly when j is even, so the
-even characters take the b branch of the decimation split and the odd
-ones the c branch, each a transform of length m = (q-1)/2.
+decimation split (parity_bins) gives the odd characters and the even ones
+each from a transform of length m = (q-1)/2.
 
-Two independent routes each run four such transforms and return
-per-character (odd, even) ratios indexed alike, which _reduce turns into
-the constants:
+Each of two independent routes runs in two parity halves.  A half takes
+two such transforms and divides them, one ratio per character; _half
+reduces the ratios to the half's constant, its max |L'/L(1,chi)| and its
+imaginary residue before the next half allocates.  The odd half gives
+ek_diff and the even half ek_plus:
 
-  method "s":  even characters through S(x) and log Gamma, odd characters
-               through the first chi-Bernoulli numbers and log Gamma
-               (s_ratios);
-  method "t":  all characters through T(x) and psi(x) (t_ratios).
+  method "s":  odd characters through log Gamma and the first
+               chi-Bernoulli numbers (s_odd), even characters through
+               S(x) and log Gamma (s_even);
+  method "t":  both halves through T(x) and psi(x) (t_half).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import cache as cache_mod
 from .cache import FunctionTag, ValueTable
-from .fft import dft, dif_split, twiddle
+from .fft import dft, twiddle
 from .multgroup import PrimeContext
 from .specfun import EULER_GAMMA, LOG_2PI
 
@@ -86,12 +88,30 @@ def _table(ctx: PrimeContext, caches: Mapping[FunctionTag, ValueTable],
     return table
 
 
+def parity_bins(f: np.ndarray, tw: np.ndarray | None = None) -> np.ndarray:
+    """The bins of one parity of the transform of f (indexed by k, length
+    q-1), from one transform of length m = (q-1)/2 through dft: the
+    decimation-in-frequency split, one branch at a time.
+
+    With tw = twiddle(q-1), the odd bins: out[t] is bin 2t+1, t < m, the
+    transform of tw[k]*(f[k] - f[k+m]).  Without, the even bins but bin 0
+    (the trivial character's): out[t-1] is bin 2t, 1 <= t < m, from the
+    transform of f[k] + f[k+m].
+    """
+    m, odd = divmod(len(f), 2)
+    if odd:
+        raise ValueError(f"input length must be even, got {len(f)}")
+    if tw is None:
+        return dft(f[:m] + f[m:]).values[1:]
+    return dft(tw * (f[:m] - f[m:])).values
+
+
 def bernoulli_twisted(ctx: PrimeContext, tw: np.ndarray) -> np.ndarray:
     """First chi-Bernoulli numbers B_{1, conj(chi_1^{2t+1})} for t < m.
 
     B_{1,chi} = (1/q) sum_a a chi(a); nonzero exactly for odd characters.
-    Computed as the c branch of the decimation split of f(x) = x, with
-    tw = twiddle(q-1) as the caller's splits use it.
+    Computed as the odd branch of f(x) = x, with a_{k+m} = q - a_k folded
+    in exactly, and tw = twiddle(q-1).
     """
     q, m = ctx.q, ctx.m
     c = tw * (2.0 * ctx.a_seq[:m] - q) / q
@@ -108,95 +128,67 @@ def _divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     return num
 
 
-def s_ratios(ctx: PrimeContext, log_gamma_table: ValueTable,
-             s_pair_table: ValueTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-character ratios of the S method, from four transforms of length
-    m = (q-1)/2: the two decimation branches of log Gamma, the S pair
-    table and the Bernoulli sequence.
+def s_odd(ctx: PrimeContext, log_gamma_table: ValueTable,
+          tw: np.ndarray) -> np.ndarray:
+    """The odd half of the S method, tw = twiddle(q-1): for chi =
+    chi_1^{2t+1}, t < m, out[t] = L'/L(1,chi) - (gamma + log 2 pi), the
+    ratio of sum_a conj(chi)(a) log Gamma(a/q) to B_{1,conj chi}."""
+    return _divide(parity_bins(log_gamma_table.values, tw),
+                   bernoulli_twisted(ctx, tw), "a first chi-Bernoulli number")
 
-    Returns (odd, even).  For chi = chi_1^{2t+1}, t < m,
-    odd[t] = [sum_a conj(chi)(a) log Gamma(a/q)] / B_{1,conj chi}
-    and L'/L(1,chi) = gamma + log 2 pi + odd[t].  For chi = chi_1^{2t},
-    1 <= t < m, even[t-1] is the ratio of sum_a conj(chi)(a) S(a/q) to
-    sum_a conj(chi)(a) log Gamma(a/q), and
-    L'/L(1,chi) = gamma + log 2 pi - even[t-1]/2.
-    """
-    # each m-length intermediate is dropped once used: this stage sets the
-    # peak memory of method "s" at large q
-    tw = twiddle(ctx.q - 1)
-    b, c = dif_split(log_gamma_table.values, tw)
-    odd = dft(c).values
-    del c
-    odd = _divide(odd, bernoulli_twisted(ctx, tw),
-                  "a first chi-Bernoulli number")
-    del tw
-    den = dft(b).values[1:]
-    del b
+
+def s_even(log_gamma_table: ValueTable,
+           s_pair_table: ValueTable) -> np.ndarray:
+    """The even half of the S method: for chi = chi_1^{2t}, 1 <= t < m,
+    out[t-1] = L'/L(1,chi) - (gamma + log 2 pi), which is -1/2 times the
+    ratio of sum_a conj(chi)(a) S(a/q) to sum_a conj(chi)(a) log Gamma(a/q).
+    The S pair table holds S(x) + S(1-x), the even branch as it stands."""
+    den = parity_bins(log_gamma_table.values)
     even = _divide(dft(s_pair_table.values).values[1:], den,
                    "an even-character log Gamma sum")
-    return odd, even
+    even *= -0.5
+    return even
 
 
-def t_ratios(ctx: PrimeContext, t_table: ValueTable,
-             psi_table: ValueTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-character ratios of the T method, from four transforms of length
-    m = (q-1)/2: the two decimation branches of the T and psi tables.
-
-    Returns (odd, even), indexed as by s_ratios: odd[t] belongs to
-    chi = chi_1^{2t+1}, t < m, and even[t-1] to chi = chi_1^{2t},
-    1 <= t < m.  Each is the ratio r of sum_a chi(a) T(a/q) to
-    sum_a chi(a) psi(a/q), and L'/L(1,chi) = -log q - r.
+def t_half(q: int, t_table: ValueTable, psi_table: ValueTable,
+           tw: np.ndarray | None = None) -> np.ndarray:
+    """One half of the T method: L'/L(1,chi) = -log q - r, with r the ratio
+    of sum_a chi(a) T(a/q) to sum_a chi(a) psi(a/q), for the characters
+    that parity_bins(f, tw) gives the bins of, indexed as it indexes them.
     """
-    tw = twiddle(ctx.q - 1)
-    b_t, c = dif_split(t_table.values, tw)
-    odd = dft(c).values
-    del c
-    b_psi, c = dif_split(psi_table.values, tw)
-    del tw
-    odd = _divide(odd, dft(c).values, "an odd-character psi sum")
-    del c
-    even = _divide(dft(b_t).values[1:], dft(b_psi).values[1:],
-                   "an even-character psi sum")
+    parity = "even" if tw is None else "odd"
+    r = _divide(parity_bins(t_table.values, tw),
+                parity_bins(psi_table.values, tw),
+                f"an {parity}-character psi sum")
     # the transforms give the conj(chi) sums of real tables; conjugating
     # their ratio gives the ratio of the chi sums
-    return np.conjugate(odd, out=odd), np.conjugate(even, out=even)
+    np.conjugate(r, out=r)
+    return np.subtract(-math.log(q), r, out=r)
 
 
-def _take_real(constant: float, terms: np.ndarray, n: int,
-               what: str) -> tuple[float, float, float]:
-    """constant + sum(terms), which must be finite and real: returns its
-    real part, its imaginary residue and the bound that residue passed.
+def _half(q: int, terms: np.ndarray, shift: float, constant: float,
+          what: str) -> tuple[float, float, tuple[float, float]]:
+    """(value, max |L'/L(1,chi)|, (imag residue, bound)) of one half, from
+    its per-character terms, with L'/L(1,chi) = shift + term.  The value
+    constant + sum(terms) must be finite and real.
 
-    The terms come from transforms of length at most n, so each carries a
-    relative float64 error of about eps*log2(n); the bound is that error
-    budget, eps*log2(n)*sum|terms|, of the whole sum.
+    The terms come from transforms of length at most q-1, so each carries a
+    relative float64 error of about eps*log2(q-1); the bound on the
+    imaginary residue is that error budget, eps*log2(q-1)*sum|terms|, of
+    the whole sum.
     """
     value = constant + complex(np.sum(terms))
     if not cmath.isfinite(value):
         raise CharacterSumError(f"{what} is not finite: {value}")
     residue = abs(value.imag)
-    bound = _EPS * math.log2(n) * float(np.sum(np.abs(terms)))
+    bound = _EPS * math.log2(q - 1) * float(np.sum(np.abs(terms)))
     if not residue <= bound:
         raise CharacterSumError(
             f"imaginary residue {residue:.3e} of {what} exceeds its float64 "
-            f"budget eps*log2({n})*sum|terms| = {bound:.3e}"
+            f"budget eps*log2({q - 1})*sum|terms| = {bound:.3e}"
         )
-    return value.real, residue, bound
-
-
-def _reduce(q: int, odd: np.ndarray, even: np.ndarray, shift: float,
-            odd_constant: float, even_constant: float):
-    """(ek, ek_plus, ek_diff, mq_odd, mq_even, (imag residue, its bound))
-    from one route's per-character terms, indexed as by s_ratios, with
-    L'/L(1,chi) = shift + term.  ek_diff = odd_constant + sum(odd) and
-    ek_plus = even_constant + sum(even) are each gated by _take_real."""
-    diff, r1, b1 = _take_real(odd_constant, odd, q - 1, "odd character sum")
-    ek_plus, r2, b2 = _take_real(even_constant, even, q - 1,
-                                 "even character sum")
-    mq_odd = float(np.max(np.abs(shift + odd)))
-    mq_even = float(np.max(np.abs(shift + even))) if even.size else 0.0
-    return (diff + ek_plus, ek_plus, diff, mq_odd, mq_even,
-            max((r1, b1), (r2, b2)))
+    mq = float(np.max(np.abs(shift + terms))) if terms.size else 0.0
+    return value.real, mq, (residue, bound)
 
 
 def compute_ek(ctx: PrimeContext,
@@ -213,35 +205,40 @@ def compute_ek(ctx: PrimeContext,
     if method not in METHOD_TAGS:
         raise ValueError(f"unknown method {method!r}")
     caches = caches or {}
-    q = ctx.q
-    discrepancy = None
+    q, m = ctx.q, ctx.m
+    # per route, ((ek_diff, mq_odd, imag), (ek_plus, mq_even, imag)); each
+    # half's arrays are gone once _half returns, before the next allocates
+    routes = []
     if method in (METHOD_S, METHOD_BOTH):
-        odd, even = s_ratios(ctx, *(_table(ctx, caches, tag)
-                                    for tag in METHOD_TAGS[METHOD_S]))
-        even *= -0.5
+        lg, sp = (_table(ctx, caches, tag) for tag in METHOD_TAGS[METHOD_S])
         shift = EULER_GAMMA + LOG_2PI
-        out = _reduce(q, odd, even, shift, (q - 1) / 2 * shift,
-                      (q - 1) / 2 * EULER_GAMMA + (q - 3) / 2 * LOG_2PI)
-        del odd, even  # before the T transforms allocate theirs
+        routes.append((
+            _half(q, s_odd(ctx, lg, twiddle(q - 1)), shift, m * shift,
+                  "odd character sum"),
+            _half(q, s_even(lg, sp), shift,
+                  m * EULER_GAMMA + (m - 1) * LOG_2PI, "even character sum"),
+        ))
+        del lg, sp  # before the T route evaluates its own tables
     if method in (METHOD_T, METHOD_BOTH):
-        odd, even = t_ratios(ctx, *(_table(ctx, caches, tag)
-                                    for tag in METHOD_TAGS[METHOD_T]))
-        for r in (odd, even):
-            np.subtract(-math.log(q), r, out=r)
-        out_t = _reduce(q, odd, even, 0.0, 0.0, EULER_GAMMA)
-        if method == METHOD_T:
-            out = out_t
-        else:
-            discrepancy = abs(out[0] - out_t[0])
-    ek, ek_plus, diff, mq_odd, mq_even, imag = out
+        t, psi = (_table(ctx, caches, tag) for tag in METHOD_TAGS[METHOD_T])
+        routes.append((
+            _half(q, t_half(q, t, psi, twiddle(q - 1)), 0.0, 0.0,
+                  "odd character sum"),
+            _half(q, t_half(q, t, psi), 0.0, EULER_GAMMA,
+                  "even character sum"),
+        ))
+    ek, *cross = (odd[0] + even[0] for odd, even in routes)
+    (diff, mq_odd, imag_odd), (ek_plus, mq_even, imag_even) = routes[0]
     mq = max(mq_odd, mq_even)
+    imag = max(imag_odd, imag_even)
     lq = math.log(q)
     llq = math.log(lq)
     return EKResult(
         q=q, ek=ek, ek_plus=ek_plus, ek_diff=diff,
         mq_odd=mq_odd, mq_even=mq_even, mq=mq,
         ek_norm=ek / lq, ek_plus_norm=ek_plus / lq, mq_norm=mq / llq,
-        method=method, method_discrepancy=discrepancy,
+        method=method,
+        method_discrepancy=abs(ek - cross[0]) if cross else None,
         imag_residue=imag[0], imag_bound=imag[1],
     )
 

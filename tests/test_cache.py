@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from ekconst import cache, specfun
+from ekconst import cache, cli, specfun
 from ekconst.ek import compute_ek
 from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
                            FunctionTag, MergeError, ValueTable, _FSUM_BELOW,
@@ -142,13 +142,17 @@ class TestMerge:
     def test_gap(self, ctx5, tmp_path):
         parts = [precompute(ctx5, FunctionTag.LOGGAMMA, (0, 2)),
                  precompute(ctx5, FunctionTag.LOGGAMMA, (3, 4))]
-        with pytest.raises(MergeError, match="gap at k=2"):
+        with pytest.raises(MergeError, match="gap at k=2 between .*/"
+                                             "LOGGAMMA_q5_part0.ekc and .*/"
+                                             "LOGGAMMA_q5_part3.ekc$"):
             _find_saved(tmp_path, parts)
 
     def test_overlap(self, ctx5, tmp_path):
         parts = [precompute(ctx5, FunctionTag.LOGGAMMA, (0, 3)),
                  precompute(ctx5, FunctionTag.LOGGAMMA, (2, 4))]
-        with pytest.raises(MergeError, match="overlap at k=2"):
+        with pytest.raises(MergeError, match="overlap at k=2 between .*/"
+                                             "LOGGAMMA_q5_part0.ekc and .*/"
+                                             "LOGGAMMA_q5_part2.ekc$"):
             _find_saved(tmp_path, parts)
 
     def test_mismatch(self, ctx5, tmp_path):
@@ -291,6 +295,19 @@ class TestSaveLoad:
             f"SUM {table.partial_sum:.18e} COUNT 50\n".encode())
         body = data[_header_len(data):_header_len(data) + 8 * 50]
         assert body == table.values.astype("<f8").tobytes()
+
+    def test_merge_out_into_a_missing_directory_names_the_path_given(
+            self, ctx101, tmp_path, capsys):
+        # save writes a temporary sibling first; the error must still name
+        # the path asked for
+        part = tmp_path / part_filename(FunctionTag.T, 101, 0)
+        save(precompute(ctx101, FunctionTag.T), part)
+        out = tmp_path / "missing" / "T.ekc"
+        assert cli.main(["merge", "101", "--tag", "T", "--cache",
+                         str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert list(tmp_path.iterdir()) == [part]
 
     def test_round_trip_refuses_a_foreign_target(self, ctx5, tmp_path,
                                                  monkeypatch):

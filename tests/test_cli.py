@@ -19,6 +19,8 @@ from ekconst.offsets import greedy_offsets, v_of_q
 from ekconst.specfun import gamma_n
 from reference_values import EK
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -214,6 +216,19 @@ class TestScan:
         assert len(rows) == 16
         for row in rows:
             assert run(capsys, "vq", row[0]) == (0, row[-1] + "\n", "")
+
+    @pytest.mark.parametrize("name, options", [
+        ("both", ["--method", "both"]),
+        ("t", ["--method", "t", "--digits", "17"]),
+    ])
+    def test_scan_to_300_keeps_its_bytes(self, capsys, name, options):
+        # tests/data holds what `ek scan 3 300` printed with these options
+        # before the character sums were reduced half by half; a change in
+        # the order of any float64 operation of the assembly shows here
+        code, out, _ = run(capsys, "scan", "3", "300", *options)
+        assert code == 0
+        with open(os.path.join(DATA, f"scan_3_300_{name}.csv"), "rb") as f:
+            assert out.encode() == f.read()
 
     def test_method_t_scan_matches_method_s(self, capsys, tmp_path):
         a, b = tmp_path / "s.csv", tmp_path / "t.csv"

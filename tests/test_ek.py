@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ import ekconst
 from ekconst import ek, specfun
 from ekconst.cache import (ChecksumMismatchError, FunctionTag, ValueTable,
                            precompute)
-from ekconst.ek import (METHOD_TAGS, CharacterSumError, _take_real,
-                        bernoulli_twisted, compute_ek, s_ratios, t_ratios)
-from ekconst.fft import dft, dif_split, twiddle
+from ekconst.ek import (METHOD_TAGS, CharacterSumError, _half,
+                        bernoulli_twisted, compute_ek, parity_bins, s_even,
+                        s_odd, t_half)
+from ekconst.fft import dft, twiddle
 from ekconst.multgroup import build_context
 from ekconst.specfun import EULER_GAMMA
 from reference_values import EK, EK_PLUS, MQ
@@ -163,7 +165,7 @@ class TestStructuralIdentities:
         # gate must ask for a finite sum first
         terms = np.array([1.0 + 0.5j, 1.0 - 0.5j, bad])
         with pytest.raises(CharacterSumError, match="not finite"):
-            _take_real(0.0, terms, 100, "test sum")
+            _half(101, terms, 0.0, 0.0, "test sum")
 
     def test_first_bernoulli_nonzero(self, small_contexts):
         for ctx in small_contexts.values():
@@ -181,7 +183,7 @@ class TestStructuralIdentities:
             target = (np.exp(-2j * np.pi * k / (ctx.q - 1))
                       * (2.0 * ctx.a_seq[:ctx.m] - ctx.q) / ctx.q)
         else:
-            target = dif_split(lg.values, twiddle(ctx.q - 1))[0]
+            target = lg.values[:ctx.m] + lg.values[ctx.m:]
 
         def dft_zeroing(x, *args, **kwargs):
             spectrum = dft(x, *args, **kwargs)
@@ -200,8 +202,9 @@ class TestStructuralIdentities:
         # ek = -inf and mq = inf
         ctx = build_context(101)
         caches = method_tables(ctx, method)
-        b, c = dif_split(caches[FunctionTag.PSI].values, twiddle(ctx.q - 1))
-        target = b if branch == "even" else c
+        psi, m = caches[FunctionTag.PSI].values, ctx.m
+        target = (psi[:m] + psi[m:] if branch == "even"
+                  else twiddle(ctx.q - 1) * (psi[:m] - psi[m:]))
 
         def dft_zeroing(x):
             spectrum = dft(x)
@@ -242,6 +245,10 @@ class TestSigmaConvention:
         for j in range(4):
             direct = np.sum(np.conj(chars[j]) * lg.values)
             assert spec[j] == pytest.approx(direct, abs=1e-13)
+        # the parity branches give bins 1, 3 and bin 2 of that transform
+        odd = parity_bins(lg.values, twiddle(ctx.q - 1))
+        assert odd == pytest.approx(spec[1::2], abs=1e-13)
+        assert parity_bins(lg.values) == pytest.approx(spec[2:3], abs=1e-13)
 
     def test_q5_bernoulli_matches_explicit(self):
         ctx = build_context(5)
@@ -258,9 +265,9 @@ class TestPerCharacterOracle:
     def test_fft_equals_direct(self, q):
         ctx = build_context(q)
         lg, sp = tables(ctx)
-        odd, even = s_ratios(ctx, lg, sp)
-        odd_vals = specfun.EULER_GAMMA + specfun.LOG_2PI + odd
-        even_vals = specfun.EULER_GAMMA + specfun.LOG_2PI - 0.5 * even
+        shift = specfun.EULER_GAMMA + specfun.LOG_2PI
+        odd_vals = shift + s_odd(ctx, lg, twiddle(q - 1))
+        even_vals = shift + s_even(lg, sp)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):
@@ -272,27 +279,27 @@ class TestPerCharacterOracle:
     def test_t_route_equals_direct_and_s(self, q):
         ctx = build_context(q)
         lg, sp = tables(ctx)
-        s_odd, s_even = s_ratios(ctx, lg, sp)
-        t_odd, t_even = t_ratios(ctx, precompute(ctx, FunctionTag.T),
-                                 precompute(ctx, FunctionTag.PSI))
+        tw = twiddle(q - 1)
+        odd, even = s_odd(ctx, lg, tw), s_even(lg, sp)
+        tables_t = (precompute(ctx, FunctionTag.T),
+                    precompute(ctx, FunctionTag.PSI))
+        t_odd, t_even = t_half(q, *tables_t, tw), t_half(q, *tables_t)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
         for t in range(ctx.m):
-            t_val = -math.log(q) - t_odd[t]
-            assert t_val == pytest.approx(direct[2 * t + 1], abs=1e-10)
-            assert t_val == pytest.approx(shift + s_odd[t], abs=1e-10)
+            assert t_odd[t] == pytest.approx(direct[2 * t + 1], abs=1e-10)
+            assert t_odd[t] == pytest.approx(shift + odd[t], abs=1e-10)
         for t in range(1, ctx.m):
-            t_val = -math.log(q) - t_even[t - 1]
-            assert t_val == pytest.approx(direct[2 * t], abs=1e-10)
-            assert t_val == pytest.approx(shift - 0.5 * s_even[t - 1],
-                                          abs=1e-10)
+            assert t_even[t - 1] == pytest.approx(direct[2 * t], abs=1e-10)
+            assert t_even[t - 1] == pytest.approx(shift + even[t - 1],
+                                                  abs=1e-10)
 
     def test_conjugate_pairing(self):
         ctx = build_context(31)
-        lg, sp = tables(ctx)
-        odd, _ = s_ratios(ctx, lg, sp)
-        odd_vals = specfun.EULER_GAMMA + specfun.LOG_2PI + odd
+        lg, _ = tables(ctx)
+        odd_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
+                    + s_odd(ctx, lg, twiddle(ctx.q - 1)))
         m = ctx.m
         for t in range(m):
             assert odd_vals[t] == pytest.approx(
@@ -425,6 +432,27 @@ class TestTransformContract:
         compute_ek(build_context(101), method="both")
         assert calls == ["LOGGAMMA", "S_PAIR", *["dft"] * 4,
                          "T", "PSI", *["dft"] * 4]
+
+    @pytest.mark.parametrize("method", ["s", "t", "both"])
+    def test_each_half_is_released_before_the_next(self, method,
+                                                   monkeypatch):
+        # at the start of each transform, how many spectra of earlier
+        # transforms are still alive: a half holds its first spectrum
+        # while it runs its second, and no half outlives its reduction
+        ctx = build_context(101)
+        caches = method_tables(ctx, method)
+        spectra, alive = [], []
+        ek_dft = ek.dft
+
+        def tracking_dft(x):
+            alive.append(sum(ref() is not None for ref in spectra))
+            spectrum = ek_dft(x)
+            spectra.append(weakref.ref(spectrum.values))
+            return spectrum
+
+        monkeypatch.setattr(ek, "dft", tracking_dft)
+        compute_ek(ctx, caches, method=method)
+        assert alive == [0, 1] * (4 if method == "both" else 2)
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
     def test_one_twiddle_per_route(self, method, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ekconst.fft import dft, dif_split, twiddle
+from ekconst.ek import parity_bins
+from ekconst.fft import dft, twiddle
 
 RNG = np.random.default_rng(20240817)
 
@@ -68,23 +69,23 @@ class TestProperties:
 
 class TestDecimation:
     def test_arithmetic_example_q5(self):
+        # the full transform of f is [6, -2+2i, -2, -2-2i]
         f = np.array([0.0, 1.0, 2.0, 3.0])
-        b, c = dif_split(f, twiddle(len(f)))
-        assert np.allclose(b, [2.0, 4.0], atol=1e-15)
-        assert c[0] == pytest.approx(-2.0, abs=1e-15)
-        want = np.exp(-2j * np.pi / 4) * (1.0 - 3.0)
-        assert c[1] == pytest.approx(want, abs=1e-15)
+        assert np.allclose(parity_bins(f), [-2.0], atol=1e-15)
+        assert np.allclose(parity_bins(f, twiddle(len(f))),
+                           [-2.0 + 2.0j, -2.0 - 2.0j], atol=1e-15)
 
     def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            dif_split(np.zeros(5), twiddle(5))
+        for tw in (None, twiddle(5)):
+            with pytest.raises(ValueError, match="length must be even"):
+                parity_bins(np.zeros(5), tw)
 
     @pytest.mark.parametrize("q", oracles.odd_primes_up_to(101))
     def test_bin_equivalence_all_primes_to_101(self, q):
         f = RNG.standard_normal(q - 1)
         full = oracles.naive_dft(f, -1)
-        b, c = dif_split(f, twiddle(len(f)))
-        even = dft(b).values
-        odd = dft(c).values
-        assert float(np.max(np.abs(even - full[0::2]))) <= 1e-12 * q
+        even = parity_bins(f)
+        odd = parity_bins(f, twiddle(len(f)))
+        assert float(np.max(np.abs(even - full[2::2]),
+                            initial=0.0)) <= 1e-12 * q
         assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-12 * q
