@@ -320,37 +320,72 @@ def save(table: ValueTable, path) -> Path:
     return path
 
 
+def _read_header(fh, path: Path) -> tuple[int, int, FunctionTag, int, int]:
+    """(q, g, tag, k0, k1) from the header line of the open file fh, which
+    it reads past.  CacheFormatError unless the line is a version-2 header
+    of a range within the tag's full range, evaluated to TARGET_ABS_ERROR.
+    """
+    header = fh.readline(_HEADER_MAX)
+    words = header.split()
+    if len(words) < 2 or words[0] != FORMAT_MAGIC.encode():
+        raise CacheFormatError(f"{path}: not an {FORMAT_MAGIC} file")
+    if words[1] != str(FORMAT_VERSION).encode():
+        raise CacheFormatError(
+            f"{path}: format version {words[1].decode('ascii', 'replace')}"
+            f" is not {FORMAT_VERSION}; remove it and re-run "
+            f"`ek precompute`")
+    m = _HEADER.fullmatch(header)
+    try:
+        if m is None:
+            raise ValueError(header)
+        q, g, k_lo, k_hi = map(int, m.group("q", "g", "k0", "k1"))
+        tag = FunctionTag(m["tag"].decode())
+        target = float(m["target"])
+        _check_range(q, tag, k_lo, k_hi)
+    except ValueError as exc:
+        raise CacheFormatError(f"{path}: bad header ({exc})") from exc
+    if target != specfun.TARGET_ABS_ERROR:  # nan and inf included
+        raise CacheFormatError(
+            f"{path}: evaluated to target {target!r}, not "
+            f"{specfun.TARGET_ABS_ERROR!r}; remove it and re-run "
+            f"`ek precompute`")
+    return q, g, tag, k_lo, k_hi
+
+
+def part_to_write(cache_dir, q: int, tag: FunctionTag, k_lo: int,
+                  k_hi: int) -> Path:
+    """The path of the tag's part for q over [k_lo, k_hi) in cache_dir,
+    once the headers there allow writing it: FileExistsError if that name
+    holds another range, or a part of another name overlaps the range.  Of
+    the parts whose header does not read, only the one of that name is
+    refused here; find refuses the others on every read."""
+    path = Path(cache_dir) / part_filename(tag, q, k_lo)
+    for other in sorted(Path(cache_dir).glob(part_filename(tag, q, "*"))):
+        try:
+            with open(other, "rb") as fh:
+                lo, hi = _read_header(fh, other)[3:]
+        except CacheFormatError:
+            if other == path:
+                raise
+            continue
+        if other == path and (lo, hi) != (k_lo, k_hi):
+            raise FileExistsError(f"{path} holds [{lo},{hi}), not "
+                                  f"[{k_lo},{k_hi}); remove it to replace it")
+        if other != path and lo < k_hi and k_lo < hi:
+            raise FileExistsError(f"{path} over [{k_lo},{k_hi}) would "
+                                  f"overlap {other}, which holds "
+                                  f"[{lo},{hi}); remove it to replace it")
+    return path
+
+
 def load(path) -> ValueTable:
     """Read a table back.  The header's target must be TARGET_ABS_ERROR
     and the values must reproduce the SUM trailer exactly."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.readline(_HEADER_MAX)
-        words = header.split()
-        if len(words) < 2 or words[0] != FORMAT_MAGIC.encode():
-            raise CacheFormatError(f"{path}: not an {FORMAT_MAGIC} file")
-        if words[1] != str(FORMAT_VERSION).encode():
-            raise CacheFormatError(
-                f"{path}: format version {words[1].decode('ascii', 'replace')}"
-                f" is not {FORMAT_VERSION}; remove it and re-run "
-                f"`ek precompute`")
-        m = _HEADER.fullmatch(header)
-        try:
-            if m is None:
-                raise ValueError(header)
-            q, g, k_lo, k_hi = map(int, m.group("q", "g", "k0", "k1"))
-            tag = FunctionTag(m["tag"].decode())
-            target = float(m["target"])
-            _check_range(q, tag, k_lo, k_hi)
-        except ValueError as exc:
-            raise CacheFormatError(f"{path}: bad header ({exc})") from exc
-        if target != specfun.TARGET_ABS_ERROR:  # nan and inf included
-            raise CacheFormatError(
-                f"{path}: evaluated to target {target!r}, not "
-                f"{specfun.TARGET_ABS_ERROR!r}; remove it and re-run "
-                f"`ek precompute`")
+        q, g, tag, k_lo, k_hi = _read_header(fh, path)
         size = os.fstat(fh.fileno()).st_size
-        if not 0 < size - len(header) - 8 * (k_hi - k_lo) <= _TRAILER_MAX:
+        if not 0 < size - fh.tell() - 8 * (k_hi - k_lo) <= _TRAILER_MAX:
             raise CacheFormatError(f"{path}: {size} bytes do not hold a "
                                    f"header, {k_hi - k_lo} values and a SUM")
         values = np.empty(k_hi - k_lo, dtype=_VALUE_DTYPE)

@@ -74,27 +74,21 @@ def _cache_dir(args, required: bool = False) -> Path | None:
     return Path(path) if path else None
 
 
-def _load_cached_tables(args, q: int, tags) -> dict:
-    """Every requested tag's table that cache_mod.find finds in the cache
-    directory, if there is one.
-
-    cache_mod.load refuses a file evaluated to another target than
-    specfun.TARGET_ABS_ERROR.  The closed-form gate is left to the
-    consumer: compute_ek applies it to every table it uses, and the
-    checksum command prints the residual before applying it.
-    """
+def _cached(args, q: int):
+    """The lookup compute_ek and cmd_checksum fetch a table through: the
+    tag's table that cache_mod.find finds in the cache directory, if there
+    is one.  load refuses a file of another target than TARGET_ABS_ERROR;
+    the closed-form gate is the consumer's: compute_ek applies it to every
+    table it uses, and cmd_checksum prints the residual first."""
     cache_dir = _cache_dir(args)
-    found = ({tag: cache_mod.find(cache_dir, q, tag)[0] for tag in tags}
-             if cache_dir else {})
-    return {tag: table for tag, table in found.items() if table is not None}
+    return lambda tag: cache_dir and cache_mod.find(cache_dir, q, tag)[0]
 
 
 def _compute(args, q: int) -> ek_mod.EKResult:
     """compute_ek for q with args.method, on the tables the cache has;
     compute_ek evaluates the others."""
-    ctx = build_context(q)
-    caches = _load_cached_tables(args, q, ek_mod.METHOD_TAGS[args.method])
-    return ek_mod.compute_ek(ctx, caches, method=args.method)
+    return ek_mod.compute_ek(build_context(q), _cached(args, q),
+                             method=args.method)
 
 
 def cmd_compute(args) -> int:
@@ -145,14 +139,7 @@ def cmd_precompute(args) -> int:
     cache_dir.mkdir(parents=True, exist_ok=True)
     tag = FunctionTag(args.tag)
     k_lo, k_hi = args.range or cache_mod.full_range(q, tag)
-    path = cache_dir / cache_mod.part_filename(tag, q, k_lo)
-    if path.exists():   # only a rerun of its range may replace a part
-        held = cache_mod.load(path)
-        if (held.k_lo, held.k_hi) != (k_lo, k_hi):
-            raise FileExistsError(f"{path} holds [{held.k_lo},{held.k_hi}), "
-                                  f"not [{k_lo},{k_hi}); remove it to "
-                                  f"replace it")
-        del held
+    path = cache_mod.part_to_write(cache_dir, q, tag, k_lo, k_hi)
     table = cache_mod.precompute(build_context(q), tag, (k_lo, k_hi))
     cache_mod.save(table, path)
     print(path)
@@ -195,7 +182,7 @@ def cmd_checksum(args) -> int:
     q = args.q
     _check_odd_prime(q)
     tag = FunctionTag(args.tag)
-    table = (_load_cached_tables(args, q, [tag]).get(tag)
+    table = (_cached(args, q)(tag)
              or cache_mod.precompute(build_context(q), tag))
     # checksum_residual refuses a table short of the full range
     print(f"residual = {table.checksum_residual():.6e} "

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -74,12 +74,12 @@ class EKResult:
     imag_bound: float = 0.0
 
 
-def _table(ctx: PrimeContext, caches: Mapping[FunctionTag, ValueTable],
+def _table(ctx: PrimeContext, tables: Callable | None,
            tag: FunctionTag) -> ValueTable:
-    """The tagged table from caches, or evaluated here if caches lacks it.
+    """The tagged table from tables(tag), or evaluated here if that is None.
     Either way it must hold the tag's values for ctx's q and g, and pass
     the closed-form gate, which refuses a table short of the full range."""
-    table = caches.get(tag) or cache_mod.precompute(ctx, tag)
+    table = (tables and tables(tag)) or cache_mod.precompute(ctx, tag)
     if (table.function_tag, table.q, table.g) != (tag, ctx.q, ctx.g):
         raise ValueError(f"{tag.value} table for q={table.q}, g={table.g} "
                          f"does not match the context q={ctx.q}, g={ctx.g}"
@@ -191,36 +191,35 @@ def _half(q: int, terms: np.ndarray, shift: float, constant: float,
     return value.real, mq, (residue, bound)
 
 
-def compute_ek(ctx: PrimeContext,
-               caches: Mapping[FunctionTag, ValueTable] | None = None,
+def compute_ek(ctx: PrimeContext, tables: Callable | None = None,
                method: str = METHOD_S) -> EKResult:
     """Full constant computation for one prime; see module docstring.
 
-    Each table the method needs comes from caches if it is there and is
-    evaluated here otherwise, one route at a time, so the S route's
-    evaluated tables are gone before the T route evaluates its own.  With
+    Each table is fetched at its first use from the lookup tables(tag), a
+    FunctionTag -> ValueTable or None, or evaluated here where that gives
+    None, and held only while its halves run: LOGGAMMA from the odd half
+    of route "s", S_PAIR for its even half, T and PSI for route "t".  With
     method "both" the S route provides the reported values and the T route
     the cross-check discrepancy.
     """
     if method not in METHOD_TAGS:
         raise ValueError(f"unknown method {method!r}")
-    caches = caches or {}
     q, m = ctx.q, ctx.m
     # per route, ((ek_diff, mq_odd, imag), (ek_plus, mq_even, imag)); each
     # half's arrays are gone once _half returns, before the next allocates
     routes = []
     if method in (METHOD_S, METHOD_BOTH):
-        lg, sp = (_table(ctx, caches, tag) for tag in METHOD_TAGS[METHOD_S])
+        lg = _table(ctx, tables, FunctionTag.LOGGAMMA)
         shift = EULER_GAMMA + LOG_2PI
-        routes.append((
-            _half(q, s_odd(ctx, lg, twiddle(q - 1)), shift, m * shift,
-                  "odd character sum"),
-            _half(q, s_even(lg, sp), shift,
-                  m * EULER_GAMMA + (m - 1) * LOG_2PI, "even character sum"),
-        ))
-        del lg, sp  # before the T route evaluates its own tables
+        odd = _half(q, s_odd(ctx, lg, twiddle(q - 1)), shift, m * shift,
+                    "odd character sum")
+        even = _half(q, s_even(lg, _table(ctx, tables, FunctionTag.S_PAIR)),
+                     shift, m * EULER_GAMMA + (m - 1) * LOG_2PI,
+                     "even character sum")
+        routes.append((odd, even))
+        del lg  # before the T route fetches its own tables
     if method in (METHOD_T, METHOD_BOTH):
-        t, psi = (_table(ctx, caches, tag) for tag in METHOD_TAGS[METHOD_T])
+        t, psi = (_table(ctx, tables, tag) for tag in METHOD_TAGS[METHOD_T])
         routes.append((
             _half(q, t_half(q, t, psi, twiddle(q - 1)), 0.0, 0.0,
                   "odd character sum"),

@@ -90,7 +90,7 @@ class TestPrecompute:
         with pytest.raises(ChecksumMismatchError, match=match):
             save(table, tmp_path / "full.ekc")
         with pytest.raises(ChecksumMismatchError, match=match):
-            compute_ek(ctx101, {FunctionTag.S_PAIR: table})
+            compute_ek(ctx101, {FunctionTag.S_PAIR: table}.get)
         assert [p.name for p in tmp_path.iterdir()] == ["part.ekc"]
 
     def test_nan_partial_sum_fails_the_closed_form_gate(self, ctx101):

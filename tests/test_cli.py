@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ def run_fresh(script: str, timeout: float) -> subprocess.CompletedProcess:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def run_fresh_cli(argv, timeout: float) -> subprocess.CompletedProcess:
+    """cli.main(argv) in a new interpreter, which then writes its own peak
+    RSS (ru_maxrss, in KiB) as the last word of its stderr."""
+    script = ("import resource, sys\n"
+              "from ekconst import cli\n"
+              f"code = cli.main({[str(a) for a in argv]!r})\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+              " file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    return run_fresh(script, timeout)
 
 
 @pytest.fixture
@@ -78,13 +91,7 @@ class TestCompute:
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone
-        script = ("import resource, sys\n"
-                  "from ekconst import cli\n"
-                  "code = cli.main(['compute', '10000019'])\n"
-                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
-                  " file=sys.stderr)\n"
-                  "sys.exit(code)\n")
-        proc = run_fresh(script, timeout=1800)
+        proc = run_fresh_cli(["compute", 10000019], timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
@@ -256,19 +263,31 @@ class TestCacheCommands:
                  (["merge", q, "--tag", "PSI", "--cache", cache], 159),
                  (["checksum", q, "--tag", "PSI", "--cache", cache], 117)]
         for argv, peak_mb in steps:
-            script = ("import resource, sys\n"
-                      "from ekconst import cli\n"
-                      f"code = cli.main({[str(a) for a in argv]!r})\n"
-                      "print(resource.getrusage(resource.RUSAGE_SELF)"
-                      ".ru_maxrss, file=sys.stderr)\n"
-                      "sys.exit(code)\n")
-            proc = run_fresh(script, timeout=600)
+            proc = run_fresh_cli(argv, timeout=600)
             assert proc.returncode == 0, (argv, proc.stderr)
             peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
             assert peak_kb < peak_mb * 2**10, (argv, peak_kb)
         assert [p.name for p in tmp_path.iterdir()] == [
             "PSI_q10000019_part0.ekc"]
         assert proc.stdout.startswith("residual = ")
+
+    @pytest.mark.extended
+    def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
+        # the four tables on disk, then a fresh ek compute whose ru_maxrss
+        # is its own peak.  The bound is that peak as measured (742 MB
+        # on 2 cores, numpy 2.4.6) plus 10%; loading every table up front
+        # peaked at 856 MB
+        q, cache = 10000019, str(tmp_path)
+        for tag in FunctionTag:
+            proc = run_fresh_cli(["precompute", q, "--tag", tag.value,
+                                  "--cache", cache], timeout=600)
+            assert proc.returncode == 0, (tag, proc.stderr)
+        proc = run_fresh_cli(["compute", q, "--method", "both",
+                              "--cache", cache], timeout=1800)
+        assert proc.returncode == 0, proc.stderr
+        assert "method_discrepancy = " in proc.stdout
+        peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
+        assert peak_kb < 816 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)
@@ -317,6 +336,28 @@ class TestCacheCommands:
         assert (code, out) == (1, "")
         assert (f"{part} holds {held}, not [{second[0]},{second[1]}); "
                 f"remove it to replace it") in err
+        assert list(tmp_path.iterdir()) == [part]
+        assert part.read_bytes() == before
+
+    @pytest.mark.parametrize("first, second", [(["0", "30"], ["20", "100"]),
+                                               (["20", "100"], ["0", "30"]),
+                                               (["20", "50"], ["0", "100"])])
+    def test_precompute_refuses_a_part_overlapping_another(
+            self, capsys, tmp_path, first, second):
+        # the two parts have different names, so only their headers show
+        # the overlap; written, it would fail every later read of the table
+        cache = str(tmp_path)
+        assert run(capsys, "precompute", "101", "--tag", "T", "--range",
+                   *first, "--cache", cache)[0] == 0
+        (part,) = tmp_path.iterdir()
+        before = part.read_bytes()
+        code, out, err = run(capsys, "precompute", "101", "--tag", "T",
+                             "--range", *second, "--cache", cache)
+        assert (code, out) == (1, "")
+        new = tmp_path / f"T_q101_part{second[0]}.ekc"
+        assert (f"{new} over [{second[0]},{second[1]}) would overlap {part}, "
+                f"which holds [{first[0]},{first[1]}); remove it to replace "
+                f"it") in err
         assert list(tmp_path.iterdir()) == [part]
         assert part.read_bytes() == before
 
@@ -426,6 +467,38 @@ class TestCacheCommands:
                            "--cache", cache)
         assert code == 0
         assert out.startswith("residual =")
+
+    def test_compute_holds_a_cached_table_only_while_its_halves_run(
+            self, capsys, tmp_path, monkeypatch):
+        # each load is logged by its tag, and each transform by the tags
+        # of the loaded tables whose values are still alive as it starts
+        cache = str(tmp_path)
+        for tag in FunctionTag:
+            run(capsys, "precompute", "101", "--tag", tag.value,
+                "--cache", cache)
+        loaded, events = [], []
+        real_load, real_dft = cli.cache_mod.load, cli.ek_mod.dft
+
+        def tracking_load(path):
+            table = real_load(path)
+            loaded.append((table.function_tag.value,
+                           weakref.ref(table.values)))
+            events.append(table.function_tag.value)
+            return table
+
+        def tracking_dft(x):
+            events.append(sorted(t for t, ref in loaded if ref() is not None))
+            return real_dft(x)
+
+        monkeypatch.setattr(cli.cache_mod, "load", tracking_load)
+        monkeypatch.setattr(cli.ek_mod, "dft", tracking_dft)
+        code, out, _ = run(capsys, "compute", "101", "--method", "both",
+                           "--cache", cache)
+        assert code == 0
+        assert events == ["LOGGAMMA", ["LOGGAMMA"], ["LOGGAMMA"],
+                          "S_PAIR", *[["LOGGAMMA", "S_PAIR"]] * 2,
+                          "T", "PSI", *[["PSI", "T"]] * 4]
+        assert out == run(capsys, "compute", "101", "--method", "both")[1]
 
     def test_default_merge_replaces_parts(self, capsys, tmp_path):
         cache = str(tmp_path)

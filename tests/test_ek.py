@@ -151,13 +151,13 @@ class TestStructuralIdentities:
         # character's Bernoulli number leaves a large imaginary part
         ctx = build_context(10007)
         caches = method_tables(ctx, "s")
-        compute_ek(ctx, caches, method="s")  # correctly paired, it passes
+        compute_ek(ctx, caches.get, method="s")  # correctly paired, it passes
         monkeypatch.setattr(ek, "bernoulli_twisted",
                             lambda c, tw: np.roll(bernoulli_twisted(c, tw), 1))
         with pytest.raises(CharacterSumError,
                            match="imaginary residue .* exceeds its float64 "
                                  "budget"):
-            compute_ek(ctx, caches, method="s")
+            compute_ek(ctx, caches.get, method="s")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.inf)])
     def test_non_finite_sum_is_refused(self, bad):
@@ -216,7 +216,7 @@ class TestStructuralIdentities:
         with pytest.raises(CharacterSumError,
                            match=f"an {branch}-character psi sum is "
                                  "numerically zero"):
-            compute_ek(ctx, caches, method=method)
+            compute_ek(ctx, caches.get, method=method)
 
     def test_grh_style_bound(self):
         for q in oracles.odd_primes_up_to(300):
@@ -341,7 +341,7 @@ class TestCacheHandling:
         with pytest.raises(ValueError,
                            match="LOGGAMMA table for q=11, g=2 does not "
                                  "match the context q=7, g=3"):
-            compute_ek(ctx7, caches, method="s")
+            compute_ek(ctx7, caches.get, method="s")
 
     def test_table_of_another_tag_rejected(self):
         # a PSI table given as the T table, though q and g agree
@@ -351,15 +351,15 @@ class TestCacheHandling:
                            match=r"T table for q=101, g=2 does not match the "
                                  r"context q=101, g=2 \(it holds PSI "
                                  r"values\)"):
-            compute_ek(ctx, caches, method="t")
+            compute_ek(ctx, caches.get, method="t")
 
     def test_missing_tables_are_evaluated(self, calls):
         # given the S tables only, "both" evaluates T and PSI itself, and
         # the result is the one made from all four tables given
         ctx = build_context(101)
-        res = compute_ek(ctx, method_tables(ctx, "s"), method="both")
+        res = compute_ek(ctx, method_tables(ctx, "s").get, method="both")
         assert [c for c in calls if c != "dft"] == ["T", "PSI"]
-        assert res == compute_ek(ctx, method_tables(ctx, "both"),
+        assert res == compute_ek(ctx, method_tables(ctx, "both").get,
                                  method="both")
 
     def test_partial_table_is_refused(self):
@@ -368,7 +368,7 @@ class TestCacheHandling:
                                                  (0, 49))}
         with pytest.raises(ValueError, match="S_PAIR table for q=101 does "
                                              "not cover the full range"):
-            compute_ek(ctx, caches, method="s")
+            compute_ek(ctx, caches.get, method="s")
 
     def test_table_failing_its_closed_form_is_refused(self):
         # the SUM is consistent with the values, so only the closed-form
@@ -383,7 +383,7 @@ class TestCacheHandling:
         with pytest.raises(ChecksumMismatchError,
                            match="S_PAIR table for q=101: full-range "
                                  "checksum residual 1.000e-06"):
-            compute_ek(ctx, caches, method="s")
+            compute_ek(ctx, caches.get, method="s")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method 'x'"):
@@ -421,17 +421,46 @@ class TestTransformContract:
         monkeypatch.setattr(np.fft, "fft", counting(np_fft, "numpy"))
         monkeypatch.setattr(np.fft, "ifft", counting(np_ifft, "ifft"))
         monkeypatch.setattr(ek, "dft", traced_dft)
-        compute_ek(ctx, caches, method=method)
+        compute_ek(ctx, caches.get, method=method)
         assert counts["wrapped"] == counts["numpy"] == calls
         assert counts["ifft"] == 0
         assert lengths == {ctx.m}
         assert counts["points"] == calls // 2 * (q - 1)
 
     def test_tables_are_evaluated_route_by_route(self, calls):
-        # the S tables are used up before the T route evaluates its own
+        # each table is evaluated where it is first used: S_PAIR only for
+        # the even half of route s, T and PSI once route s is done
         compute_ek(build_context(101), method="both")
-        assert calls == ["LOGGAMMA", "S_PAIR", *["dft"] * 4,
+        assert calls == ["LOGGAMMA", "dft", "dft", "S_PAIR", "dft", "dft",
                          "T", "PSI", *["dft"] * 4]
+
+    @pytest.mark.parametrize("method", ["s", "t", "both"])
+    def test_each_table_lives_only_while_its_halves_run(self, method,
+                                                        monkeypatch):
+        # a lookup that holds no references: each fetch is logged by its
+        # tag, and each transform by the tags whose values are still
+        # alive as it starts
+        ctx = build_context(101)
+        fetched, events = [], []
+        ek_dft = ek.dft
+
+        def lookup(tag):
+            table = precompute(ctx, tag)
+            fetched.append((tag.value, weakref.ref(table.values)))
+            events.append(tag.value)
+            return table
+
+        def tracking_dft(x):
+            events.append(sorted(t for t, ref in fetched if ref() is not None))
+            return ek_dft(x)
+
+        monkeypatch.setattr(ek, "dft", tracking_dft)
+        compute_ek(ctx, lookup, method=method)
+        s_route = ["LOGGAMMA", ["LOGGAMMA"], ["LOGGAMMA"],
+                   "S_PAIR", *[["LOGGAMMA", "S_PAIR"]] * 2]
+        t_route = ["T", "PSI", *[["PSI", "T"]] * 4]
+        assert events == {"s": s_route, "t": t_route,
+                          "both": s_route + t_route}[method]
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
     def test_each_half_is_released_before_the_next(self, method,
@@ -451,7 +480,7 @@ class TestTransformContract:
             return spectrum
 
         monkeypatch.setattr(ek, "dft", tracking_dft)
-        compute_ek(ctx, caches, method=method)
+        compute_ek(ctx, caches.get, method=method)
         assert alive == [0, 1] * (4 if method == "both" else 2)
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
@@ -467,7 +496,7 @@ class TestTransformContract:
             return np_exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        compute_ek(ctx, caches, method=method)
+        compute_ek(ctx, caches.get, method=method)
         assert lengths == [ctx.m] * (2 if method == "both" else 1)
 
     def test_star_import_and_all(self):
