@@ -32,7 +32,7 @@ import numpy as np
 from . import cache as cache_mod
 from .cache import FunctionTag, ValueTable
 from .fft import dft, twiddle
-from .multgroup import PrimeContext
+from .multgroup import PrimeContext, residues
 from .specfun import EULER_GAMMA, LOG_2PI
 
 BERNOULLI_FLOOR = 1e-12
@@ -114,7 +114,7 @@ def bernoulli_twisted(ctx: PrimeContext, tw: np.ndarray) -> np.ndarray:
     in exactly, and tw = twiddle(q-1).
     """
     q, m = ctx.q, ctx.m
-    c = tw * (2.0 * ctx.a_seq[:m] - q) / q
+    c = tw * (2.0 * residues(ctx, 0, m) - q) / q
     return dft(c).values
 
 

@@ -6,7 +6,7 @@ into discrete Fourier transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,15 @@ class NotPrimeError(ValueError):
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """An odd prime q with a primitive root g and the index sequence a_k.
+    """An odd prime q with a primitive root g and m = (q-1)/2.
 
-    a_seq[k] = g^k mod q for k = 0..q-2; it is a permutation of 1..q-1 and
-    satisfies a_seq[k+m] = q - a_seq[k] with m = (q-1)/2 because g^m = q-1.
+    The index sequence a_k = g^k mod q, k = 0..q-2, is a permutation of
+    1..q-1 and satisfies a_{k+m} = q - a_k because g^m = q-1; residues
+    forms any stretch of it.
     """
 
     q: int
     g: int
-    a_seq: np.ndarray = field(repr=False)
     m: int
 
 
@@ -104,25 +104,31 @@ def primitive_root(q: int) -> int:
     raise ArithmeticError(f"no primitive root found for {q}")  # unreachable
 
 
-# build_context forms int64 products of two residues below q
+# residues forms int64 products of two residues below q
 _CONTEXT_LIMIT = math.isqrt(2**63 - 1)
 
 
 def build_context(q: int) -> PrimeContext:
-    """Build the PrimeContext for odd prime q (O(q) time and memory)."""
+    """Build the PrimeContext for odd prime q: the limit check and the
+    primitive root, O(sqrt(q)) time and no residues."""
     if q > _CONTEXT_LIMIT:
         raise ValueError(
             f"q={q} is above {_CONTEXT_LIMIT}: int64 products of residues "
-            f"overflow once q^2 >= 2^63, and a_seq alone would take "
-            f"{8 * (q - 1) / 1e9:.0f} GB"
+            f"overflow once q^2 >= 2^63"
         )
-    g = primitive_root(q)
-    a_seq = np.empty(q - 1, dtype=np.int64)
-    a_seq[0] = 1
+    return PrimeContext(q=q, g=primitive_root(q), m=(q - 1) // 2)
+
+
+def residues(ctx: PrimeContext, k_lo: int, k_hi: int) -> np.ndarray:
+    """a_k = g^k mod q for k_lo <= k < k_hi as int64, in O(k_hi - k_lo)
+    time and memory from one pow(g, k_lo, q)."""
+    q = ctx.q
+    a = np.empty(k_hi - k_lo, dtype=np.int64)
+    a[:1] = pow(ctx.g, k_lo, q)
     n = 1
-    while n < q - 1:
-        # g^(n+k) = g^k * g^n: extend the known prefix by up to its length
-        step = min(n, q - 1 - n)
-        a_seq[n:n + step] = a_seq[:step] * pow(g, n, q) % q
+    while n < len(a):
+        # a[n+k] = a[k] * g^n: extend the known prefix by up to its length
+        step = min(n, len(a) - n)
+        a[n:n + step] = a[:step] * pow(ctx.g, n, q) % q
         n += step
-    return PrimeContext(q=q, g=g, a_seq=a_seq, m=(q - 1) // 2)
+    return a

@@ -24,10 +24,10 @@ the terms m = 2..63 as a polynomial in x (in x - 1/2, respectively in x^2
 after S(x)+S(1-x) is folded to x <= 1/2), whose coefficients are summed
 once per process; a bound on the polynomial's omitted terms joins the
 remainder bound, and psi_n_values(1, x), which sums those terms one by one,
-checks T.  Arrays of points are evaluated in fixed-size blocks, so the
-working memory of a table does not grow with its length, and no value
-depends on the other points of its block.  S(x)+S(1-x) is evaluated by its
-series alone; its integral representation, integrated by a
+checks T.  Every function evaluates each of the points it is given
+independently of the others, with temporaries of their length;
+cache.precompute passes a table to them in blocks.  S(x)+S(1-x) is
+evaluated by its series alone; its integral representation, integrated by a
 double-exponential rule, lives in the test suite (tests/oracles.py) as an
 independent reference.  digamma and log Gamma come from scipy.special,
 which is imported on first use.
@@ -144,23 +144,6 @@ def _int_log1p_pow(p: int, delta: np.ndarray, nterms: int = 24) -> np.ndarray:
     return (c * delta[..., None] ** (p + k + 1) / (p + k + 1)).sum(axis=-1)
 
 
-# Points per call of a batch series function.  Each call builds a few
-# (points x start) float64 temporaries; at 4096 points they take a few MB
-# and stay in cache whatever the table length.  Every point is evaluated
-# independently of its neighbours, so the values do not depend on it.
-_BLOCK = 4096
-
-
-def _blockwise(fn, x) -> np.ndarray:
-    """fn applied to consecutive slices of at most _BLOCK points of x,
-    the results written into one preallocated array."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    for lo in range(0, len(x), _BLOCK):
-        out[lo:lo + _BLOCK] = fn(x[lo:lo + _BLOCK])
-    return out
-
-
 def _binomial_sum(p: int, u, v, jmax: int):
     """sum_{j<jmax} C(p, j) u^j v^(p-j), added term by term from j = 0.
 
@@ -232,26 +215,23 @@ def _psi_series_checked(n: int, x: np.ndarray):
     _series_start(n)) whose remainder bound meets the target there.
 
     Only the points that miss the target are evaluated again, so a value
-    does not depend on which points share its block: it equals the value
-    of a one-element call.
+    does not depend on which points it is evaluated with: it equals the
+    value of a one-element call.
     """
-    def checked(xb):
-        start = _series_start(n)
-        vals, rem = _psi_series_batch(n, xb, start)
-        todo = np.flatnonzero(~(rem <= TARGET_ABS_ERROR))  # NaN misses
-        while todo.size:
-            if start >= MAX_TERMS:
-                raise NonConvergenceError(
-                    f"tail estimate {float(rem.max()):.2e} above target "
-                    f"{TARGET_ABS_ERROR:.2e} at MAX_TERMS={MAX_TERMS}"
-                )
-            start = min(start * 2, MAX_TERMS)
-            vals[todo], rem = _psi_series_batch(n, xb[todo], start)
-            miss = ~(rem <= TARGET_ABS_ERROR)
-            todo, rem = todo[miss], rem[miss]
-        return vals
-
-    return _blockwise(checked, x)
+    start = _series_start(n)
+    vals, rem = _psi_series_batch(n, x, start)
+    todo = np.flatnonzero(~(rem <= TARGET_ABS_ERROR))  # NaN misses
+    while todo.size:
+        if start >= MAX_TERMS:
+            raise NonConvergenceError(
+                f"tail estimate {float(rem.max()):.2e} above target "
+                f"{TARGET_ABS_ERROR:.2e} at MAX_TERMS={MAX_TERMS}"
+            )
+        start = min(start * 2, MAX_TERMS)
+        vals[todo], rem = _psi_series_batch(n, x[todo], start)
+        miss = ~(rem <= TARGET_ABS_ERROR)
+        todo, rem = todo[miss], rem[miss]
+    return vals
 
 
 def psi_n_values(n: int, x: np.ndarray) -> np.ndarray:
@@ -298,18 +278,15 @@ def _horner(coeffs, t: np.ndarray) -> np.ndarray:
 
 
 def _fixed_start_checked(batch, x: np.ndarray, what: str) -> np.ndarray:
-    """batch over blocks of x; NonConvergenceError where a point's bound
+    """batch at the points x; NonConvergenceError where a point's bound
     exceeds the target."""
-    def checked(xb):
-        vals, rem = batch(xb)
-        worst = float(rem.max())
-        if not worst <= TARGET_ABS_ERROR:  # a NaN bound fails too
-            raise NonConvergenceError(
-                f"{what} series remainder bound {worst:.2e} above target "
-                f"{TARGET_ABS_ERROR:.2e}")
-        return vals
-
-    return _blockwise(checked, x)
+    vals, rem = batch(np.asarray(x, dtype=np.float64))
+    worst = float(rem.max(initial=0.0))
+    if not worst <= TARGET_ABS_ERROR:  # a NaN bound fails too
+        raise NonConvergenceError(
+            f"{what} series remainder bound {worst:.2e} above target "
+            f"{TARGET_ABS_ERROR:.2e}")
+    return vals
 
 
 def _harmonic(n: int) -> float:

@@ -109,7 +109,8 @@ def direct_l_values(ctx: PrimeContext, log_gamma_vals: np.ndarray,
     q = ctx.q
     chars = character_table(ctx)
     out: dict[int, complex] = {}
-    a_over_q = ctx.a_seq / q
+    a_seq = a_seq_loop(q, ctx.g)
+    a_over_q = a_seq / q
     for j in range(1, q - 1):
         chi_bar = np.conj(chars[j])
         if j % 2 == 1:  # odd character
@@ -117,7 +118,7 @@ def direct_l_values(ctx: PrimeContext, log_gamma_vals: np.ndarray,
             num = np.sum(chi_bar * log_gamma_vals)
             out[j] = EULER_GAMMA + LOG_2PI + num / bern
         else:           # even character
-            num = np.sum(chi_bar * s_vals_by_a[ctx.a_seq - 1])
+            num = np.sum(chi_bar * s_vals_by_a[a_seq - 1])
             den = np.sum(chi_bar * log_gamma_vals)
             out[j] = EULER_GAMMA + LOG_2PI - 0.5 * num / den
     return out

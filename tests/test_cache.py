@@ -18,7 +18,7 @@ from ekconst.cache import (CacheFormatError, ChecksumMismatchError,
                            check_closed_form, checksum_tolerance,
                            closed_form_sum, find, load,
                            part_filename, precompute, save)
-from ekconst.multgroup import build_context
+from ekconst.multgroup import build_context, residues
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ class TestPrecompute:
 
     def test_s_pair_points_are_folded_in_integers(self, ctx101):
         table = precompute(ctx101, FunctionTag.S_PAIR)
-        a = ctx101.a_seq[:50]
+        a = residues(ctx101, 0, 50)
         want = specfun.s_pair_values(np.minimum(a, 101 - a) / 101)
         assert np.array_equal(table.values, want)
 

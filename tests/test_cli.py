@@ -90,12 +90,15 @@ class TestCompute:
 
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
-        # a fresh process, so the peak RSS it reports is this run's alone
+        # a fresh process, so the peak RSS it reports is this run's alone.
+        # The bound is that peak as measured (601 MB on 2 cores, numpy
+        # 2.4.6) plus 10%; an int64 array of all q-1 residues held for the
+        # run peaked at 683 MB
         proc = run_fresh_cli(["compute", 10000019], timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 2 * 2**20
+        assert peak_kb < 661 * 2**10, peak_kb
 
     def test_method_both_reports_discrepancy(self, capsys):
         code, out, _ = run(capsys, "compute", "101", "--method", "both")
@@ -251,15 +254,17 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_psi_parts_merge_and_checksum(self, tmp_path):
         # each step in a fresh process, so that ru_maxrss is its own peak.
-        # The bounds are the measured peaks of these steps (225, 144 and
+        # The bounds are the measured peaks of these steps (92, 144 and
         # 106 MB on 2 cores, numpy 2.4.6) plus 10%; a transient of the
         # whole 80 MB table, in a sum or a write, would exceed them, and
-        # so would a merge that held both halves beside the table
+        # so would a merge that held both halves beside the table, or a
+        # precompute that formed the residues or points of its whole range
+        # (225 MB)
         q, hi, cache = 10000019, 10000018, str(tmp_path)
         steps = [(["precompute", q, "--tag", "PSI", "--range", 0, hi // 2,
-                   "--cache", cache], 248),
+                   "--cache", cache], 101),
                  (["precompute", q, "--tag", "PSI", "--range", hi // 2, hi,
-                   "--cache", cache], 248),
+                   "--cache", cache], 101),
                  (["merge", q, "--tag", "PSI", "--cache", cache], 159),
                  (["checksum", q, "--tag", "PSI", "--cache", cache], 117)]
         for argv, peak_mb in steps:
@@ -274,9 +279,10 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
         # the four tables on disk, then a fresh ek compute whose ru_maxrss
-        # is its own peak.  The bound is that peak as measured (742 MB
+        # is its own peak.  The bound is that peak as measured (654 MB
         # on 2 cores, numpy 2.4.6) plus 10%; loading every table up front
-        # peaked at 856 MB
+        # peaked at 856 MB, and holding all q-1 residues for the run at
+        # 742 MB
         q, cache = 10000019, str(tmp_path)
         for tag in FunctionTag:
             proc = run_fresh_cli(["precompute", q, "--tag", tag.value,
@@ -287,7 +293,7 @@ class TestCacheCommands:
         assert proc.returncode == 0, proc.stderr
         assert "method_discrepancy = " in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 816 * 2**10, peak_kb
+        assert peak_kb < 719 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)

@@ -16,7 +16,7 @@ from ekconst.ek import (METHOD_TAGS, CharacterSumError, _half,
                         bernoulli_twisted, compute_ek, parity_bins, s_even,
                         s_odd, t_half)
 from ekconst.fft import dft, twiddle
-from ekconst.multgroup import build_context
+from ekconst.multgroup import build_context, residues
 from ekconst.specfun import EULER_GAMMA
 from reference_values import EK, EK_PLUS, MQ
 
@@ -181,7 +181,7 @@ class TestStructuralIdentities:
         if which == "bernoulli":
             k = np.arange(ctx.m)
             target = (np.exp(-2j * np.pi * k / (ctx.q - 1))
-                      * (2.0 * ctx.a_seq[:ctx.m] - ctx.q) / ctx.q)
+                      * (2.0 * residues(ctx, 0, ctx.m) - ctx.q) / ctx.q)
         else:
             target = lg.values[:ctx.m] + lg.values[ctx.m:]
 
@@ -256,7 +256,7 @@ class TestSigmaConvention:
         bern = bernoulli_twisted(ctx, twiddle(ctx.q - 1))
         for t in range(2):
             j = 2 * t + 1
-            direct = np.sum(np.conj(chars[j]) * ctx.a_seq / 5)
+            direct = np.sum(np.conj(chars[j]) * residues(ctx, 0, 4) / 5)
             assert bern[t] == pytest.approx(direct, abs=1e-14)
 
 

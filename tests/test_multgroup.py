@@ -1,11 +1,14 @@
 """Group arithmetic: primality, primitive roots, index sequences."""
 
+import time
+
 import numpy as np
 import pytest
 
 import oracles
 from ekconst.multgroup import (NotPrimeError, build_context, factorize,
-                               is_prime, primitive_root)
+                               is_prime, primitive_root, residues)
+from reference_values import VQ_TARGETS
 
 
 class TestIsPrime:
@@ -91,19 +94,21 @@ class TestBuildContext:
     def test_q5(self):
         ctx = build_context(5)
         assert (ctx.q, ctx.g, ctx.m) == (5, 2, 2)
-        assert ctx.a_seq.tolist() == [1, 2, 4, 3]
+        assert residues(ctx, 0, 4).tolist() == [1, 2, 4, 3]
 
     def test_half_shift_q5(self):
         ctx = build_context(5)
+        a = residues(ctx, 0, ctx.q - 1)
         for k in range(ctx.m):
-            assert ctx.a_seq[k] + ctx.a_seq[k + ctx.m] == 5
+            assert a[k] + a[k + ctx.m] == 5
 
     @pytest.mark.parametrize("q", [3, 7, 11, 101, 1009])
     def test_invariants(self, q):
         ctx = build_context(q)
-        assert ctx.a_seq[0] == 1
-        assert sorted(ctx.a_seq.tolist()) == list(range(1, q))
-        assert np.all(ctx.a_seq[: ctx.m] + ctx.a_seq[ctx.m:] == q)
+        a = residues(ctx, 0, q - 1)
+        assert a[0] == 1
+        assert sorted(a.tolist()) == list(range(1, q))
+        assert np.all(a[: ctx.m] + a[ctx.m:] == q)
 
     def test_rejects_non_prime(self):
         with pytest.raises(NotPrimeError):
@@ -112,12 +117,43 @@ class TestBuildContext:
     @pytest.mark.parametrize("q", [3, 5, 7, 101, 10007, 305741])
     def test_a_seq_matches_loop(self, q):
         ctx = build_context(q)
+        got = residues(ctx, 0, q - 1)
         want = oracles.a_seq_loop(q, ctx.g)
-        assert ctx.a_seq.dtype == want.dtype
-        assert np.array_equal(ctx.a_seq, want)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_context_costs_square_root_of_q(self):
+        # no residue is formed: at this q an array of all of them would
+        # take 7.7 GB
+        q = min(VQ_TARGETS)
+        t0 = time.perf_counter()
+        ctx = build_context(q)
+        assert time.perf_counter() - t0 < 0.25
+        for k in (0, 1, ctx.m - 1, ctx.m, q - 2):
+            assert residues(ctx, k, k + 1).tolist() == [pow(ctx.g, k, q)]
+        assert residues(ctx, ctx.m - 1, ctx.m + 1).tolist() == [
+            pow(ctx.g, ctx.m - 1, q), q - 1]
 
     def test_int64_limit(self):
         # 3037000499^2 < 2^63 <= 3037000500^2; the limit is checked
         # before any work on q
         with pytest.raises(ValueError, match="2\\^63"):
             build_context(3037000507)
+
+
+class TestResidues:
+    """residues(ctx, k0, k1) against the loop of one modular product at a
+    time, on stretches that start and end anywhere in [0, q-1)."""
+
+    @pytest.mark.parametrize("q", [3, 5, 101, 10007])
+    def test_matches_loop(self, q):
+        ctx = build_context(q)
+        want = oracles.a_seq_loop(q, ctx.g)
+        m = ctx.m
+        ranges = [(0, 0), (m, m), (0, 1), (q - 2, q - 1), (m, m + 1),
+                  (max(m - 2, 0), m + 1), (m, q - 1), (m + 1, q - 1),
+                  (0, q - 1), (1, q - 1)]
+        for k0, k1 in ranges:
+            got = residues(ctx, k0, k1)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[k0:k1]), (k0, k1)

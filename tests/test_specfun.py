@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
-from ekconst import specfun
+from ekconst import cache, specfun
+from ekconst.cache import FunctionTag
+from ekconst.multgroup import build_context, residues
 from ekconst.specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
                              NonConvergenceError, gamma_n, psi_n_values)
 from oracles import psi_n_at
@@ -270,10 +272,16 @@ class TestPolynomialBulks:
 
 
 class TestBlocks:
-    """Tables are evaluated in slices of specfun._BLOCK points: the values
-    must not depend on the slicing, and every slice is checked."""
+    """cache.precompute walks a table in blocks of cache._BLOCK k: the
+    values must not depend on the blocking, every block is checked, and
+    the working memory beside the values does not grow with the range.
+    The specfun functions evaluate the points they are given."""
 
-    B = specfun._BLOCK
+    B = cache._BLOCK
+    ONE_CALL = {FunctionTag.LOGGAMMA: specfun.log_gamma_values,
+                FunctionTag.S_PAIR: specfun.s_pair_values,
+                FunctionTag.T: specfun.t_values,
+                FunctionTag.PSI: specfun.psi_values}
 
     @staticmethod
     def psi1_one_batch(x, start=64):
@@ -285,28 +293,44 @@ class TestBlocks:
         return np.concatenate([np.full(2 * TestBlocks.B, 0.01),
                                np.full(n_far, 0.9)])
 
-    @pytest.mark.parametrize("extra, blocks", [(1, 0), (0, 1), (1, 1), (3, 2)])
-    def test_bitwise_equal_to_one_batch(self, extra, blocks):
-        n = blocks * self.B + extra  # 1, B, B+1, 2B+3
-        x = np.random.default_rng(n).uniform(1e-6, 1 - 1e-6, n)
-        assert np.array_equal(specfun.t_values(x), specfun._t_batch(x)[0])
-        assert np.array_equal(specfun.s_pair_values(x),
-                              specfun._s_pair_batch(x)[0])
+    @staticmethod
+    def points(ctx, tag, k0, k1):
+        a = residues(ctx, k0, k1)
+        if tag is FunctionTag.S_PAIR:
+            a = np.minimum(a, ctx.q - a)
+        return a / ctx.q
 
-    @pytest.mark.parametrize("batch, evaluate", [
-        (specfun._s_pair_batch, specfun.s_pair_values),
-        (specfun._t_batch, specfun.t_values),
+    @pytest.mark.parametrize("tag", list(FunctionTag), ids=lambda t: t.value)
+    def test_precompute_bitwise_equal_to_one_call(self, tag):
+        # k0 is no multiple of B, and the range holds two block boundaries
+        ctx = build_context(20011)
+        k0 = self.B // 4 + 3
+        k1 = k0 + 2 * self.B + 5
+        got = cache.precompute(ctx, tag, (k0, k1)).values
+        want = self.ONE_CALL[tag](self.points(ctx, tag, k0, k1))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, cache.precompute(ctx, tag).values[k0:k1])
+
+    @pytest.mark.parametrize("tag, batch", [
+        (FunctionTag.S_PAIR, specfun._s_pair_batch),
+        (FunctionTag.T, specfun._t_batch),
     ], ids=["S_PAIR", "T"])
-    def test_only_last_block_misses_target(self, batch, evaluate,
-                                           monkeypatch):
-        rem_near = float(batch(np.array([0.01]))[1][0])
-        rem_far = float(batch(np.array([0.9]))[1][0])
-        assert rem_far > 10 * rem_near
+    def test_only_last_block_misses_target(self, tag, batch, monkeypatch):
+        # With g = 2 the largest bound sits at the last point of the range
+        # below: a = m at k = m-1 for S_PAIR, a = q-1 at k = m for T.  A
+        # target just under it fails that point alone, in the third block.
+        ctx = build_context(20507)
+        assert ctx.g == 2
+        k0 = self.B // 4 + 3
+        k1 = ctx.m + (tag is FunctionTag.T)
+        assert k1 - 1 - k0 > 2 * self.B
+        rem = batch(self.points(ctx, tag, k0, k1))[1]
+        assert rem[-1] > rem[:-1].max()
         monkeypatch.setattr(specfun, "TARGET_ABS_ERROR",
-                            math.sqrt(rem_near * rem_far))
-        evaluate(self.near_and_far(0))
+                            math.sqrt(rem[-1] * rem[:-1].max()))
+        cache.precompute(ctx, tag, (k0, k1 - 1))
         with pytest.raises(NonConvergenceError):
-            evaluate(self.near_and_far(3))
+            cache.precompute(ctx, tag, (k0, k1))
 
     def test_start_doubles_per_block(self, monkeypatch):
         rem_near = float(specfun._psi_series_batch(1, np.array([0.01]), 64)[1][0])
@@ -345,19 +369,21 @@ class TestBlocks:
         with pytest.raises(NonConvergenceError):
             specfun._psi_series_checked(1, x)
 
-    @pytest.mark.parametrize("evaluate", [specfun.s_pair_values,
-                                          specfun.t_values],
+    @pytest.mark.parametrize("tag", [FunctionTag.S_PAIR, FunctionTag.T],
                              ids=["S_PAIR", "T"])
-    def test_working_memory_does_not_grow_with_length(self, evaluate):
-        # one dense (200000 x 63) float64 temporary alone takes 101 MB
-        x = np.random.default_rng(3).uniform(1e-6, 1 - 1e-6, 200_000)
+    def test_working_memory_does_not_grow_with_length(self, tag):
+        # 200004 and 400008 values.  The points of the whole range alone
+        # would take as much as the values, and the series temporaries of
+        # one call over them 24 and 37 MB
+        ctx = build_context(400009)
+        cache.precompute(ctx, tag, (0, 10))    # per-process coefficients
         tracemalloc.start()
         try:
-            evaluate(x)
+            table = cache.precompute(ctx, tag)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < table.values.nbytes + 2 * 2**20
 
 
 class TestBinomialSum:
