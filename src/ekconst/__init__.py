@@ -13,8 +13,8 @@ from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     precompute, save)
 from .ek import CharacterSumError, EKResult, compute_ek, parity_bins
 from .fft import Spectrum, dft, twiddle
-from .multgroup import (NotPrimeError, PrimeContext, build_context, is_prime,
-                        primitive_root)
+from .multgroup import (DomainError, NotPrimeError, PrimeContext,
+                        build_context, is_prime, primitive_root)
 from .offsets import OffsetSequence, greedy_offsets, v_of_q
 from .specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
                       DisagreementError, NonConvergenceError, gamma_n)
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CacheFormatError", "CharacterSumError", "ChecksumMismatchError",
-    "DisagreementError", "EKResult", "EULER_GAMMA", "FunctionTag", "GAMMA1",
-    "LOG_2PI", "MergeError", "NonConvergenceError", "NotPrimeError",
-    "OffsetSequence", "PrimeContext", "Spectrum", "StieltjesTable",
-    "ValueTable", "ZETA_DD_AT_0",
+    "DisagreementError", "DomainError", "EKResult", "EULER_GAMMA",
+    "FunctionTag", "GAMMA1", "LOG_2PI", "MergeError", "NonConvergenceError",
+    "NotPrimeError", "OffsetSequence", "PrimeContext", "Spectrum",
+    "StieltjesTable", "ValueTable", "ZETA_DD_AT_0",
     "build_context", "closed_form_sum", "compute_ek", "dft", "gamma_n",
     "greedy_offsets", "is_prime", "load", "parity_bins", "precompute",
     "primitive_root", "save", "twiddle", "v_of_q",

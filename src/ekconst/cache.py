@@ -1,5 +1,6 @@
 """Persistent, chunked, checksum-guarded tables of precomputed
-special-function values, ordered by the generator-power index k.
+special-function values, ordered by the generator-power index k.  A table
+may be split into parts, files that parts() relates from their headers.
 
 On-disk format, version 2 (version-1 text files are refused):
 
@@ -249,50 +250,57 @@ def part_filename(tag: FunctionTag, q: int, k_lo: int | str) -> str:
     return f"{tag.value}_q{q}_part{k_lo}.ekc"
 
 
-def find(cache_dir, q: int, tag: FunctionTag
-         ) -> tuple[ValueTable | None, list[Path]]:
-    """The tag's table for q in cache_dir, laid part by part into one
-    array from every file named part_filename(tag, q, k0), and the paths
-    of those parts in the order of k0; (None, []) if there is none.
-    MergeError if a name's k0 is no integer or disagrees with its header,
-    or if the parts differ in g or leave a gap or an overlap."""
+def parts(cache_dir, q: int, tag: FunctionTag, contiguous: bool = True
+          ) -> list[tuple[Path, int, int, int]]:
+    """(path, g, k0, k1) of every file named part_filename(tag, q, k0) in
+    cache_dir, in the order of k0, from the headers alone: no body is read.
+    CacheFormatError if a header does not read; MergeError if a name's k0
+    is no integer or disagrees with its header, or if the parts differ in
+    g, overlap, or, when contiguous, leave a gap."""
     def k0(path: Path) -> int:
         try:
             return int(path.stem.rpartition("part")[2])
         except ValueError:
             raise MergeError(f"{path}: no k0 in the name") from None
 
-    def checked(path: Path) -> ValueTable:
-        part = load(path)
-        if path.name != part_filename(part.function_tag, part.q, part.k_lo):
-            raise MergeError(f"{path}: holds the {part.function_tag.value} "
-                             f"table for q={part.q} over "
-                             f"[{part.k_lo},{part.k_hi})")
-        return part
+    found = []
+    for path in sorted(Path(cache_dir).glob(part_filename(tag, q, "*")),
+                       key=k0):
+        with open(path, "rb") as fh:
+            part_q, g, part_tag, lo, hi = _read_header(fh, path)
+        if path.name != part_filename(part_tag, part_q, lo):
+            raise MergeError(f"{path}: holds the {part_tag.value} table for "
+                             f"q={part_q} over [{lo},{hi})")
+        if found:
+            prev, g0, _, pos = found[-1]
+            if g != g0:
+                raise MergeError(f"g mismatch: {g0} vs {g}")
+            if contiguous and lo > pos:
+                raise MergeError(f"gap at k={pos} between {prev} and {path}")
+            if lo < pos:
+                raise MergeError(f"overlap at k={lo} between {prev} and "
+                                 f"{path}")
+        found.append((path, g, lo, hi))
+    return found
 
-    paths = sorted(Path(cache_dir).glob(part_filename(tag, q, "*")), key=k0)
-    if len(paths) < 2:
-        return (checked(paths[0]) if paths else None), paths
-    head = checked(paths[0])
-    lo, pos, g = head.k_lo, head.k_hi, head.g
-    values = np.empty(full_range(q, tag)[1] - lo, dtype=_VALUE_DTYPE)
-    values[:pos - lo] = head.values
-    del head
-    for prev, path in zip(paths, paths[1:]):
-        part = checked(path)
-        if part.g != g:
-            raise MergeError(f"g mismatch: {g} vs {part.g}")
-        if part.k_lo > pos:
-            raise MergeError(f"gap at k={pos} between {prev} and {path}")
-        if part.k_lo < pos:
-            raise MergeError(f"overlap at k={part.k_lo} between {prev} "
-                             f"and {path}")
-        values[pos - lo:part.k_hi - lo] = part.values
-        pos = part.k_hi
-        del part        # before the next part is loaded
-    values = values[:pos - lo]
+
+def find(cache_dir, q: int, tag: FunctionTag
+         ) -> tuple[ValueTable | None, list[Path]]:
+    """The tag's table for q in cache_dir, and the paths of its parts in
+    the order of k0; (None, []) if there is none.  The parts pass parts()
+    before any body is read, then each is loaded into its slice of one
+    array; a single part is returned as load gives it."""
+    found = parts(cache_dir, q, tag)
+    paths = [path for path, *_ in found]
+    if len(found) < 2:
+        return (load(paths[0]) if paths else None), paths
+    g, lo, hi = found[0][1], found[0][2], found[-1][3]
+    values = np.empty(hi - lo, dtype=_VALUE_DTYPE)
+    for path, _, k_lo, k_hi in found:
+        # one part at a time: each is gone before the next is loaded
+        values[k_lo - lo:k_hi - lo] = load(path).values
     # the exact sum, as precompute gives it, not a sum of rounded sums
-    return ValueTable(q=q, g=g, function_tag=tag, k_lo=lo, k_hi=pos,
+    return ValueTable(q=q, g=g, function_tag=tag, k_lo=lo, k_hi=hi,
                       values=values, partial_sum=_exact_sum(values)), paths
 
 
@@ -368,19 +376,12 @@ def _read_header(fh, path: Path) -> tuple[int, int, FunctionTag, int, int]:
 def part_to_write(cache_dir, q: int, tag: FunctionTag, k_lo: int,
                   k_hi: int) -> Path:
     """The path of the tag's part for q over [k_lo, k_hi) in cache_dir,
-    once the headers there allow writing it: FileExistsError if that name
-    holds another range, or a part of another name overlaps the range.  Of
-    the parts whose header does not read, only the one of that name is
-    refused here; find refuses the others on every read."""
+    once the headers there allow writing it.  The parts already there must
+    pass parts(), gaps allowed, so precompute refuses what find refuses;
+    FileExistsError if that name holds another range, or a part of another
+    name overlaps the range."""
     path = Path(cache_dir) / part_filename(tag, q, k_lo)
-    for other in sorted(Path(cache_dir).glob(part_filename(tag, q, "*"))):
-        try:
-            with open(other, "rb") as fh:
-                lo, hi = _read_header(fh, other)[3:]
-        except CacheFormatError:
-            if other == path:
-                raise
-            continue
+    for other, _, lo, hi in parts(cache_dir, q, tag, contiguous=False):
         if other == path and (lo, hi) != (k_lo, k_hi):
             raise FileExistsError(f"{path} holds [{lo},{hi}), not "
                                   f"[{k_lo},{k_hi}); remove it to replace it")

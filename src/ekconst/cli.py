@@ -10,9 +10,11 @@
     ek offsets 20
     ek vq 964477901
 
-Exit codes: 0 success, 1 computation failure, 2 usage error.  The cache
-directory defaults to $EK_CACHE_DIR.  --digits is an option of the commands
-that print floats: compute, scan, stieltjes, gamma-n and vq.
+Exit codes: 0 success, 1 computation failure, 2 usage error: a bad option,
+or an argument the library refuses as outside its domain (DomainError,
+which NotPrimeError is).  The cache directory defaults to $EK_CACHE_DIR.
+--digits is an option of the commands that print floats: compute, scan,
+stieltjes, gamma-n and vq.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from pathlib import Path
 from . import cache as cache_mod
 from . import ek as ek_mod
 from . import offsets as offsets_mod
-from . import specfun
 from . import stieltjes as stieltjes_mod
 from .cache import FunctionTag
-from .multgroup import build_context, is_prime
+from .multgroup import DomainError, build_context, is_prime
 from .specfun import gamma_n
 
 EXIT_OK = 0
@@ -60,11 +61,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_odd_prime(q: int) -> None:
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise UsageError(f"{q} is not an odd prime")
-
-
 def _cache_dir(args, required: bool = False) -> Path | None:
     """--cache, else $EK_CACHE_DIR; UsageError if neither is set and the
     command cannot do without a cache."""
@@ -86,13 +82,18 @@ def _cached(args, q: int):
 
 def _compute(args, q: int) -> ek_mod.EKResult:
     """compute_ek for q with args.method, on the tables the cache has;
-    compute_ek evaluates the others."""
-    return ek_mod.compute_ek(build_context(q), _cached(args, q),
-                             method=args.method)
+    compute_ek evaluates the others.  The parts of every table the method
+    uses pass cache_mod.parts first, so a header fault stops the run
+    before any route starts."""
+    ctx = build_context(q)
+    cache_dir = _cache_dir(args)
+    if cache_dir:
+        for tag in ek_mod.METHOD_TAGS[args.method]:
+            cache_mod.parts(cache_dir, q, tag)
+    return ek_mod.compute_ek(ctx, _cached(args, q), method=args.method)
 
 
 def cmd_compute(args) -> int:
-    _check_odd_prime(args.q)
     res = _compute(args, args.q)
     d = args.digits
     lines = [f"q = {res.q}"]
@@ -131,7 +132,7 @@ def cmd_scan(args) -> int:
 
 def cmd_precompute(args) -> int:
     q = args.q
-    _check_odd_prime(q)
+    ctx = build_context(q)      # a composite q makes no cache directory
     if args.range and args.range[0] >= args.range[1]:
         raise UsageError(f"--range {args.range[0]} {args.range[1]} is "
                          f"empty; K0 must be below K1")
@@ -140,8 +141,7 @@ def cmd_precompute(args) -> int:
     tag = FunctionTag(args.tag)
     k_lo, k_hi = args.range or cache_mod.full_range(q, tag)
     path = cache_mod.part_to_write(cache_dir, q, tag, k_lo, k_hi)
-    table = cache_mod.precompute(build_context(q), tag, (k_lo, k_hi))
-    cache_mod.save(table, path)
+    cache_mod.save(cache_mod.precompute(ctx, tag, (k_lo, k_hi)), path)
     print(path)
     return EXIT_OK
 
@@ -180,10 +180,9 @@ def cmd_merge(args) -> int:
 
 def cmd_checksum(args) -> int:
     q = args.q
-    _check_odd_prime(q)
+    ctx = build_context(q)
     tag = FunctionTag(args.tag)
-    table = (_cached(args, q)(tag)
-             or cache_mod.precompute(build_context(q), tag))
+    table = _cached(args, q)(tag) or cache_mod.precompute(ctx, tag)
     # checksum_residual refuses a table short of the full range
     print(f"residual = {table.checksum_residual():.6e} "
           f"(tolerance {cache_mod.checksum_tolerance(table):.6e})")
@@ -192,10 +191,6 @@ def cmd_checksum(args) -> int:
 
 
 def cmd_stieltjes(args) -> int:
-    if not 1 <= args.q <= stieltjes_mod.Q_MAX:
-        raise UsageError(f"q must be in [1, {stieltjes_mod.Q_MAX}]")
-    if not 0 <= args.kmax <= stieltjes_mod.K_MAX:
-        raise UsageError(f"kmax must be in [0, {stieltjes_mod.K_MAX}]")
     table = stieltjes_mod.build_table(args.q, args.kmax)
     lines = ["k,a,value"]
     for k, row in enumerate(table.values.reshape(-1, table.q).tolist()):
@@ -206,23 +201,17 @@ def cmd_stieltjes(args) -> int:
 
 
 def cmd_gamma_n(args) -> int:
-    if not 0 <= args.n <= specfun.GAMMA_N_MAX:
-        raise UsageError(f"n must be in [0, {specfun.GAMMA_N_MAX}]")
     print(_fmt(gamma_n(args.n), args.digits))
     return EXIT_OK
 
 
 def cmd_offsets(args) -> int:
-    if not 1 <= args.count <= offsets_mod.GREEDY_COUNT:
-        raise UsageError(f"count must be in [1, {offsets_mod.GREEDY_COUNT}]")
     seq = offsets_mod.greedy_offsets(args.count)
     _emit("\n".join(str(b) for b in seq.b) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_vq(args) -> int:
-    if args.q < 3:
-        raise UsageError("q must be >= 3")
     print(_fmt(offsets_mod.v_of_q(args.q), args.digits))
     return EXIT_OK
 
@@ -295,7 +284,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:

@@ -25,7 +25,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 PRIME_LIMIT = 1 << 64
 
 
-class NotPrimeError(ValueError):
+class DomainError(ValueError):
+    """An argument outside the domain of the function it was passed to."""
+
+
+class NotPrimeError(DomainError):
     """Raised when an operation requiring an odd prime gets something else."""
 
 
@@ -112,7 +116,7 @@ def build_context(q: int) -> PrimeContext:
     """Build the PrimeContext for odd prime q: the limit check and the
     primitive root, O(sqrt(q)) time and no residues."""
     if q > _CONTEXT_LIMIT:
-        raise ValueError(
+        raise DomainError(
             f"q={q} is above {_CONTEXT_LIMIT}: int64 products of residues "
             f"overflow once q^2 >= 2^63"
         )

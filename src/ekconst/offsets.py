@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multgroup import PRIME_LIMIT, is_prime
+from .multgroup import PRIME_LIMIT, DomainError, is_prime
 
 GREEDY_COUNT = 2089
 # v_of_q sieves with the primes below SIEVE_BOUND; those below SLICE_BELOW
@@ -41,7 +41,8 @@ def greedy_offsets(count: int) -> OffsetSequence:
     so the check is finite.
     """
     if not 1 <= count <= GREEDY_COUNT:
-        raise ValueError(f"count must be in [1, {GREEDY_COUNT}], got {count}")
+        raise DomainError(
+            f"count must be in [1, {GREEDY_COUNT}], got {count}")
     primes = [p for p in range(2, count + 1) if is_prime(p)]
     # taken[i][r] marks the class r mod primes[i] as covered; free[i]
     # counts the classes left, and last maps each prime with one class
@@ -129,7 +130,7 @@ def v_of_q(q: int, seq: OffsetSequence | None = None) -> float:
     decided.
     """
     if q < 3:
-        raise ValueError(f"q must be >= 3, got {q}")
+        raise DomainError(f"q must be >= 3, got {q}")
     if seq is None:
         seq = greedy_offsets(GREEDY_COUNT)
     offs = np.array(seq.b[1:], dtype=np.int64)

@@ -43,6 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .multgroup import DomainError
+
 EULER_GAMMA = 0.5772156649015328606
 GAMMA1 = -0.0728158454836767249
 ZETA_DD_AT_0 = -2.0063564559085848512
@@ -511,7 +513,8 @@ def gamma_n(n: int) -> float:
     point; the results must agree within the per-n tolerance.
     """
     if not 0 <= n <= GAMMA_N_MAX:
-        raise ValueError(f"gamma_n requires 0 <= n <= {GAMMA_N_MAX}, got {n}")
+        raise DomainError(
+            f"gamma_n requires 0 <= n <= {GAMMA_N_MAX}, got {n}")
     va = _gamma_n_route(n, _gamma_term_a, (8, 10, 12, 14, 16, 20, 24))
     vb = _gamma_n_route(n, _gamma_term_b, (13, 15, 17, 19, 23, 27))
     tol = _gamma_n_tolerance(n)

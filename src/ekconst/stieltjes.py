@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
+from .multgroup import DomainError
 
 K_MAX = 20
 Q_MAX = 100
@@ -33,10 +34,10 @@ class StieltjesTable:
 def build_table(q: int, k_max: int) -> StieltjesTable:
     """All gamma_k(a, q) for 0 <= k <= k_max, 1 <= a <= q."""
     if not 1 <= q <= Q_MAX:
-        raise ValueError(f"q must satisfy 1 <= q <= {Q_MAX}, got {q}")
+        raise DomainError(f"q must satisfy 1 <= q <= {Q_MAX}, got {q}")
     if not 0 <= k_max <= K_MAX:
-        raise ValueError(f"k_max must satisfy 0 <= k_max <= {K_MAX}, "
-                         f"got {k_max}")
+        raise DomainError(f"k_max must satisfy 0 <= k_max <= {K_MAX}, "
+                          f"got {k_max}")
     x = np.arange(1, q + 1) / q
     psi = [specfun.psi_n_values(n, x) for n in range(k_max + 1)]
     lq = math.log(q)

@@ -186,6 +186,27 @@ class TestMerge:
         with pytest.raises(MergeError, match="no k0 in the name"):
             find(tmp_path, 101, FunctionTag.T)
 
+    @pytest.mark.parametrize("parts, why", [
+        ([(0, 0, 2, 0), (3, 3, 4, 0)], "gap at k=2"),
+        ([(0, 0, 3, 0), (2, 2, 4, 0)], "overlap at k=2"),
+        ([(0, 0, 2, 0), (2, 2, 4, 1)], "g mismatch"),
+        ([(1, 0, 2, 0)], "holds the LOGGAMMA table for q=5 over [0,2)")],
+        ids=["gap", "overlap", "g_mismatch", "misnamed"])
+    def test_layout_faults_are_refused_before_any_body_is_read(
+            self, ctx5, tmp_path, monkeypatch, parts, why):
+        # each part is (k0 in its name, k_lo, k_hi, added to g)
+        for name_k0, k_lo, k_hi, g_step in parts:
+            table = precompute(ctx5, FunctionTag.LOGGAMMA, (k_lo, k_hi))
+            save(dataclasses.replace(table, g=table.g + g_step),
+                 tmp_path / part_filename(FunctionTag.LOGGAMMA, 5, name_k0))
+
+        def no_body(path):
+            raise AssertionError(f"{path}: body read")
+
+        monkeypatch.setattr(cache, "load", no_body)
+        with pytest.raises(MergeError, match=re.escape(why)):
+            find(tmp_path, 5, FunctionTag.LOGGAMMA)
+
     def test_find_holds_one_table_and_one_part(self, tmp_path):
         # random values: a part that is not the full range is not gated
         n, q = 1_000_002, 1000003

@@ -391,6 +391,26 @@ class TestCacheCommands:
         assert list(tmp_path.iterdir()) == [part]
         assert part.read_bytes() == b"not a table\n"
 
+    @pytest.mark.parametrize("layout, why", [
+        ("unreadable", "not an EKCACHE file"),
+        ("overlap", "overlap at k=40")])
+    def test_precompute_refuses_a_directory_that_find_refuses(
+            self, capsys, tmp_path, layout, why):
+        # parts of other names than the one to write: a header that does
+        # not read, or two parts that already overlap
+        if layout == "overlap":
+            for k_range in ((20, 50), (40, 100)):
+                save(precompute(build_context(101), FunctionTag.T, k_range),
+                     tmp_path / f"T_q101_part{k_range[0]}.ekc")
+        else:
+            (tmp_path / "T_q101_part50.ekc").write_bytes(b"not a table\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code, out, err = run(capsys, "precompute", "101", "--tag", "T",
+                             "--range", "0", "10", "--cache", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert why in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_precompute_refuses_a_stale_part_and_names_the_remedy(
             self, capsys, monkeypatch, tmp_path):
         argv = ["precompute", "101", "--tag", "T", "--cache", str(tmp_path)]
@@ -611,16 +631,46 @@ class TestCacheCommands:
             assert (code, out) == (1, "")
             assert "target 1e-12, not 1e-14" in err
 
+    @pytest.mark.parametrize("target, t_ranges, why", [
+        (1e-12, [(0, 100)], "target 1e-12, not 1e-14"),
+        (1e-14, [(0, 20), (30, 100)], "gap at k=20")],
+        ids=["stale_target", "gap"])
+    def test_compute_refuses_a_t_header_fault_before_route_s_runs(
+            self, capsys, tmp_path, monkeypatch, target, t_ranges, why):
+        for tag in ("LOGGAMMA", "S_PAIR"):
+            run(capsys, "precompute", "101", "--tag", tag,
+                "--cache", str(tmp_path))
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "TARGET_ABS_ERROR", target)
+            for k_range in t_ranges:
+                save(precompute(build_context(101), FunctionTag.T, k_range),
+                     tmp_path / f"T_q101_part{k_range[0]}.ekc")
+        transforms = []
+        real_dft = cli.ek_mod.dft
+
+        def dft(*args, **kwargs):
+            transforms.append(len(args[0]))
+            return real_dft(*args, **kwargs)
+
+        monkeypatch.setattr(cli.ek_mod, "dft", dft)
+        code, out, err = run(capsys, "compute", "101", "--method", "both",
+                             "--cache", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert why in err
+        assert transforms == []
+
     @pytest.mark.parametrize("to_out", [False, True])
     def test_merge_refuses_a_foreign_target_chunk(self, capsys, tmp_path,
                                                   monkeypatch, to_out):
         cache = tmp_path / "c"
         run(capsys, "precompute", "11", "--tag", "S_PAIR", "--range", "0",
             "2", "--cache", str(cache))
+        # precompute refuses to write next to a part of another target, so
+        # the foreign chunk is saved directly
         with monkeypatch.context() as m:
             m.setattr(specfun, "TARGET_ABS_ERROR", 1e-12)
-            run(capsys, "precompute", "11", "--tag", "S_PAIR", "--range",
-                "2", "5", "--cache", str(cache))
+            save(precompute(build_context(11), FunctionTag.S_PAIR, (2, 5)),
+                 cache / "S_PAIR_q11_part2.ekc")
         before = {p.name: p.read_bytes() for p in cache.iterdir()}
         assert len(before) == 2
         out_arg = ["--out", str(tmp_path / "merged.ekc")] if to_out else []
@@ -755,11 +805,18 @@ class TestSmallCommands:
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
-    def test_domain_violations_are_usage_errors(self, capsys):
-        assert cli.main(["gamma-n", "31"]) == 2
-        assert cli.main(["offsets", "0"]) == 2
-        assert cli.main(["stieltjes", "101"]) == 2
-        assert cli.main(["vq", "2"]) == 2
+    def test_domain_violations_are_usage_errors(self, capsys, tmp_path):
+        # the library's refusals, each exit 2
+        cache = tmp_path / "c"
+        for argv in (["gamma-n", "31"], ["gamma-n", "-1"], ["offsets", "0"],
+                     ["stieltjes", "101"], ["stieltjes", "7", "--kmax", "21"],
+                     ["vq", "2"], ["compute", "9"],
+                     ["checksum", "9", "--tag", "T"],
+                     ["precompute", "9", "--tag", "T", "--cache", str(cache)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: "), argv
+        assert not cache.exists()
 
 
 class TestLazyScipy:

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from ekconst.multgroup import (NotPrimeError, build_context, factorize,
-                               is_prime, primitive_root, residues)
+from ekconst.multgroup import (DomainError, NotPrimeError, build_context,
+                               factorize, is_prime, primitive_root, residues)
+from ekconst.offsets import greedy_offsets, v_of_q
+from ekconst.specfun import gamma_n
+from ekconst.stieltjes import build_table
 from reference_values import VQ_TARGETS
 
 
@@ -88,6 +91,17 @@ class TestPrimitiveRoot:
         for bad in (1, 4, 9, 91):
             with pytest.raises(NotPrimeError):
                 primitive_root(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: primitive_root(9), lambda: build_context(3037000507),
+    lambda: build_table(101, 1), lambda: gamma_n(31),
+    lambda: greedy_offsets(0), lambda: v_of_q(2)])
+def test_arguments_outside_the_domain_raise_one_class(call):
+    # the command line maps this one class to its usage exit code
+    with pytest.raises(DomainError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 class TestBuildContext:
