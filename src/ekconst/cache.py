@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import specfun
-from .multgroup import PrimeContext, residues
+from .multgroup import DomainError, PrimeContext, residues
 
 FORMAT_MAGIC = "EKCACHE"
 FORMAT_VERSION = 2
@@ -86,12 +86,12 @@ def full_range(q: int, tag: FunctionTag) -> tuple[int, int]:
     return (0, (q - 1) // 2 if tag is FunctionTag.S_PAIR else q - 1)
 
 
-def _check_range(q: int, tag: FunctionTag, k_lo: int, k_hi: int) -> None:
-    """ValueError unless [k_lo, k_hi) lies within full_range(q, tag)."""
+def check_range(q: int, tag: FunctionTag, k_lo: int, k_hi: int) -> None:
+    """DomainError unless [k_lo, k_hi) lies within full_range(q, tag)."""
     hi_max = full_range(q, tag)[1]
     if not 0 <= k_lo <= k_hi <= hi_max:
-        raise ValueError(f"k-range [{k_lo},{k_hi}) outside [0,{hi_max}) "
-                         f"for tag {tag.value}")
+        raise DomainError(f"k-range [{k_lo},{k_hi}) outside [0,{hi_max}) "
+                          f"for tag {tag.value}")
 
 
 def closed_form_sum(q: int, tag: FunctionTag) -> float:
@@ -167,7 +167,7 @@ class ValueTable:
     def __post_init__(self):
         if self.k_hi - self.k_lo != len(self.values):
             raise ValueError("k-range does not match value count")
-        _check_range(self.q, self.function_tag, self.k_lo, self.k_hi)
+        check_range(self.q, self.function_tag, self.k_lo, self.k_hi)
 
     @property
     def is_full_range(self) -> bool:
@@ -228,7 +228,7 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
     """
     q = ctx.q
     k_lo, k_hi = k_range if k_range is not None else full_range(q, tag)
-    _check_range(q, tag, k_lo, k_hi)
+    check_range(q, tag, k_lo, k_hi)
     powers = residues(ctx, 0, min(_BLOCK, k_hi - k_lo))
     values = np.empty(k_hi - k_lo, dtype=np.float64)
     for lo in range(0, k_hi - k_lo, _BLOCK):
@@ -362,7 +362,7 @@ def _read_header(fh, path: Path) -> tuple[int, int, FunctionTag, int, int]:
         q, g, k_lo, k_hi = map(int, m.group("q", "g", "k0", "k1"))
         tag = FunctionTag(m["tag"].decode())
         target = float(m["target"])
-        _check_range(q, tag, k_lo, k_hi)
+        check_range(q, tag, k_lo, k_hi)
     except ValueError as exc:
         raise CacheFormatError(f"{path}: bad header ({exc})") from exc
     if target != specfun.TARGET_ABS_ERROR:  # nan and inf included

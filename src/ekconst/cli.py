@@ -136,10 +136,11 @@ def cmd_precompute(args) -> int:
     if args.range and args.range[0] >= args.range[1]:
         raise UsageError(f"--range {args.range[0]} {args.range[1]} is "
                          f"empty; K0 must be below K1")
-    cache_dir = _cache_dir(args, required=True)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     tag = FunctionTag(args.tag)
     k_lo, k_hi = args.range or cache_mod.full_range(q, tag)
+    cache_mod.check_range(q, tag, k_lo, k_hi)   # nor does a range past it
+    cache_dir = _cache_dir(args, required=True)
+    cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_mod.part_to_write(cache_dir, q, tag, k_lo, k_hi)
     cache_mod.save(cache_mod.precompute(ctx, tag, (k_lo, k_hi)), path)
     print(path)

@@ -139,7 +139,7 @@ def v_of_q(q: int, seq: OffsetSequence | None = None) -> float:
     b_max = int(offs.max())
     # on Python ints; the sieve forms no product b*q
     if b_max * q + 1 >= PRIME_LIMIT:
-        raise OverflowError(
+        raise DomainError(
             f"{b_max}*{q}+1 exceeds the primality tester's domain"
         )
     root = math.isqrt(b_max * q + 1)

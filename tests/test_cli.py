@@ -91,14 +91,15 @@ class TestCompute:
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone.
-        # The bound is that peak as measured (601 MB on 2 cores, numpy
-        # 2.4.6) plus 10%; an int64 array of all q-1 residues held for the
-        # run peaked at 683 MB
+        # The bound is that peak as measured (553 MB on 2 cores, numpy
+        # 2.4.6) plus 10%; with pocketfft's Bluestein over each whole
+        # transform it peaked at 601 MB, and with an int64 array of all
+        # q-1 residues held for the run at 683 MB
         proc = run_fresh_cli(["compute", 10000019], timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 661 * 2**10, peak_kb
+        assert peak_kb < 609 * 2**10, peak_kb
 
     def test_method_both_reports_discrepancy(self, capsys):
         code, out, _ = run(capsys, "compute", "101", "--method", "both")
@@ -279,9 +280,10 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
         # the four tables on disk, then a fresh ek compute whose ru_maxrss
-        # is its own peak.  The bound is that peak as measured (654 MB
-        # on 2 cores, numpy 2.4.6) plus 10%; loading every table up front
-        # peaked at 856 MB, and holding all q-1 residues for the run at
+        # is its own peak.  The bound is that peak as measured (605 MB
+        # on 2 cores, numpy 2.4.6) plus 10%; pocketfft's Bluestein over
+        # each whole transform peaked at 654 MB, loading every table up
+        # front at 856 MB, and holding all q-1 residues for the run at
         # 742 MB
         q, cache = 10000019, str(tmp_path)
         for tag in FunctionTag:
@@ -293,7 +295,7 @@ class TestCacheCommands:
         assert proc.returncode == 0, proc.stderr
         assert "method_discrepancy = " in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 719 * 2**10, peak_kb
+        assert peak_kb < 666 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)
@@ -810,9 +812,11 @@ class TestSmallCommands:
         cache = tmp_path / "c"
         for argv in (["gamma-n", "31"], ["gamma-n", "-1"], ["offsets", "0"],
                      ["stieltjes", "101"], ["stieltjes", "7", "--kmax", "21"],
-                     ["vq", "2"], ["compute", "9"],
-                     ["checksum", "9", "--tag", "T"],
-                     ["precompute", "9", "--tag", "T", "--cache", str(cache)]):
+                     ["vq", "2"], ["vq", "10000000000000000"],
+                     ["compute", "9"], ["checksum", "9", "--tag", "T"],
+                     ["precompute", "9", "--tag", "T", "--cache", str(cache)],
+                     ["precompute", "101", "--tag", "T", "--range", "0", "500",
+                      "--cache", str(cache)]):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: "), argv

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ekconst import fft, multgroup
 from ekconst.ek import parity_bins
 from ekconst.fft import dft, twiddle
 
@@ -43,6 +44,68 @@ class TestOracleEquivalence:
         x = RNG.standard_normal(360)
         err = np.max(np.abs(dft(x).values - oracles.naive_dft(x, -1)))
         assert err <= 1e-10 * float(np.sum(np.abs(x)))
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The lengths dft sends through the prime-factor split, in call
+    order."""
+    calls, real = [], fft._split
+
+    def recorded(x, p):
+        calls.append(len(x))
+        return real(x, p)
+
+    monkeypatch.setattr(fft, "_split", recorded)
+    return calls
+
+
+def _max_rel_error(y, ref):
+    return float(np.max(np.abs(y - ref)) / np.max(np.abs(ref)))
+
+
+class TestPrimeFactorSplit:
+    # 2^3*3*5^3: no prime factor above the split's; 2*1511 and 3001: too
+    # few rows; 3*1009: split.  Lengths near 3000 keep the oracle's dense
+    # matrix near 150 MB
+    @pytest.mark.parametrize("n, split", [(3000, False), (3022, False),
+                                          (3001, False), (3027, True)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_each_branch_equals_the_naive_sum(self, split_calls, n, split,
+                                              kind):
+        x = RNG.standard_normal(n)
+        if kind == "complex":
+            x = x + 1j * RNG.standard_normal(n)
+        err = np.max(np.abs(dft(x).values - oracles.naive_dft(x, -1)))
+        assert err <= 1e-12 * float(np.sum(np.abs(x)))
+        assert split_calls == ([n] if split else [])
+
+    # 3*7*2381 and 2*5*15287, the half lengths of q = 100003 and 305741;
+    # 7*67*1523, whose 469 Bluestein rows of 3072 take two blocks
+    @pytest.mark.parametrize("n", [50001, 152870, 714287])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_error_within_twice_pocketfft_against_long_double(
+            self, split_calls, n, kind):
+        from scipy.fft import fft as any_precision_fft
+        x = RNG.standard_normal(n)
+        if kind == "complex":
+            x = x + 1j * RNG.standard_normal(n)
+        ref = any_precision_fft(x.astype(np.clongdouble))
+        got = _max_rel_error(dft(x).values, ref)
+        assert split_calls == [n]
+        assert got <= 2 * _max_rel_error(np.fft.fft(x), ref)
+
+    def test_two_row_blocks_at_714287(self):
+        p = max(multgroup.factorize(714287))
+        size = fft._smooth_length(2 * p - 1)
+        assert (p, size) == (1523, 3072)
+        assert 714287 // p > fft._ROW_BLOCK // size
+
+    def test_smooth_length_is_the_least_at_or_above(self):
+        smooth = [m for m in range(1, 4100)
+                  if set(multgroup.factorize(m)) <= {2, 3, 5}]
+        for n in range(1, 2049):
+            assert fft._smooth_length(n) == min(m for m in smooth if m >= n)
 
 
 class TestProperties:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ekconst.cache import FunctionTag, precompute
 from ekconst.multgroup import (DomainError, NotPrimeError, build_context,
                                factorize, is_prime, primitive_root, residues)
 from ekconst.offsets import greedy_offsets, v_of_q
@@ -96,7 +97,8 @@ class TestPrimitiveRoot:
 @pytest.mark.parametrize("call", [
     lambda: primitive_root(9), lambda: build_context(3037000507),
     lambda: build_table(101, 1), lambda: gamma_n(31),
-    lambda: greedy_offsets(0), lambda: v_of_q(2)])
+    lambda: greedy_offsets(0), lambda: v_of_q(2), lambda: v_of_q(10**16),
+    lambda: precompute(build_context(101), FunctionTag.T, (0, 500))])
 def test_arguments_outside_the_domain_raise_one_class(call):
     # the command line maps this one class to its usage exit code
     with pytest.raises(DomainError) as info:
