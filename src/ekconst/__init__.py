@@ -11,7 +11,8 @@ that halves the precomputation for the parity-restricted sums.
 from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     MergeError, ValueTable, closed_form_sum, load,
                     precompute, save)
-from .ek import CharacterSumError, EKResult, compute_ek, parity_bins
+from .ek import (CharacterSumError, EKResult, compute_ek, packed_spectrum,
+                 parity_bins)
 from .fft import Spectrum, dft, twiddle
 from .multgroup import (DomainError, NotPrimeError, PrimeContext,
                         build_context, is_prime, primitive_root)
@@ -29,6 +30,6 @@ __all__ = [
     "NotPrimeError", "OffsetSequence", "PrimeContext", "Spectrum",
     "StieltjesTable", "ValueTable", "ZETA_DD_AT_0",
     "build_context", "closed_form_sum", "compute_ek", "dft", "gamma_n",
-    "greedy_offsets", "is_prime", "load", "parity_bins", "precompute",
-    "primitive_root", "save", "twiddle", "v_of_q",
+    "greedy_offsets", "is_prime", "load", "packed_spectrum", "parity_bins",
+    "precompute", "primitive_root", "save", "twiddle", "v_of_q",
 ]

@@ -88,22 +88,83 @@ def _table(ctx: PrimeContext, tables: Callable | None,
     return table
 
 
-def parity_bins(f: np.ndarray, tw: np.ndarray | None = None) -> np.ndarray:
-    """The bins of one parity of the transform of f (indexed by k, length
-    q-1), from one transform of length m = (q-1)/2 through dft: the
-    decimation-in-frequency split, one branch at a time.
+def packed_spectrum(f: np.ndarray, tw: np.ndarray, centred: bool,
+                    what: str = "a packed transform") -> np.ndarray:
+    """Z, the transform of length m = (q-1)/2 through dft of the real table
+    f (indexed by k, length q-1) packed as (f-c)[0::2] + i (f-c)[1::2];
+    parity_bins unpacks it.  c, which moves bin 0 only, is mean(f) if
+    centred, else 0.  The mean carries about half the square norm of the
+    log Gamma table, and removing it keeps that transform accurate; T and
+    psi are dominated by their values near x = 0, and there subtracting it
+    only adds rounding.
 
-    With tw = twiddle(q-1), the odd bins: out[t] is bin 2t+1, t < m, the
-    transform of tw[k]*(f[k] - f[k+m]).  Without, the even bins but bin 0
-    (the trivial character's): out[t-1] is bin 2t, 1 <= t < m, from the
-    transform of f[k] + f[k+m].
+    Z is checked by one inverse sample, sum_j Z[j] e(j/m) = m z[1], with
+    e(-j/m) = tw[2j] and then -tw[2j-m] from tw = twiddle(q-1): past the
+    float64 budget eps*log2(q-1)*sum|Z|, as _half bounds its imaginary
+    residue, it raises CharacterSumError.  f is not held past the packing.
     """
     m, odd = divmod(len(f), 2)
     if odd:
         raise ValueError(f"input length must be even, got {len(f)}")
-    if tw is None:
-        return dft(f[:m] + f[m:]).values[1:]
-    return dft(tw * (f[:m] - f[m:])).values
+    c = float(np.mean(f)) if centred else 0.0
+    z = np.empty(m, dtype=complex)
+    np.subtract(f[0::2], c, out=z.real)
+    np.subtract(f[1::2], c, out=z.imag)
+    del f
+    sample = complex(z[1 % m])
+    z = dft(z).values
+    h = (m + 1) // 2
+    back = _inverse_terms(tw[0::2], z[:h]) - _inverse_terms(tw[m % 2::2],
+                                                            z[h:])
+    residual = abs(back - m * sample)
+    bound = _EPS * math.log2(2 * m) * float(np.sum(np.abs(z)))
+    if not residual <= bound:
+        raise CharacterSumError(
+            f"inverse sample of {what} is off by {residual:.3e}, past its "
+            f"float64 budget eps*log2({2 * m})*sum|Z| = {bound:.3e}")
+    return z
+
+
+def _inverse_terms(roots: np.ndarray, z: np.ndarray) -> complex:
+    """sum_j conj(roots[j]) z[j], summed pairwise as np.sum sums."""
+    terms = np.conjugate(roots)
+    terms *= z
+    return complex(np.sum(terms))
+
+
+def parity_bins(z: np.ndarray, tw: np.ndarray, odd: bool) -> np.ndarray:
+    """The bins of one parity of the length-(q-1) transform F of f, from
+    z = packed_spectrum(f, tw): odd, out[t] is bin 2t+1, t < m; even, out[t-1]
+    is bin 2t, 1 <= t < m (bin 0, the trivial character's, is left out).
+
+    With E and O the transforms of f[0::2] and f[1::2] and w_i = tw[i],
+    F[i] = E[i] + w_i O[i] and F[i+m] = E[i] - w_i O[i] for i < m.
+    """
+    m = len(z)
+    lo, hi = 2 - odd, (m + odd) % 2   # first i of each half of the parity
+    split = len(range(lo, m, 2))
+    out = np.empty(split + len(range(hi, m, 2)), dtype=complex)
+    _unpack(z, tw, lo, 1, out[:split])
+    _unpack(z, tw, hi, -1, out[split:])
+    return out
+
+
+def _unpack(z: np.ndarray, tw: np.ndarray, i: int, sign: int,
+            out: np.ndarray) -> None:
+    """out = E + sign*w*O at i, i+2, ... < m, with E = (Z + conj Z[-i])/2
+    and O = (Z - conj Z[-i])/2i, from strided and reversed views of z."""
+    m = len(z)
+    if i == 0:  # Z[-0] is Z[0], so E[0] and O[0] are its two parts
+        out[0] = z[0].real + sign * z[0].imag
+        out, i = out[1:], 2
+    a = z[i::2]
+    b = np.conjugate(z[m - i::-2][:len(a)])
+    np.add(a, b, out=out)
+    np.subtract(a, b, out=b)
+    b *= tw[i::2]
+    out *= 0.5
+    b *= -0.5j * sign
+    out += b
 
 
 def bernoulli_twisted(ctx: PrimeContext, tw: np.ndarray) -> np.ndarray:
@@ -128,38 +189,40 @@ def _divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     return num
 
 
-def s_odd(ctx: PrimeContext, log_gamma_table: ValueTable,
+def s_odd(ctx: PrimeContext, log_gamma: np.ndarray,
           tw: np.ndarray) -> np.ndarray:
-    """The odd half of the S method, tw = twiddle(q-1): for chi =
-    chi_1^{2t+1}, t < m, out[t] = L'/L(1,chi) - (gamma + log 2 pi), the
-    ratio of sum_a conj(chi)(a) log Gamma(a/q) to B_{1,conj chi}."""
-    return _divide(parity_bins(log_gamma_table.values, tw),
+    """The odd half of the S method, from log_gamma = packed_spectrum of the
+    LOGGAMMA values and tw = twiddle(q-1): for chi = chi_1^{2t+1}, t < m,
+    out[t] = L'/L(1,chi) - (gamma + log 2 pi), the ratio of
+    sum_a conj(chi)(a) log Gamma(a/q) to B_{1,conj chi}."""
+    return _divide(parity_bins(log_gamma, tw, True),
                    bernoulli_twisted(ctx, tw), "a first chi-Bernoulli number")
 
 
-def s_even(log_gamma_table: ValueTable,
+def s_even(log_gamma: np.ndarray, tw: np.ndarray,
            s_pair_table: ValueTable) -> np.ndarray:
-    """The even half of the S method: for chi = chi_1^{2t}, 1 <= t < m,
-    out[t-1] = L'/L(1,chi) - (gamma + log 2 pi), which is -1/2 times the
-    ratio of sum_a conj(chi)(a) S(a/q) to sum_a conj(chi)(a) log Gamma(a/q).
-    The S pair table holds S(x) + S(1-x), the even branch as it stands."""
-    den = parity_bins(log_gamma_table.values)
+    """The even half of the S method, log_gamma and tw as for s_odd: for
+    chi = chi_1^{2t}, 1 <= t < m, out[t-1] = L'/L(1,chi) - (gamma + log 2 pi),
+    which is -1/2 times the ratio of sum_a conj(chi)(a) S(a/q) to
+    sum_a conj(chi)(a) log Gamma(a/q).  The S pair table holds
+    S(x) + S(1-x), whose length-m transform gives the even bins as it
+    stands."""
+    den = parity_bins(log_gamma, tw, False)
     even = _divide(dft(s_pair_table.values).values[1:], den,
                    "an even-character log Gamma sum")
     even *= -0.5
     return even
 
 
-def t_half(q: int, t_table: ValueTable, psi_table: ValueTable,
-           tw: np.ndarray | None = None) -> np.ndarray:
-    """One half of the T method: L'/L(1,chi) = -log q - r, with r the ratio
-    of sum_a chi(a) T(a/q) to sum_a chi(a) psi(a/q), for the characters
-    that parity_bins(f, tw) gives the bins of, indexed as it indexes them.
+def t_half(q: int, t: np.ndarray, psi: np.ndarray, tw: np.ndarray,
+           odd: bool) -> np.ndarray:
+    """One half of the T method, from the packed spectra t and psi of the T
+    and PSI values: L'/L(1,chi) = -log q - r, with r the ratio of
+    sum_a chi(a) T(a/q) to sum_a chi(a) psi(a/q), for the characters that
+    parity_bins(., tw, odd) gives the bins of, indexed as it indexes them.
     """
-    parity = "even" if tw is None else "odd"
-    r = _divide(parity_bins(t_table.values, tw),
-                parity_bins(psi_table.values, tw),
-                f"an {parity}-character psi sum")
+    r = _divide(parity_bins(t, tw, odd), parity_bins(psi, tw, odd),
+                f"an {'odd' if odd else 'even'}-character psi sum")
     # the transforms give the conj(chi) sums of real tables; conjugating
     # their ratio gives the ratio of the chi sums
     np.conjugate(r, out=r)
@@ -205,25 +268,34 @@ def compute_ek(ctx: PrimeContext, tables: Callable | None = None,
     if method not in METHOD_TAGS:
         raise ValueError(f"unknown method {method!r}")
     q, m = ctx.q, ctx.m
+    tw = twiddle(q - 1)
+
+    def spectrum(tag: FunctionTag) -> np.ndarray:
+        # the table is dropped once packed, unless tables(tag) still holds it
+        return packed_spectrum(_table(ctx, tables, tag).values, tw,
+                               tag is FunctionTag.LOGGAMMA,
+                               f"the packed {tag.value} transform")
+
     # per route, ((ek_diff, mq_odd, imag), (ek_plus, mq_even, imag)); each
     # half's arrays are gone once _half returns, before the next allocates
     routes = []
     if method in (METHOD_S, METHOD_BOTH):
-        lg = _table(ctx, tables, FunctionTag.LOGGAMMA)
+        lg = spectrum(FunctionTag.LOGGAMMA)
         shift = EULER_GAMMA + LOG_2PI
-        odd = _half(q, s_odd(ctx, lg, twiddle(q - 1)), shift, m * shift,
+        odd = _half(q, s_odd(ctx, lg, tw), shift, m * shift,
                     "odd character sum")
-        even = _half(q, s_even(lg, _table(ctx, tables, FunctionTag.S_PAIR)),
+        even = _half(q, s_even(lg, tw,
+                               _table(ctx, tables, FunctionTag.S_PAIR)),
                      shift, m * EULER_GAMMA + (m - 1) * LOG_2PI,
                      "even character sum")
         routes.append((odd, even))
-        del lg  # before the T route fetches its own tables
+        del lg  # before the T route makes its own spectra
     if method in (METHOD_T, METHOD_BOTH):
-        t, psi = (_table(ctx, tables, tag) for tag in METHOD_TAGS[METHOD_T])
+        t, psi = (spectrum(tag) for tag in METHOD_TAGS[METHOD_T])
         routes.append((
-            _half(q, t_half(q, t, psi, twiddle(q - 1)), 0.0, 0.0,
+            _half(q, t_half(q, t, psi, tw, True), 0.0, 0.0,
                   "odd character sum"),
-            _half(q, t_half(q, t, psi), 0.0, EULER_GAMMA,
+            _half(q, t_half(q, t, psi, tw, False), 0.0, EULER_GAMMA,
                   "even character sum"),
         ))
     ek, *cross = (odd[0] + even[0] for odd, even in routes)

@@ -6,12 +6,12 @@ Convention: dft(x).values[j] = sum_k e(-j*k/N) x[k] with
 e(t) = exp(2*pi*i*t), unnormalized (the usual engineering DFT).
 
 numpy's pocketfft runs every length, but slowly where the length has a
-large prime factor p: it then falls back to one Bluestein transform of the
-whole length.  From _SPLIT_PRIME * _SPLIT_REST on, a length n = p*r with
-p > _SPLIT_PRIME and r >= _SPLIT_REST is split instead (Cooley-Tukey):
-pocketfft runs the length-r transforms, and the r length-p transforms run
-as Bluestein convolutions on a 2*3*5-smooth length, a block of rows at a
-time.  Only the length-p chirp is formed, per call.
+large prime factor p: it then takes a generic radix-p pass or one
+Bluestein transform of the whole length.  A length n = p*r that _splits
+accepts is split instead (Cooley-Tukey): pocketfft runs the length-r
+transforms, and the r length-p transforms run as Bluestein convolutions on
+a 2*3*5-smooth length, a block of rows at a time.  Only the length-p chirp
+is formed, per call.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 
 from .multgroup import factorize
 
-_SPLIT_PRIME = 1000
-_SPLIT_REST = 3
+_SPLIT_MIN = 3991       # 13*307, the least length _splits accepts
 _ROW_BLOCK = 1 << 20    # complex values per block of Bluestein rows
 
 
@@ -38,16 +37,25 @@ class Spectrum:
 def dft(x) -> Spectrum:
     """Unnormalized transform sum_k e(-j*k/N) x[k], O(N log N).
 
-    Lengths whose largest prime factor p exceeds _SPLIT_PRIME, with a
-    cofactor of at least _SPLIT_REST, go through _split; every other
-    length goes straight to pocketfft.
+    Lengths that _splits accepts go through _split; every other length
+    goes straight to pocketfft.
     """
     n = len(x)
-    if n >= _SPLIT_PRIME * _SPLIT_REST:
+    if n >= _SPLIT_MIN:     # shorter lengths are not factorised
         p = max(factorize(n))
-        if p > _SPLIT_PRIME and n // p >= _SPLIT_REST:
+        if _splits(n, p):
             return Spectrum(values=_split(np.asarray(x), p))
     return Spectrum(values=np.fft.fft(x))
+
+
+def _splits(n: int, p: int) -> bool:
+    """Whether _split beats pocketfft on length n with largest prime factor
+    p, fitted to timings of both on n = p*r.  The split lost wherever p was
+    below 300, and with r = 2 or 3 up to n near 10^6; with r >= 4 it won
+    once n*r reached about 5*10^4."""
+    r = n // p
+    return p > 300 and (r >= 4 and n * r >= 50_000
+                        or r >= 2 and n >= 1 << 20)
 
 
 def _smooth_length(n: int) -> int:
@@ -110,4 +118,4 @@ def _split(x: np.ndarray, p: int) -> np.ndarray:
 def twiddle(n: int) -> np.ndarray:
     """The factors e(-k/n), k < n/2, that the odd-bin branch of a length-n
     input is multiplied by before its half-length transform."""
-    return np.exp(-2j * np.pi * np.arange(n // 2) / n)
+    return _roots(np.arange(n // 2), n)

@@ -8,7 +8,8 @@ import numpy as np
 import oracles
 from ekconst import specfun
 from ekconst.cache import FunctionTag, closed_form_sum, precompute
-from ekconst.ek import compute_ek, parity_bins, s_even, s_odd
+from ekconst.ek import (compute_ek, packed_spectrum, parity_bins, s_even,
+                        s_odd)
 from ekconst.fft import dft, twiddle
 from ekconst.multgroup import build_context
 from ekconst.offsets import greedy_offsets, v_of_q
@@ -102,8 +103,9 @@ def test_criterion_5_fft_correctness():
     for q in oracles.odd_primes_up_to(101):
         f = rng.standard_normal(q - 1)
         full = oracles.naive_dft(f, -1)
-        even = parity_bins(f)
-        odd = parity_bins(f, twiddle(len(f)))
+        tw = twiddle(len(f))
+        z = packed_spectrum(f, tw, True)
+        even, odd = parity_bins(z, tw, False), parity_bins(z, tw, True)
         assert float(np.max(np.abs(even - full[2::2]),
                             initial=0.0)) <= 1e-10 * q
         assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-10 * q
@@ -119,8 +121,10 @@ def test_criterion_6_character_sum_oracle():
         lg = precompute(ctx, FunctionTag.LOGGAMMA)
         sp = precompute(ctx, FunctionTag.S_PAIR)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
-        odd_vals = shift + s_odd(ctx, lg, twiddle(q - 1))
-        even_vals = shift + s_even(lg, sp)
+        tw = twiddle(q - 1)
+        z = packed_spectrum(lg.values, tw, True)
+        odd_vals = shift + s_odd(ctx, z, tw)
+        even_vals = shift + s_even(z, tw, sp)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):

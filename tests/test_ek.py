@@ -9,12 +9,12 @@ import pytest
 
 import oracles
 import ekconst
-from ekconst import ek, specfun
+from ekconst import ek, fft, specfun
 from ekconst.cache import (ChecksumMismatchError, FunctionTag, ValueTable,
                            precompute)
 from ekconst.ek import (METHOD_TAGS, CharacterSumError, _half,
-                        bernoulli_twisted, compute_ek, parity_bins, s_even,
-                        s_odd, t_half)
+                        bernoulli_twisted, compute_ek, packed_spectrum,
+                        parity_bins, s_even, s_odd, t_half)
 from ekconst.fft import dft, twiddle
 from ekconst.multgroup import build_context, residues
 from ekconst.specfun import EULER_GAMMA
@@ -54,6 +54,27 @@ def calls(monkeypatch):
     monkeypatch.setattr(ek.cache_mod, "precompute", precompute_)
     monkeypatch.setattr(ek, "dft", dft_)
     return seen
+
+
+def spectra(ctx, *tables):
+    """twiddle(q-1), then the packed spectrum of each table, centred as
+    compute_ek centres it."""
+    tw = twiddle(ctx.q - 1)
+    return (tw, *(packed_spectrum(t.values, tw,
+                                  t.function_tag is FunctionTag.LOGGAMMA)
+                  for t in tables))
+
+
+def without_character(table, j):
+    """The table with the component of characters j and -j taken out of
+    its values, so that bins j and q-1-j of its transform vanish.  Every
+    other bin, the sum and so the closed-form gate are unchanged."""
+    f, n = table.values, len(table.values)
+    phase = np.arange(n) * j % n
+    bin_j = np.sum(f * np.exp(-2j * np.pi * phase / n))
+    values = f - 2.0 / n * np.real(bin_j * np.exp(2j * np.pi * phase / n))
+    return dataclasses.replace(table, values=values,
+                               partial_sum=math.fsum(values.tolist()))
 
 
 def oracle_parts(ctx):
@@ -159,6 +180,36 @@ class TestStructuralIdentities:
                                  "budget"):
             compute_ek(ctx, caches.get, method="s")
 
+    @pytest.mark.parametrize("mutation", ["roll", "conjugate"])
+    @pytest.mark.parametrize("method, tag, call", [
+        ("s", "LOGGAMMA", 0), ("t", "T", 0), ("t", "PSI", 1)])
+    def test_corrupted_packed_spectrum_is_refused(self, method, tag, call,
+                                                  mutation, monkeypatch):
+        # a packed spectrum rolled by one bin, or transformed in the
+        # conjugate direction, keeps its conjugate pairs, so the imaginary
+        # gate cannot see it; the inverse sample must.  call is the index
+        # of the table's transform among the method's
+        ctx = build_context(10007)
+        caches = method_tables(ctx, method)
+        compute_ek(ctx, caches.get, method=method)  # unmutated, it passes
+        seen = []
+
+        def mutated_dft(x):
+            seen.append(len(seen))
+            if len(seen) - 1 != call:
+                return dft(x)
+            if mutation == "roll":
+                return fft.Spectrum(values=np.roll(dft(x).values, 1))
+            return fft.Spectrum(values=np.conj(dft(np.conj(x)).values))
+
+        monkeypatch.setattr(ek, "dft", mutated_dft)
+        with pytest.raises(CharacterSumError,
+                           match=f"inverse sample of the packed {tag} "
+                                 "transform is off by .* past its float64 "
+                                 "budget"):
+            compute_ek(ctx, caches.get, method=method)
+        assert len(seen) == call + 1  # refused before the next transform
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.inf)])
     def test_non_finite_sum_is_refused(self, bad):
         # NaN compares false and inf/inf passes residue <= bound, so the
@@ -174,45 +225,40 @@ class TestStructuralIdentities:
 
     @pytest.mark.parametrize("which", ["bernoulli", "even log Gamma"])
     def test_vanishing_denominators_are_refused(self, which, monkeypatch):
-        # a transform that returns zeros where the S method divides must
-        # raise, not turn into inf or nan
+        # zeros where the S method divides must raise, not turn into inf
+        # or nan: a Bernoulli transform that returns zeros, or a log Gamma
+        # table one of whose even characters sums to zero, through its
+        # packed transform
         ctx = build_context(101)
-        lg, sp = tables(ctx)
+        caches = method_tables(ctx, "s")
         if which == "bernoulli":
             k = np.arange(ctx.m)
             target = (np.exp(-2j * np.pi * k / (ctx.q - 1))
                       * (2.0 * residues(ctx, 0, ctx.m) - ctx.q) / ctx.q)
+
+            def dft_zeroing(x, *args, **kwargs):
+                spectrum = dft(x, *args, **kwargs)
+                if np.array_equal(x, target):
+                    spectrum.values[:] = 0.0
+                return spectrum
+
+            monkeypatch.setattr(ek, "dft", dft_zeroing)
         else:
-            target = lg.values[:ctx.m] + lg.values[ctx.m:]
-
-        def dft_zeroing(x, *args, **kwargs):
-            spectrum = dft(x, *args, **kwargs)
-            if np.array_equal(x, target):
-                spectrum.values[:] = 0.0
-            return spectrum
-
-        monkeypatch.setattr(ek, "dft", dft_zeroing)
+            caches[FunctionTag.LOGGAMMA] = without_character(
+                caches[FunctionTag.LOGGAMMA], 8)
         with pytest.raises(CharacterSumError, match="numerically zero"):
-            compute_ek(ctx, method="s")
+            compute_ek(ctx, caches.get, method="s")
 
     @pytest.mark.parametrize("branch", ["even", "odd"])
     @pytest.mark.parametrize("method", ["t", "both"])
-    def test_vanishing_psi_sum_is_refused(self, method, branch, monkeypatch):
-        # one zero bin of a psi transform; unchecked, the T route returned
-        # ek = -inf and mq = inf
+    def test_vanishing_psi_sum_is_refused(self, method, branch):
+        # a psi table one of whose characters sums to zero, bin 3 of the
+        # branch, through its packed transform; unchecked, the T route
+        # returned ek = -inf and mq = inf
         ctx = build_context(101)
         caches = method_tables(ctx, method)
-        psi, m = caches[FunctionTag.PSI].values, ctx.m
-        target = (psi[:m] + psi[m:] if branch == "even"
-                  else twiddle(ctx.q - 1) * (psi[:m] - psi[m:]))
-
-        def dft_zeroing(x):
-            spectrum = dft(x)
-            if np.array_equal(x, target):
-                spectrum.values[3] = 0.0
-            return spectrum
-
-        monkeypatch.setattr(ek, "dft", dft_zeroing)
+        caches[FunctionTag.PSI] = without_character(
+            caches[FunctionTag.PSI], 8 if branch == "even" else 7)
         with pytest.raises(CharacterSumError,
                            match=f"an {branch}-character psi sum is "
                                  "numerically zero"):
@@ -245,10 +291,13 @@ class TestSigmaConvention:
         for j in range(4):
             direct = np.sum(np.conj(chars[j]) * lg.values)
             assert spec[j] == pytest.approx(direct, abs=1e-13)
-        # the parity branches give bins 1, 3 and bin 2 of that transform
-        odd = parity_bins(lg.values, twiddle(ctx.q - 1))
+        # the packed spectrum unpacks to bins 1, 3 and bin 2 of that
+        # transform
+        tw, z = spectra(ctx, lg)
+        odd = parity_bins(z, tw, True)
         assert odd == pytest.approx(spec[1::2], abs=1e-13)
-        assert parity_bins(lg.values) == pytest.approx(spec[2:3], abs=1e-13)
+        assert parity_bins(z, tw, False) == pytest.approx(spec[2:3],
+                                                          abs=1e-13)
 
     def test_q5_bernoulli_matches_explicit(self):
         ctx = build_context(5)
@@ -266,8 +315,9 @@ class TestPerCharacterOracle:
         ctx = build_context(q)
         lg, sp = tables(ctx)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
-        odd_vals = shift + s_odd(ctx, lg, twiddle(q - 1))
-        even_vals = shift + s_even(lg, sp)
+        tw, z = spectra(ctx, lg)
+        odd_vals = shift + s_odd(ctx, z, tw)
+        even_vals = shift + s_even(z, tw, sp)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):
@@ -279,11 +329,11 @@ class TestPerCharacterOracle:
     def test_t_route_equals_direct_and_s(self, q):
         ctx = build_context(q)
         lg, sp = tables(ctx)
-        tw = twiddle(q - 1)
-        odd, even = s_odd(ctx, lg, tw), s_even(lg, sp)
-        tables_t = (precompute(ctx, FunctionTag.T),
-                    precompute(ctx, FunctionTag.PSI))
-        t_odd, t_even = t_half(q, *tables_t, tw), t_half(q, *tables_t)
+        tw, z, t, psi = spectra(ctx, lg, precompute(ctx, FunctionTag.T),
+                                precompute(ctx, FunctionTag.PSI))
+        odd, even = s_odd(ctx, z, tw), s_even(z, tw, sp)
+        t_odd, t_even = t_half(q, t, psi, tw, True), t_half(q, t, psi, tw,
+                                                            False)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
@@ -298,8 +348,8 @@ class TestPerCharacterOracle:
     def test_conjugate_pairing(self):
         ctx = build_context(31)
         lg, _ = tables(ctx)
-        odd_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
-                    + s_odd(ctx, lg, twiddle(ctx.q - 1)))
+        tw, z = spectra(ctx, lg)
+        odd_vals = specfun.EULER_GAMMA + specfun.LOG_2PI + s_odd(ctx, z, tw)
         m = ctx.m
         for t in range(m):
             assert odd_vals[t] == pytest.approx(
@@ -396,9 +446,10 @@ class TestTransformContract:
     def test_every_transform_goes_through_ek_dft(self, method, q,
                                                  monkeypatch):
         # wraps ek.dft the way benchmarks/tracing.py does and counts the
-        # numpy transforms made outside the wrapper: four of length m per
-        # route
-        calls = 8 if method == "both" else 4
+        # numpy transforms made outside the wrapper, each of length m:
+        # route s packs log Gamma into one and makes the Bernoulli and
+        # S pair transforms, route t packs T and psi into one each
+        calls = {"s": 3, "t": 2, "both": 5}[method]
         counts = {"wrapped": 0, "numpy": 0, "ifft": 0, "points": 0}
         lengths = set()
         np_fft, np_ifft, ek_dft = np.fft.fft, np.fft.ifft, ek.dft
@@ -425,21 +476,23 @@ class TestTransformContract:
         assert counts["wrapped"] == counts["numpy"] == calls
         assert counts["ifft"] == 0
         assert lengths == {ctx.m}
-        assert counts["points"] == calls // 2 * (q - 1)
+        assert counts["points"] == calls * ctx.m
 
     def test_tables_are_evaluated_route_by_route(self, calls):
         # each table is evaluated where it is first used: S_PAIR only for
-        # the even half of route s, T and PSI once route s is done
+        # the even half of route s, T and PSI once route s is done, PSI
+        # once the T table is packed and transformed
         compute_ek(build_context(101), method="both")
-        assert calls == ["LOGGAMMA", "dft", "dft", "S_PAIR", "dft", "dft",
-                         "T", "PSI", *["dft"] * 4]
+        assert calls == ["LOGGAMMA", "dft", "dft", "S_PAIR", "dft",
+                         "T", "dft", "PSI", "dft"]
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
     def test_each_table_lives_only_while_its_halves_run(self, method,
                                                         monkeypatch):
         # a lookup that holds no references: each fetch is logged by its
         # tag, and each transform by the tags whose values are still
-        # alive as it starts
+        # alive as it starts.  A packed table is gone before its transform
+        # starts; S_PAIR is transformed as it stands
         ctx = build_context(101)
         fetched, events = [], []
         ek_dft = ek.dft
@@ -456,9 +509,8 @@ class TestTransformContract:
 
         monkeypatch.setattr(ek, "dft", tracking_dft)
         compute_ek(ctx, lookup, method=method)
-        s_route = ["LOGGAMMA", ["LOGGAMMA"], ["LOGGAMMA"],
-                   "S_PAIR", *[["LOGGAMMA", "S_PAIR"]] * 2]
-        t_route = ["T", "PSI", *[["PSI", "T"]] * 4]
+        s_route = ["LOGGAMMA", [], [], "S_PAIR", ["S_PAIR"]]
+        t_route = ["T", [], "PSI", []]
         assert events == {"s": s_route, "t": t_route,
                           "both": s_route + t_route}[method]
 
@@ -466,8 +518,9 @@ class TestTransformContract:
     def test_each_half_is_released_before_the_next(self, method,
                                                    monkeypatch):
         # at the start of each transform, how many spectra of earlier
-        # transforms are still alive: a half holds its first spectrum
-        # while it runs its second, and no half outlives its reduction
+        # transforms are still alive: the packed log Gamma spectrum while
+        # the Bernoulli and S pair transforms run, the packed T spectrum
+        # while PSI's runs, and nothing of route s once route t starts
         ctx = build_context(101)
         caches = method_tables(ctx, method)
         spectra, alive = [], []
@@ -481,11 +534,14 @@ class TestTransformContract:
 
         monkeypatch.setattr(ek, "dft", tracking_dft)
         compute_ek(ctx, caches.get, method=method)
-        assert alive == [0, 1] * (4 if method == "both" else 2)
+        s_route, t_route = [0, 1, 1], [0, 1]
+        assert alive == {"s": s_route, "t": t_route,
+                         "both": s_route + t_route}[method]
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
     def test_one_twiddle_per_route(self, method, monkeypatch):
-        # the m-length twiddle is the only np.exp of the assembly
+        # the m-length twiddle is the only np.exp of the assembly, formed
+        # once per compute whatever the method
         ctx = build_context(101)
         caches = method_tables(ctx, method)
         lengths = []
@@ -497,7 +553,7 @@ class TestTransformContract:
 
         monkeypatch.setattr(np, "exp", counting_exp)
         compute_ek(ctx, caches.get, method=method)
-        assert lengths == [ctx.m] * (2 if method == "both" else 1)
+        assert lengths == [ctx.m]
 
     def test_star_import_and_all(self):
         namespace = {}

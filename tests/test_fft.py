@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from ekconst import fft, multgroup
-from ekconst.ek import parity_bins
+from ekconst.ek import packed_spectrum, parity_bins
 from ekconst.fft import dft, twiddle
 
 RNG = np.random.default_rng(20240817)
@@ -65,11 +65,12 @@ def _max_rel_error(y, ref):
 
 
 class TestPrimeFactorSplit:
-    # 2^3*3*5^3: no prime factor above the split's; 2*1511 and 3001: too
-    # few rows; 3*1009: split.  Lengths near 3000 keep the oracle's dense
-    # matrix near 150 MB
-    @pytest.mark.parametrize("n, split", [(3000, False), (3022, False),
-                                          (3001, False), (3027, True)])
+    # 2^3*3*5^3 and 17*257: no prime factor above 300; 2*1511, 3*1009 and
+    # the prime 3001: too few rows; 4*1009: n*r below 5*10^4; 13*307, the
+    # least split length, and 16*311: split
+    @pytest.mark.parametrize("n, split", [
+        (3000, False), (3022, False), (3001, False), (3027, False),
+        (4369, False), (4036, False), (3991, True), (4976, True)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_each_branch_equals_the_naive_sum(self, split_calls, n, split,
                                               kind):
@@ -81,8 +82,10 @@ class TestPrimeFactorSplit:
         assert split_calls == ([n] if split else [])
 
     # 3*7*2381 and 2*5*15287, the half lengths of q = 100003 and 305741;
-    # 7*67*1523, whose 469 Bluestein rows of 3072 take two blocks
-    @pytest.mark.parametrize("n", [50001, 152870, 714287])
+    # 2*3*31*823, whose largest prime factor is below 1000; 7*67*1523,
+    # whose 469 Bluestein rows of 3072 take two blocks; 3*349529, three
+    # rows, split from 2^20 on
+    @pytest.mark.parametrize("n", [50001, 152870, 153078, 714287, 1048587])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_error_within_twice_pocketfft_against_long_double(
             self, split_calls, n, kind):
@@ -100,6 +103,11 @@ class TestPrimeFactorSplit:
         size = fft._smooth_length(2 * p - 1)
         assert (p, size) == (1523, 3072)
         assert 714287 // p > fft._ROW_BLOCK // size
+
+    def test_no_length_below_the_least_split_is_factorised(self):
+        assert fft._splits(fft._SPLIT_MIN, 307)
+        assert not any(fft._splits(n, max(multgroup.factorize(n)))
+                       for n in range(2, fft._SPLIT_MIN))
 
     def test_smooth_length_is_the_least_at_or_above(self):
         smooth = [m for m in range(1, 4100)
@@ -134,21 +142,28 @@ class TestDecimation:
     def test_arithmetic_example_q5(self):
         # the full transform of f is [6, -2+2i, -2, -2-2i]
         f = np.array([0.0, 1.0, 2.0, 3.0])
-        assert np.allclose(parity_bins(f), [-2.0], atol=1e-15)
-        assert np.allclose(parity_bins(f, twiddle(len(f))),
-                           [-2.0 + 2.0j, -2.0 - 2.0j], atol=1e-15)
+        tw = twiddle(len(f))
+        for centred in (False, True):
+            z = packed_spectrum(f, tw, centred)
+            assert np.allclose(parity_bins(z, tw, False), [-2.0], atol=1e-15)
+            assert np.allclose(parity_bins(z, tw, True),
+                               [-2.0 + 2.0j, -2.0 - 2.0j], atol=1e-15)
 
     def test_odd_length_rejected(self):
-        for tw in (None, twiddle(5)):
+        for centred in (False, True):
             with pytest.raises(ValueError, match="length must be even"):
-                parity_bins(np.zeros(5), tw)
+                packed_spectrum(np.zeros(5), twiddle(5), centred)
 
     @pytest.mark.parametrize("q", oracles.odd_primes_up_to(101))
     def test_bin_equivalence_all_primes_to_101(self, q):
-        f = RNG.standard_normal(q - 1)
+        # both parities of every q-1 <= 100, odd and even m, from the
+        # packed spectrum with and without the mean taken out
+        f = RNG.standard_normal(q - 1) + 3.0
         full = oracles.naive_dft(f, -1)
-        even = parity_bins(f)
-        odd = parity_bins(f, twiddle(len(f)))
-        assert float(np.max(np.abs(even - full[2::2]),
-                            initial=0.0)) <= 1e-12 * q
-        assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-12 * q
+        tw = twiddle(len(f))
+        for centred in (False, True):
+            z = packed_spectrum(f, tw, centred)
+            even, odd = parity_bins(z, tw, False), parity_bins(z, tw, True)
+            assert float(np.max(np.abs(even - full[2::2]),
+                                initial=0.0)) <= 1e-12 * q
+            assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-12 * q
