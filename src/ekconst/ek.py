@@ -4,20 +4,23 @@ maximum logarithmic-derivative modulus M_q from precomputed value tables.
 Character sums over the nontrivial Dirichlet characters mod q are reordered
 through a_k = g^k into discrete Fourier transforms (bin j of the
 transform of f(a_k/q) is the sum of conj(chi_1^j)(a) f(a/q), where
-chi_1(g) = e(1/(q-1))).  chi_1^j is even exactly when j is even, so the
-decimation split (parity_bins) gives the odd characters and the even ones
-each from a transform of length m = (q-1)/2.
+chi_1(g) = e(1/(q-1))).  chi_1^j is even exactly when j is even.  Both
+parities of a full-range table come from one transform of length
+m = (q-1)/2, of its values packed as f[0::2] + i f[1::2]
+(packed_spectrum), unpacked one parity at a time (parity_bins).  The
+Bernoulli sequence is the odd branch of a decimation split
+(bernoulli_twisted), and the S pair table is an even branch as it stands.
 
-Each of two independent routes runs in two parity halves.  A half takes
-two such transforms and divides them, one ratio per character; _half
-reduces the ratios to the half's constant, its max |L'/L(1,chi)| and its
-imaginary residue before the next half allocates.  The odd half gives
-ek_diff and the even half ek_plus:
+Each of two independent routes runs in two parity halves.  A half divides
+two sets of bins, one ratio per character; _half reduces the ratios to the
+half's constant, its max |L'/L(1,chi)| and its imaginary residue before
+the next half allocates.  The odd half gives ek_diff and the even half
+ek_plus:
 
   method "s":  odd characters through log Gamma and the first
                chi-Bernoulli numbers (s_odd), even characters through
-               S(x) and log Gamma (s_even);
-  method "t":  both halves through T(x) and psi(x) (t_half).
+               S(x) and log Gamma (s_even): three transforms;
+  method "t":  both halves through T(x) and psi(x) (t_half): two.
 """
 
 from __future__ import annotations
@@ -90,18 +93,18 @@ def _table(ctx: PrimeContext, tables: Callable | None,
 
 def packed_spectrum(f: np.ndarray, tw: np.ndarray, centred: bool,
                     what: str = "a packed transform") -> np.ndarray:
-    """Z, the transform of length m = (q-1)/2 through dft of the real table
-    f (indexed by k, length q-1) packed as (f-c)[0::2] + i (f-c)[1::2];
-    parity_bins unpacks it.  c, which moves bin 0 only, is mean(f) if
-    centred, else 0.  The mean carries about half the square norm of the
-    log Gamma table, and removing it keeps that transform accurate; T and
-    psi are dominated by their values near x = 0, and there subtracting it
-    only adds rounding.
+    """Z, the length-m transform through dft of the real table f (length
+    q-1 = 2m) packed as (f-c)[0::2] + i (f-c)[1::2], which parity_bins
+    unpacks.  c moves bin 0 only: mean(f) if centred, which keeps the log
+    Gamma transform accurate, else 0, since in T and psi, ruled by their
+    values near x = 0, subtracting it only adds rounding.  f is dropped
+    once packed.
 
-    Z is checked by one inverse sample, sum_j Z[j] e(j/m) = m z[1], with
-    e(-j/m) = tw[2j] and then -tw[2j-m] from tw = twiddle(q-1): past the
-    float64 budget eps*log2(q-1)*sum|Z|, as _half bounds its imaginary
-    residue, it raises CharacterSumError.  f is not held past the packing.
+    One inverse sample checks Z: sum_j Z[j] e(-j/m) = m z[m-1], with
+    e(-j/m) = tw[2j], then -tw[2j-m], from tw = twiddle(q-1).  Past the
+    budget eps*log2(q-1)*sum|Z|, as _half's, it raises CharacterSumError;
+    sum|Z| is bounded by m*||z||_2 (Parseval), from the input, so that a
+    wrong Z cannot raise its own budget.
     """
     m, odd = divmod(len(f), 2)
     if odd:
@@ -111,39 +114,37 @@ def packed_spectrum(f: np.ndarray, tw: np.ndarray, centred: bool,
     np.subtract(f[0::2], c, out=z.real)
     np.subtract(f[1::2], c, out=z.imag)
     del f
-    sample = complex(z[1 % m])
+    sample, scale = complex(z[-1]), m * math.sqrt(np.vdot(z, z).real)
     z = dft(z).values
     h = (m + 1) // 2
-    back = _inverse_terms(tw[0::2], z[:h]) - _inverse_terms(tw[m % 2::2],
-                                                            z[h:])
+    back = _dot(tw[0::2], z[:h]) - _dot(tw[m % 2::2], z[h:])
     residual = abs(back - m * sample)
-    bound = _EPS * math.log2(2 * m) * float(np.sum(np.abs(z)))
+    bound = _EPS * math.log2(2 * m) * scale
     if not residual <= bound:
         raise CharacterSumError(
             f"inverse sample of {what} is off by {residual:.3e}, past its "
-            f"float64 budget eps*log2({2 * m})*sum|Z| = {bound:.3e}")
+            f"float64 budget eps*log2({2 * m})*m*||z||_2 = {bound:.3e}")
     return z
 
 
-def _inverse_terms(roots: np.ndarray, z: np.ndarray) -> complex:
-    """sum_j conj(roots[j]) z[j], summed pairwise as np.sum sums."""
-    terms = np.conjugate(roots)
-    terms *= z
-    return complex(np.sum(terms))
+def _dot(roots: np.ndarray, z: np.ndarray, block: int = 1 << 15) -> complex:
+    """sum_j roots[j] z[j], added pairwise (within the budget of
+    packed_spectrum) in blocks that stay in cache, then over the blocks."""
+    return complex(np.sum([np.sum(roots[i:i + block] * z[i:i + block])
+                           for i in range(0, len(z), block)]))
 
 
 def parity_bins(z: np.ndarray, tw: np.ndarray, odd: bool) -> np.ndarray:
-    """The bins of one parity of the length-(q-1) transform F of f, from
-    z = packed_spectrum(f, tw): odd, out[t] is bin 2t+1, t < m; even, out[t-1]
-    is bin 2t, 1 <= t < m (bin 0, the trivial character's, is left out).
-
-    With E and O the transforms of f[0::2] and f[1::2] and w_i = tw[i],
-    F[i] = E[i] + w_i O[i] and F[i+m] = E[i] - w_i O[i] for i < m.
+    """One parity of the bins of the length-(q-1) transform F of f, from
+    z = packed_spectrum(f, tw, ...): odd, out[t] is bin 2t+1, t < m; even,
+    out[t-1] is bin 2t, 1 <= t < m (bin 0, the trivial character's, is
+    left out).  With E and O the transforms of f[0::2] and f[1::2],
+    F[i] = E[i] + tw[i] O[i] and F[i+m] = E[i] - tw[i] O[i], i < m.
     """
     m = len(z)
-    lo, hi = 2 - odd, (m + odd) % 2   # first i of each half of the parity
+    lo, hi = 2 - odd, (m + odd) % 2     # the first i of F[i], of F[i+m]
     split = len(range(lo, m, 2))
-    out = np.empty(split + len(range(hi, m, 2)), dtype=complex)
+    out = np.empty(m - 1 + odd, dtype=complex)
     _unpack(z, tw, lo, 1, out[:split])
     _unpack(z, tw, hi, -1, out[split:])
     return out
@@ -151,20 +152,18 @@ def parity_bins(z: np.ndarray, tw: np.ndarray, odd: bool) -> np.ndarray:
 
 def _unpack(z: np.ndarray, tw: np.ndarray, i: int, sign: int,
             out: np.ndarray) -> None:
-    """out = E + sign*w*O at i, i+2, ... < m, with E = (Z + conj Z[-i])/2
+    """out = E + sign*tw*O at i, i+2, ... < m, with E = (Z + conj Z[-i])/2
     and O = (Z - conj Z[-i])/2i, from strided and reversed views of z."""
-    m = len(z)
     if i == 0:  # Z[-0] is Z[0], so E[0] and O[0] are its two parts
         out[0] = z[0].real + sign * z[0].imag
         out, i = out[1:], 2
-    a = z[i::2]
-    b = np.conjugate(z[m - i::-2][:len(a)])
+    a, b = z[i::2], np.conjugate(z[len(z) - i::-2][:len(out)])
     np.add(a, b, out=out)
     np.subtract(a, b, out=b)
     b *= tw[i::2]
-    out *= 0.5
-    b *= -0.5j * sign
+    b *= -1j * sign
     out += b
+    out *= 0.5
 
 
 def bernoulli_twisted(ctx: PrimeContext, tw: np.ndarray) -> np.ndarray:
@@ -191,12 +190,13 @@ def _divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
 
 def s_odd(ctx: PrimeContext, log_gamma: np.ndarray,
           tw: np.ndarray) -> np.ndarray:
-    """The odd half of the S method, from log_gamma = packed_spectrum of the
+    """The odd half of the S method, log_gamma the packed spectrum of the
     LOGGAMMA values and tw = twiddle(q-1): for chi = chi_1^{2t+1}, t < m,
     out[t] = L'/L(1,chi) - (gamma + log 2 pi), the ratio of
     sum_a conj(chi)(a) log Gamma(a/q) to B_{1,conj chi}."""
-    return _divide(parity_bins(log_gamma, tw, True),
-                   bernoulli_twisted(ctx, tw), "a first chi-Bernoulli number")
+    den = bernoulli_twisted(ctx, tw)  # before the bins, for a lower peak
+    return _divide(parity_bins(log_gamma, tw, True), den,
+                   "a first chi-Bernoulli number")
 
 
 def s_even(log_gamma: np.ndarray, tw: np.ndarray,
@@ -205,10 +205,9 @@ def s_even(log_gamma: np.ndarray, tw: np.ndarray,
     chi = chi_1^{2t}, 1 <= t < m, out[t-1] = L'/L(1,chi) - (gamma + log 2 pi),
     which is -1/2 times the ratio of sum_a conj(chi)(a) S(a/q) to
     sum_a conj(chi)(a) log Gamma(a/q).  The S pair table holds
-    S(x) + S(1-x), whose length-m transform gives the even bins as it
-    stands."""
-    den = parity_bins(log_gamma, tw, False)
-    even = _divide(dft(s_pair_table.values).values[1:], den,
+    S(x) + S(1-x), the even branch as it stands."""
+    num = dft(s_pair_table.values).values[1:]  # before the bins, as s_odd
+    even = _divide(num, parity_bins(log_gamma, tw, False),
                    "an even-character log Gamma sum")
     even *= -0.5
     return even
@@ -216,8 +215,8 @@ def s_even(log_gamma: np.ndarray, tw: np.ndarray,
 
 def t_half(q: int, t: np.ndarray, psi: np.ndarray, tw: np.ndarray,
            odd: bool) -> np.ndarray:
-    """One half of the T method, from the packed spectra t and psi of the T
-    and PSI values: L'/L(1,chi) = -log q - r, with r the ratio of
+    """One half of the T method, t and psi the packed spectra of the T and
+    PSI values: L'/L(1,chi) = -log q - r, with r the ratio of
     sum_a chi(a) T(a/q) to sum_a chi(a) psi(a/q), for the characters that
     parity_bins(., tw, odd) gives the bins of, indexed as it indexes them.
     """

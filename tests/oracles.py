@@ -94,6 +94,55 @@ def naive_dft(x, sign: int = -1) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# transforms and route s in long double
+#
+# scipy.fft transforms long-double input in long double (eps 1.1e-19 on
+# x86-64), so these carry the float64 table values through the transforms,
+# the divisions and the sums with almost no rounding of their own.  Table
+# error is common to them and to the library: they check transforms,
+# unpacking, division and summation, not the series.
+
+EULER_GAMMA_36 = np.longdouble("0.577215664901532860606512090082402431")
+LOG_2PI_36 = np.longdouble("1.83787706640934548356065947281123527")
+
+
+def long_double_bins(values) -> np.ndarray:
+    """Every bin of the transform of values (indexed by k), by scipy.fft
+    in long double."""
+    from scipy.fft import fft
+    return fft(np.asarray(values, dtype=np.clongdouble))
+
+
+def route_s_long_double(ctx: PrimeContext, log_gamma_vals,
+                        s_pair_vals) -> tuple:
+    """(ek_diff, ek_plus) of route s in long double from the float64
+    LOGGAMMA and S_PAIR values: scipy.fft.rfft of log Gamma, of a_k/q and
+    of the S pair values (whose bin t is bin 2t of the full transform),
+    the ratios of the odd and of the even bins, and each conjugate pair of
+    characters summed as 2 Re, the self-conjugate bin j = m once.  No
+    twiddle is needed."""
+    from scipy.fft import rfft
+    ld = np.longdouble
+    q, m = ctx.q, ctx.m
+    lg = rfft(np.asarray(log_gamma_vals, dtype=ld))        # bins 0..m
+    bern = rfft(a_seq_loop(q, ctx.g).astype(ld) / ld(q))
+    sp = rfft(np.asarray(s_pair_vals, dtype=ld))
+    odd = lg[1::2] / bern[1::2]                  # j = 1, 3, ... <= m
+    even = -0.5 * sp[1:] / lg[2::2]              # j = 2, 4, ... <= m
+    shift = EULER_GAMMA_36 + LOG_2PI_36
+    return (m * shift + _pair_sum(odd, m % 2 == 1),
+            EULER_GAMMA_36 + (m - 1) * shift + _pair_sum(even, m % 2 == 0))
+
+
+def _pair_sum(terms: np.ndarray, ends_at_m: bool):
+    """The sum over the characters of one parity, from the terms of its
+    bins j <= m: twice the real part of each, once that of bin m."""
+    if ends_at_m:
+        return 2 * np.sum(terms.real[:-1]) + terms.real[-1]
+    return 2 * np.sum(terms.real)
+
+
+# ----------------------------------------------------------------------
 # explicit Dirichlet characters and direct character sums
 
 def character_table(ctx: PrimeContext) -> np.ndarray:
