@@ -5,17 +5,15 @@ Character sums over the nontrivial Dirichlet characters mod q are reordered
 through a_k = g^k into discrete Fourier transforms (bin j of the
 transform of f(a_k/q) is the sum of conj(chi_1^j)(a) f(a/q), where
 chi_1(g) = e(1/(q-1))).  chi_1^j is even exactly when j is even.  Both
-parities of a full-range table come from one transform of length
-m = (q-1)/2, of its values packed as f[0::2] + i f[1::2]
-(packed_spectrum), unpacked one parity at a time (parity_bins).  The
-Bernoulli sequence is the odd branch of a decimation split
-(bernoulli_twisted), and the S pair table is an even branch as it stands.
+parities of a table come from one transform of length m = (q-1)/2 of its
+values packed as f[0::2] + i f[1::2] (packed_spectrum, parity_bins).  The
+Bernoulli sequence is the odd branch of a decimation split, and the S
+pair table an even branch as it stands.
 
 Each of two independent routes runs in two parity halves.  A half divides
 two sets of bins, one ratio per character; _half reduces the ratios to the
 half's constant, its max |L'/L(1,chi)| and its imaginary residue before
-the next half allocates.  The odd half gives ek_diff and the even half
-ek_plus:
+the next half allocates.  The odd half gives ek_diff, the even ek_plus:
 
   method "s":  odd characters through log Gamma and the first
                chi-Bernoulli numbers (s_odd), even characters through
@@ -91,91 +89,71 @@ def _table(ctx: PrimeContext, tables: Callable | None,
     return table
 
 
-def packed_spectrum(f: np.ndarray, tw: np.ndarray, centred: bool,
-                    what: str = "a packed transform") -> np.ndarray:
-    """Z, the length-m transform through dft of the real table f (length
-    q-1 = 2m) packed as (f-c)[0::2] + i (f-c)[1::2], which parity_bins
-    unpacks.  c moves bin 0 only: mean(f) if centred, which keeps the log
-    Gamma transform accurate, else 0, since in T and psi, ruled by their
-    values near x = 0, subtracting it only adds rounding.  f is dropped
-    once packed.
+def packed_spectrum(f: np.ndarray, tw: np.ndarray,
+                    tag: FunctionTag) -> np.ndarray:
+    """Z, the dft of the tag's real table f (length q-1 = 2m) packed as z =
+    (f-c)[0::2] + i (f-c)[1::2]; f is dropped once packed.  c moves bin 0
+    only: mean(f) for LOGGAMMA, which keeps its transform accurate, else 0,
+    as for T and psi, ruled by their values near x = 0.
 
-    One inverse sample checks Z: sum_j Z[j] e(-j/m) = m z[m-1], with
-    e(-j/m) = tw[2j], then -tw[2j-m], from tw = twiddle(q-1).  Past the
-    budget eps*log2(q-1)*sum|Z|, as _half's, it raises CharacterSumError;
-    sum|Z| is bounded by m*||z||_2 (Parseval), from the input, so that a
-    wrong Z cannot raise its own budget.
+    One inverse sample checks Z: sum_j Z[j] e(-j/m) = m z[m-1], e(-j/m)
+    being tw[2j], then -tw[2j-m].  Past eps*log2(q-1)*sum|Z|, _half's
+    budget, with sum|Z| <= m ||z||_2 (Parseval) taken from the input so
+    that a wrong Z cannot raise it, it raises CharacterSumError.
     """
     m, odd = divmod(len(f), 2)
     if odd:
         raise ValueError(f"input length must be even, got {len(f)}")
-    c = float(np.mean(f)) if centred else 0.0
+    c = float(np.mean(f)) if tag is FunctionTag.LOGGAMMA else 0.0
     z = np.empty(m, dtype=complex)
     np.subtract(f[0::2], c, out=z.real)
     np.subtract(f[1::2], c, out=z.imag)
     del f
     sample, scale = complex(z[-1]), m * math.sqrt(np.vdot(z, z).real)
-    z = dft(z).values
-    h = (m + 1) // 2
+    z, h = dft(z).values, (m + 1) // 2
     back = _dot(tw[0::2], z[:h]) - _dot(tw[m % 2::2], z[h:])
-    residual = abs(back - m * sample)
-    bound = _EPS * math.log2(2 * m) * scale
+    residual, bound = abs(back - m * sample), _EPS * math.log2(2 * m) * scale
     if not residual <= bound:
         raise CharacterSumError(
-            f"inverse sample of {what} is off by {residual:.3e}, past its "
-            f"float64 budget eps*log2({2 * m})*m*||z||_2 = {bound:.3e}")
+            f"inverse sample of the packed {tag.value} transform is off by "
+            f"{residual:.3e}, past its float64 budget "
+            f"eps*log2({2 * m})*m*||z||_2 = {bound:.3e}")
     return z
 
 
 def _dot(roots: np.ndarray, z: np.ndarray, block: int = 1 << 15) -> complex:
-    """sum_j roots[j] z[j], added pairwise (within the budget of
-    packed_spectrum) in blocks that stay in cache, then over the blocks."""
+    """sum_j roots[j] z[j], added pairwise in cached blocks, then over them."""
     return complex(np.sum([np.sum(roots[i:i + block] * z[i:i + block])
                            for i in range(0, len(z), block)]))
 
 
 def parity_bins(z: np.ndarray, tw: np.ndarray, odd: bool) -> np.ndarray:
-    """One parity of the bins of the length-(q-1) transform F of f, from
-    z = packed_spectrum(f, tw, ...): odd, out[t] is bin 2t+1, t < m; even,
-    out[t-1] is bin 2t, 1 <= t < m (bin 0, the trivial character's, is
-    left out).  With E and O the transforms of f[0::2] and f[1::2],
-    F[i] = E[i] + tw[i] O[i] and F[i+m] = E[i] - tw[i] O[i], i < m.
-    """
+    """One parity of the transform F of f, z = packed_spectrum(f, tw, ...):
+    odd, out[t] = F[2t+1], t < m; even, out[t-1] = F[2t], 1 <= t < m, from
+    F[i] = E[i] + tw[i] O[i] and F[i+m] = E[i] - tw[i] O[i], i < m, where
+    E = (Z + conj Z[-i])/2 and O = (Z - conj Z[-i])/2i transform f[0::2]
+    and f[1::2], read at i, i+2, ... from strided and reversed views."""
     m = len(z)
-    lo, hi = 2 - odd, (m + odd) % 2     # the first i of F[i], of F[i+m]
-    split = len(range(lo, m, 2))
-    out = np.empty(m - 1 + odd, dtype=complex)
-    _unpack(z, tw, lo, 1, out[:split])
-    _unpack(z, tw, hi, -1, out[split:])
+    out = rest = np.empty(m - 1 + odd, dtype=complex)
+    for i, sign in ((2 - odd, 1), ((m + odd) % 2, -1)):
+        part, rest = rest[:len(range(i, m, 2))], rest[len(range(i, m, 2)):]
+        if i == 0:  # Z[-0] is Z[0], so E[0] and O[0] are its two parts
+            part[0] = z[0].real + sign * z[0].imag
+            part, i = part[1:], 2
+        a, b = z[i::2], np.conjugate(z[m - i::-2][:len(part)])
+        np.add(a, b, out=part)
+        np.subtract(a, b, out=b)
+        b *= tw[i::2]
+        part += (-1j * sign) * b
+        part *= 0.5
     return out
 
 
-def _unpack(z: np.ndarray, tw: np.ndarray, i: int, sign: int,
-            out: np.ndarray) -> None:
-    """out = E + sign*tw*O at i, i+2, ... < m, with E = (Z + conj Z[-i])/2
-    and O = (Z - conj Z[-i])/2i, from strided and reversed views of z."""
-    if i == 0:  # Z[-0] is Z[0], so E[0] and O[0] are its two parts
-        out[0] = z[0].real + sign * z[0].imag
-        out, i = out[1:], 2
-    a, b = z[i::2], np.conjugate(z[len(z) - i::-2][:len(out)])
-    np.add(a, b, out=out)
-    np.subtract(a, b, out=b)
-    b *= tw[i::2]
-    b *= -1j * sign
-    out += b
-    out *= 0.5
-
-
 def bernoulli_twisted(ctx: PrimeContext, tw: np.ndarray) -> np.ndarray:
-    """First chi-Bernoulli numbers B_{1, conj(chi_1^{2t+1})} for t < m.
-
-    B_{1,chi} = (1/q) sum_a a chi(a); nonzero exactly for odd characters.
-    Computed as the odd branch of f(x) = x, with a_{k+m} = q - a_k folded
-    in exactly, and tw = twiddle(q-1).
-    """
-    q, m = ctx.q, ctx.m
-    c = tw * (2.0 * residues(ctx, 0, m) - q) / q
-    return dft(c).values
+    """First chi-Bernoulli numbers B_{1, conj(chi_1^{2t+1})}, t < m, with
+    B_{1,chi} = (1/q) sum_a a chi(a), nonzero exactly for odd characters:
+    the odd branch of f(x) = x, a_{k+m} = q - a_k folded in exactly."""
+    return dft(tw * (2.0 * residues(ctx, 0, ctx.m) - ctx.q) / ctx.q).values
 
 
 def _divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
@@ -203,9 +181,8 @@ def s_even(log_gamma: np.ndarray, tw: np.ndarray,
            s_pair_table: ValueTable) -> np.ndarray:
     """The even half of the S method, log_gamma and tw as for s_odd: for
     chi = chi_1^{2t}, 1 <= t < m, out[t-1] = L'/L(1,chi) - (gamma + log 2 pi),
-    which is -1/2 times the ratio of sum_a conj(chi)(a) S(a/q) to
-    sum_a conj(chi)(a) log Gamma(a/q).  The S pair table holds
-    S(x) + S(1-x), the even branch as it stands."""
+    -1/2 times the ratio of sum_a conj(chi)(a) S(a/q), from S(x) + S(1-x),
+    an even branch as it stands, to sum_a conj(chi)(a) log Gamma(a/q)."""
     num = dft(s_pair_table.values).values[1:]  # before the bins, as s_odd
     even = _divide(num, parity_bins(log_gamma, tw, False),
                    "an even-character log Gamma sum")
@@ -216,10 +193,9 @@ def s_even(log_gamma: np.ndarray, tw: np.ndarray,
 def t_half(q: int, t: np.ndarray, psi: np.ndarray, tw: np.ndarray,
            odd: bool) -> np.ndarray:
     """One half of the T method, t and psi the packed spectra of the T and
-    PSI values: L'/L(1,chi) = -log q - r, with r the ratio of
-    sum_a chi(a) T(a/q) to sum_a chi(a) psi(a/q), for the characters that
-    parity_bins(., tw, odd) gives the bins of, indexed as it indexes them.
-    """
+    PSI values: L'/L(1,chi) = -log q - r, r the ratio of sum_a chi(a) T(a/q)
+    to sum_a chi(a) psi(a/q), for the characters of parity_bins(., tw, odd),
+    indexed as it indexes them."""
     r = _divide(parity_bins(t, tw, odd), parity_bins(psi, tw, odd),
                 f"an {'odd' if odd else 'even'}-character psi sum")
     # the transforms give the conj(chi) sums of real tables; conjugating
@@ -232,13 +208,10 @@ def _half(q: int, terms: np.ndarray, shift: float, constant: float,
           what: str) -> tuple[float, float, tuple[float, float]]:
     """(value, max |L'/L(1,chi)|, (imag residue, bound)) of one half, from
     its per-character terms, with L'/L(1,chi) = shift + term.  The value
-    constant + sum(terms) must be finite and real.
-
-    The terms come from transforms of length at most q-1, so each carries a
-    relative float64 error of about eps*log2(q-1); the bound on the
-    imaginary residue is that error budget, eps*log2(q-1)*sum|terms|, of
-    the whole sum.
-    """
+    constant + sum(terms) must be finite and real: each term comes from
+    transforms of length at most q-1, with a relative float64 error of
+    about eps*log2(q-1), so its imaginary residue is bounded by that error
+    budget of the whole sum, eps*log2(q-1)*sum|terms|."""
     value = constant + complex(np.sum(terms))
     if not cmath.isfinite(value):
         raise CharacterSumError(f"{what} is not finite: {value}")
@@ -259,27 +232,22 @@ def compute_ek(ctx: PrimeContext, tables: Callable | None = None,
 
     Each table is fetched at its first use from the lookup tables(tag), a
     FunctionTag -> ValueTable or None, or evaluated here where that gives
-    None, and held only while its halves run: LOGGAMMA from the odd half
-    of route "s", S_PAIR for its even half, T and PSI for route "t".  With
-    method "both" the S route provides the reported values and the T route
-    the cross-check discrepancy.
+    None: LOGGAMMA, packed, for route "s", S_PAIR for its even half, T and
+    then PSI, each packed, for route "t".  A table is dropped once packed,
+    unless tables(tag) holds it; its spectrum lives while its halves run.
+    With method "both" the S route provides the reported values and the T
+    route the cross-check discrepancy.
     """
     if method not in METHOD_TAGS:
         raise ValueError(f"unknown method {method!r}")
     q, m = ctx.q, ctx.m
     tw = twiddle(q - 1)
-
-    def spectrum(tag: FunctionTag) -> np.ndarray:
-        # the table is dropped once packed, unless tables(tag) still holds it
-        return packed_spectrum(_table(ctx, tables, tag).values, tw,
-                               tag is FunctionTag.LOGGAMMA,
-                               f"the packed {tag.value} transform")
-
     # per route, ((ek_diff, mq_odd, imag), (ek_plus, mq_even, imag)); each
     # half's arrays are gone once _half returns, before the next allocates
     routes = []
     if method in (METHOD_S, METHOD_BOTH):
-        lg = spectrum(FunctionTag.LOGGAMMA)
+        lg = packed_spectrum(_table(ctx, tables, FunctionTag.LOGGAMMA).values,
+                             tw, FunctionTag.LOGGAMMA)
         shift = EULER_GAMMA + LOG_2PI
         odd = _half(q, s_odd(ctx, lg, tw), shift, m * shift,
                     "odd character sum")
@@ -290,7 +258,8 @@ def compute_ek(ctx: PrimeContext, tables: Callable | None = None,
         routes.append((odd, even))
         del lg  # before the T route makes its own spectra
     if method in (METHOD_T, METHOD_BOTH):
-        t, psi = (spectrum(tag) for tag in METHOD_TAGS[METHOD_T])
+        t, psi = (packed_spectrum(_table(ctx, tables, tag).values, tw, tag)
+                  for tag in METHOD_TAGS[METHOD_T])
         routes.append((
             _half(q, t_half(q, t, psi, tw, True), 0.0, 0.0,
                   "odd character sum"),
@@ -302,11 +271,10 @@ def compute_ek(ctx: PrimeContext, tables: Callable | None = None,
     mq = max(mq_odd, mq_even)
     imag = max(imag_odd, imag_even)
     lq = math.log(q)
-    llq = math.log(lq)
     return EKResult(
         q=q, ek=ek, ek_plus=ek_plus, ek_diff=diff,
         mq_odd=mq_odd, mq_even=mq_even, mq=mq,
-        ek_norm=ek / lq, ek_plus_norm=ek_plus / lq, mq_norm=mq / llq,
+        ek_norm=ek / lq, ek_plus_norm=ek_plus / lq, mq_norm=mq / math.log(lq),
         method=method,
         method_discrepancy=abs(ek - cross[0]) if cross else None,
         imag_residue=imag[0], imag_bound=imag[1],

@@ -1,17 +1,15 @@
 """Discrete Fourier transforms of arbitrary length, and the twiddle factors
-of the decimation-in-frequency split (ek.parity_bins) that maps the odd
-output bins of a length-(q-1) transform onto one of length (q-1)/2.
+e(-k/N), k < N/2, that unpack a packed transform (ek.parity_bins) and
+twist the odd branch of a decimation split (ek.bernoulli_twisted).
 
 Convention: dft(x).values[j] = sum_k e(-j*k/N) x[k] with
 e(t) = exp(2*pi*i*t), unnormalized (the usual engineering DFT).
 
 numpy's pocketfft runs every length, but slowly where the length has a
-large prime factor p: it then takes a generic radix-p pass or one
-Bluestein transform of the whole length.  A length n = p*r that _splits
-accepts is split instead (Cooley-Tukey): pocketfft runs the length-r
-transforms, and the r length-p transforms run as Bluestein convolutions on
-a 2*3*5-smooth length, a block of rows at a time.  Only the length-p chirp
-is formed, per call.
+large prime factor p.  A length n = p*r that dft selects is split instead
+(Cooley-Tukey): pocketfft runs the length-r transforms, and the r length-p
+transforms run as Bluestein convolutions on a 2*3*5-smooth length, a block
+of rows at a time, with only the length-p chirp formed, per call.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .multgroup import factorize
 
-_SPLIT_MIN = 3991       # 13*307, the least length _splits accepts
+_SPLIT_MIN = 3991       # 13*307, the least length dft splits
 _ROW_BLOCK = 1 << 20    # complex values per block of Bluestein rows
 
 
@@ -37,25 +35,18 @@ class Spectrum:
 def dft(x) -> Spectrum:
     """Unnormalized transform sum_k e(-j*k/N) x[k], O(N log N).
 
-    Lengths that _splits accepts go through _split; every other length
-    goes straight to pocketfft.
+    A length n = p*r, p its largest prime factor, goes through _split
+    where that beat pocketfft in timings of both: never for p below 300,
+    nor for r < 4 below n = 2^20, and for r >= 4 from n*r = 5*10^4 on.
+    Every other length goes straight to pocketfft.
     """
     n = len(x)
     if n >= _SPLIT_MIN:     # shorter lengths are not factorised
         p = max(factorize(n))
-        if _splits(n, p):
+        r = n // p
+        if p > 300 and (r >= 4 and n * r >= 50_000 or r >= 2 and n >= 1 << 20):
             return Spectrum(values=_split(np.asarray(x), p))
     return Spectrum(values=np.fft.fft(x))
-
-
-def _splits(n: int, p: int) -> bool:
-    """Whether _split beats pocketfft on length n with largest prime factor
-    p, fitted to timings of both on n = p*r.  The split lost wherever p was
-    below 300, and with r = 2 or 3 up to n near 10^6; with r >= 4 it won
-    once n*r reached about 5*10^4."""
-    r = n // p
-    return p > 300 and (r >= 4 and n * r >= 50_000
-                        or r >= 2 and n >= 1 << 20)
 
 
 def _smooth_length(n: int) -> int:
@@ -116,6 +107,6 @@ def _split(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def twiddle(n: int) -> np.ndarray:
-    """The factors e(-k/n), k < n/2, that the odd-bin branch of a length-n
-    input is multiplied by before its half-length transform."""
+    """The factors e(-k/n), k < n/2, of the odd branch of a length-n input,
+    and of the unpacking of its packed transform."""
     return _roots(np.arange(n // 2), n)

@@ -104,7 +104,7 @@ def test_criterion_5_fft_correctness():
         f = rng.standard_normal(q - 1)
         full = oracles.naive_dft(f, -1)
         tw = twiddle(len(f))
-        z = packed_spectrum(f, tw, True)
+        z = packed_spectrum(f, tw, FunctionTag.LOGGAMMA)
         even, odd = parity_bins(z, tw, False), parity_bins(z, tw, True)
         assert float(np.max(np.abs(even - full[2::2]),
                             initial=0.0)) <= 1e-10 * q
@@ -122,7 +122,7 @@ def test_criterion_6_character_sum_oracle():
         sp = precompute(ctx, FunctionTag.S_PAIR)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
         tw = twiddle(q - 1)
-        z = packed_spectrum(lg.values, tw, True)
+        z = packed_spectrum(lg.values, tw, FunctionTag.LOGGAMMA)
         odd_vals = shift + s_odd(ctx, z, tw)
         even_vals = shift + s_even(z, tw, sp)
         s_by_a = oracles.s_series(np.arange(1, q) / q)

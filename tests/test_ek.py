@@ -57,11 +57,9 @@ def calls(monkeypatch):
 
 
 def spectra(ctx, *tables):
-    """twiddle(q-1), then the packed spectrum of each table, centred as
-    compute_ek centres it."""
+    """twiddle(q-1), then the packed spectrum of each table."""
     tw = twiddle(ctx.q - 1)
-    return (tw, *(packed_spectrum(t.values, tw,
-                                  t.function_tag is FunctionTag.LOGGAMMA)
+    return (tw, *(packed_spectrum(t.values, tw, t.function_tag)
                   for t in tables))
 
 

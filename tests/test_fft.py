@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from ekconst import fft, multgroup
+from ekconst.cache import FunctionTag
 from ekconst.ek import packed_spectrum, parity_bins
 from ekconst.fft import dft, twiddle
 
@@ -104,10 +105,18 @@ class TestPrimeFactorSplit:
         assert (p, size) == (1523, 3072)
         assert 714287 // p > fft._ROW_BLOCK // size
 
-    def test_no_length_below_the_least_split_is_factorised(self):
-        assert fft._splits(fft._SPLIT_MIN, 307)
-        assert not any(fft._splits(n, max(multgroup.factorize(n)))
-                       for n in range(2, fft._SPLIT_MIN))
+    def test_no_length_below_the_least_split_is_factorised(
+            self, split_calls, monkeypatch):
+        factorised = []
+
+        def recorded(n):
+            factorised.append(n)
+            return multgroup.factorize(n)
+
+        monkeypatch.setattr(fft, "factorize", recorded)
+        for n in range(1, fft._SPLIT_MIN + 1):
+            dft(np.zeros(n))
+        assert factorised == split_calls == [fft._SPLIT_MIN]
 
     def test_smooth_length_is_the_least_at_or_above(self):
         smooth = [m for m in range(1, 4100)
@@ -138,21 +147,25 @@ class TestProperties:
         assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
+# packed_spectrum takes the mean out of a LOGGAMMA table only
+CENTRED_OR_NOT = (FunctionTag.LOGGAMMA, FunctionTag.T)
+
+
 class TestDecimation:
     def test_arithmetic_example_q5(self):
         # the full transform of f is [6, -2+2i, -2, -2-2i]
         f = np.array([0.0, 1.0, 2.0, 3.0])
         tw = twiddle(len(f))
-        for centred in (False, True):
-            z = packed_spectrum(f, tw, centred)
+        for tag in CENTRED_OR_NOT:
+            z = packed_spectrum(f, tw, tag)
             assert np.allclose(parity_bins(z, tw, False), [-2.0], atol=1e-15)
             assert np.allclose(parity_bins(z, tw, True),
                                [-2.0 + 2.0j, -2.0 - 2.0j], atol=1e-15)
 
     def test_odd_length_rejected(self):
-        for centred in (False, True):
+        for tag in CENTRED_OR_NOT:
             with pytest.raises(ValueError, match="length must be even"):
-                packed_spectrum(np.zeros(5), twiddle(5), centred)
+                packed_spectrum(np.zeros(5), twiddle(5), tag)
 
     @pytest.mark.parametrize("q", oracles.odd_primes_up_to(101))
     def test_bin_equivalence_all_primes_to_101(self, q):
@@ -161,8 +174,8 @@ class TestDecimation:
         f = RNG.standard_normal(q - 1) + 3.0
         full = oracles.naive_dft(f, -1)
         tw = twiddle(len(f))
-        for centred in (False, True):
-            z = packed_spectrum(f, tw, centred)
+        for tag in CENTRED_OR_NOT:
+            z = packed_spectrum(f, tw, tag)
             even, odd = parity_bins(z, tw, False), parity_bins(z, tw, True)
             assert float(np.max(np.abs(even - full[2::2]),
                                 initial=0.0)) <= 1e-12 * q

@@ -89,7 +89,7 @@ def test_packed_parities_against_long_double(q, tag):
     ctx = build_context(q)
     f = precompute(ctx, FunctionTag(tag)).values
     tw = twiddle(q - 1)
-    z = packed_spectrum(f, tw, tag == "LOGGAMMA")
+    z = packed_spectrum(f, tw, FunctionTag(tag))
     ref = oracles.long_double_bins(f)
     bound = EPS * math.log2(q - 1) * math.sqrt(q - 1) * float(
         np.linalg.norm(f))
