@@ -4,8 +4,8 @@ Computes the constants attached to the q-th cyclotomic field and its
 maximal real subfield, the maximum modulus of the logarithmic derivative
 of the Dirichlet L-functions at s = 1, and generalized Euler constants in
 arithmetic progressions.  Character sums are evaluated through FFTs over
-the cyclic group generated by a primitive root, with a decimation split
-that halves the precomputation for the parity-restricted sums.
+the cyclic group generated by a primitive root, both parities of each
+real table from one transform of half the length.
 """
 
 from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,

@@ -97,9 +97,9 @@ def packed_spectrum(f: np.ndarray, tw: np.ndarray,
     as for T and psi, ruled by their values near x = 0.
 
     One inverse sample checks Z: sum_j Z[j] e(-j/m) = m z[m-1], e(-j/m)
-    being tw[2j], then -tw[2j-m].  Past eps*log2(q-1)*sum|Z|, _half's
-    budget, with sum|Z| <= m ||z||_2 (Parseval) taken from the input so
-    that a wrong Z cannot raise it, it raises CharacterSumError.
+    being tw[2j], then -tw[2j-m].  Past eps*log2(q-1)*m*||z||_2, which
+    bounds _half's kind of budget eps*log2(q-1)*sum|Z| (Parseval) and comes
+    from the input, so that a wrong Z cannot raise it: CharacterSumError.
     """
     m, odd = divmod(len(f), 2)
     if odd:

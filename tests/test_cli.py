@@ -91,15 +91,16 @@ class TestCompute:
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone.
-        # The bound is that peak as measured (553 MB on 2 cores, numpy
-        # 2.4.6) plus 10%; with pocketfft's Bluestein over each whole
-        # transform it peaked at 601 MB, and with an int64 array of all
-        # q-1 residues held for the run at 683 MB
+        # The bound is that peak as measured (476 MB on 2 cores, numpy
+        # 2.4.6) plus 10%; with two transforms per table, one per parity,
+        # it peaked at 553 MB, with pocketfft's Bluestein over each whole
+        # transform at 601 MB, and with an int64 array of all q-1 residues
+        # held for the run at 683 MB
         proc = run_fresh_cli(["compute", 10000019], timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 609 * 2**10, peak_kb
+        assert peak_kb < 524 * 2**10, peak_kb
 
     def test_method_both_reports_discrepancy(self, capsys):
         code, out, _ = run(capsys, "compute", "101", "--method", "both")
@@ -281,11 +282,11 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
         # the four tables on disk, then a fresh ek compute whose ru_maxrss
-        # is its own peak.  The bound is that peak as measured (605 MB
-        # on 2 cores, numpy 2.4.6) plus 10%; pocketfft's Bluestein over
-        # each whole transform peaked at 654 MB, loading every table up
-        # front at 856 MB, and holding all q-1 residues for the run at
-        # 742 MB
+        # is its own peak.  The bound is that peak as measured (489 MB
+        # on 2 cores, numpy 2.4.6) plus 10%; two transforms per table
+        # peaked at 605 MB, pocketfft's Bluestein over each whole
+        # transform at 654 MB, loading every table up front at 856 MB, and
+        # holding all q-1 residues for the run at 742 MB
         q, cache = 10000019, str(tmp_path)
         for tag in FunctionTag:
             proc = run_fresh_cli(["precompute", q, "--tag", tag.value,
@@ -296,7 +297,7 @@ class TestCacheCommands:
         assert proc.returncode == 0, proc.stderr
         assert "method_discrepancy = " in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 666 * 2**10, peak_kb
+        assert peak_kb < 538 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)

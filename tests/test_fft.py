@@ -99,6 +99,12 @@ class TestPrimeFactorSplit:
         assert split_calls == [n]
         assert got <= 2 * _max_rel_error(np.fft.fft(x), ref)
 
+    def test_three_rows_stay_on_pocketfft_below_2_20(self, split_calls):
+        # 3*50021: n*r is past 5*10^4, but r < 4 splits only from 2^20 on
+        x = RNG.standard_normal(150063)
+        assert np.array_equal(dft(x).values, np.fft.fft(x))
+        assert split_calls == []
+
     def test_two_row_blocks_at_714287(self):
         p = max(multgroup.factorize(714287))
         size = fft._smooth_length(2 * p - 1)
