@@ -96,10 +96,13 @@ def packed_spectrum(f: np.ndarray, tw: np.ndarray,
     only: mean(f) for LOGGAMMA, which keeps its transform accurate, else 0,
     as for T and psi, ruled by their values near x = 0.
 
-    One inverse sample checks Z: sum_j Z[j] e(-j/m) = m z[m-1], e(-j/m)
-    being tw[2j], then -tw[2j-m].  Past eps*log2(q-1)*m*||z||_2, which
-    bounds _half's kind of budget eps*log2(q-1)*sum|Z| (Parseval) and comes
-    from the input, so that a wrong Z cannot raise it: CharacterSumError.
+    One inverse sample checks Z: sum_j Z[j] e(jt/m) = m z[t], t = (m-1)//2,
+    which a one-bin roll of Z moves by about 2m|z[t]|; t != -t (mod m)
+    refuses a conjugate-direction Z.  e(jt/m) is (-1)^j tw[j] for odd m,
+    and (-1)^j e(-j/m) for even m, e(-j/m) being tw[2j], then -tw[2j-m].
+    Past eps*log2(q-1)*m*||z||_2, which bounds _half's kind of budget
+    eps*log2(q-1)*sum|Z| (Parseval) and comes from the input, so that a
+    wrong Z cannot raise it: CharacterSumError.
     """
     m, odd = divmod(len(f), 2)
     if odd:
@@ -109,9 +112,12 @@ def packed_spectrum(f: np.ndarray, tw: np.ndarray,
     np.subtract(f[0::2], c, out=z.real)
     np.subtract(f[1::2], c, out=z.imag)
     del f
-    sample, scale = complex(z[-1]), m * math.sqrt(np.vdot(z, z).real)
-    z, h = dft(z).values, (m + 1) // 2
-    back = _dot(tw[0::2], z[:h]) - _dot(tw[m % 2::2], z[h:])
+    sample = complex(z[(m - 1) // 2])
+    scale = m * math.sqrt(np.vdot(z, z).real)
+    z, roots = dft(z).values, tw[::2 - m % 2]
+    h = len(roots)  # m for odd m, when z[h:] is empty
+    back = (_alternating_dot(roots, z[:h])
+            - (-1) ** h * _alternating_dot(roots, z[h:]))
     residual, bound = abs(back - m * sample), _EPS * math.log2(2 * m) * scale
     if not residual <= bound:
         raise CharacterSumError(
@@ -121,9 +127,13 @@ def packed_spectrum(f: np.ndarray, tw: np.ndarray,
     return z
 
 
-def _dot(roots: np.ndarray, z: np.ndarray, block: int = 1 << 15) -> complex:
-    """sum_j roots[j] z[j], added pairwise in cached blocks, then over them."""
-    return complex(np.sum([np.sum(roots[i:i + block] * z[i:i + block])
+def _alternating_dot(roots: np.ndarray, z: np.ndarray,
+                     block: int = 1 << 15) -> complex:
+    """sum_j (-1)^j roots[j] z[j], added pairwise in cached blocks of even
+    length, then over them."""
+    return complex(np.sum([np.sum(roots[i:i + block:2] * z[i:i + block:2])
+                           - np.sum(roots[i + 1:i + block:2]
+                                    * z[i + 1:i + block:2])
                            for i in range(0, len(z), block)]))
 
 

@@ -66,12 +66,13 @@ def _max_rel_error(y, ref):
 
 
 class TestPrimeFactorSplit:
-    # 2^3*3*5^3 and 17*257: no prime factor above 300; 2*1511, 3*1009 and
-    # the prime 3001: too few rows; 4*1009: n*r below 5*10^4; 13*307, the
-    # least split length, and 16*311: split
+    # 2^3*3*5^3 and 17*257: no prime factor above 300; 2*1511 and 3*1009:
+    # below the least split length; the primes 3001 and 4001: one row;
+    # 13*307, the least split length, 4*1009 and 16*311: split
     @pytest.mark.parametrize("n, split", [
         (3000, False), (3022, False), (3001, False), (3027, False),
-        (4369, False), (4036, False), (3991, True), (4976, True)])
+        (4369, False), (4001, False), (4036, True), (3991, True),
+        (4976, True)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_each_branch_equals_the_naive_sum(self, split_calls, n, split,
                                               kind):
@@ -83,10 +84,11 @@ class TestPrimeFactorSplit:
         assert split_calls == ([n] if split else [])
 
     # 3*7*2381 and 2*5*15287, the half lengths of q = 100003 and 305741;
-    # 2*3*31*823, whose largest prime factor is below 1000; 7*67*1523,
-    # whose 469 Bluestein rows of 3072 take two blocks; 3*349529, three
-    # rows, split from 2^20 on
-    @pytest.mark.parametrize("n", [50001, 152870, 153078, 714287, 1048587])
+    # 2*3*31*823, whose largest prime factor is below 1000; 7*67*1523;
+    # 2^4*5*13*1009, whose 1040 twiddle rows take two blocks of 1039;
+    # three and two rows: 3*50021, 3*349529 and 2*100003
+    @pytest.mark.parametrize("n", [50001, 152870, 153078, 714287, 1049360,
+                                   150063, 1048587, 200006])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_error_within_twice_pocketfft_against_long_double(
             self, split_calls, n, kind):
@@ -99,17 +101,9 @@ class TestPrimeFactorSplit:
         assert split_calls == [n]
         assert got <= 2 * _max_rel_error(np.fft.fft(x), ref)
 
-    def test_three_rows_stay_on_pocketfft_below_2_20(self, split_calls):
-        # 3*50021: n*r is past 5*10^4, but r < 4 splits only from 2^20 on
-        x = RNG.standard_normal(150063)
-        assert np.array_equal(dft(x).values, np.fft.fft(x))
-        assert split_calls == []
-
-    def test_two_row_blocks_at_714287(self):
-        p = max(multgroup.factorize(714287))
-        size = fft._smooth_length(2 * p - 1)
-        assert (p, size) == (1523, 3072)
-        assert 714287 // p > fft._ROW_BLOCK // size
+    def test_two_twiddle_blocks_at_1049360(self):
+        p = max(multgroup.factorize(1049360))
+        assert (p, 1049360 // p, fft._ROW_BLOCK // p) == (1009, 1040, 1039)
 
     def test_no_length_below_the_least_split_is_factorised(
             self, split_calls, monkeypatch):
@@ -123,12 +117,6 @@ class TestPrimeFactorSplit:
         for n in range(1, fft._SPLIT_MIN + 1):
             dft(np.zeros(n))
         assert factorised == split_calls == [fft._SPLIT_MIN]
-
-    def test_smooth_length_is_the_least_at_or_above(self):
-        smooth = [m for m in range(1, 4100)
-                  if set(multgroup.factorize(m)) <= {2, 3, 5}]
-        for n in range(1, 2049):
-            assert fft._smooth_length(n) == min(m for m in smooth if m >= n)
 
 
 class TestProperties:
