@@ -154,7 +154,7 @@ def parity_bins(z: np.ndarray, tw: np.ndarray, odd: bool) -> np.ndarray:
         np.add(a, b, out=part)
         np.subtract(a, b, out=b)
         b *= tw[i::2]
-        part += (-1j * sign) * b
+        part += np.multiply(b, -1j * sign, out=b)  # in place: a lower peak
         part *= 0.5
     return out
 

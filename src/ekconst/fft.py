@@ -7,9 +7,9 @@ e(t) = exp(2*pi*i*t), unnormalized (the usual engineering DFT).
 
 numpy's pocketfft runs every length, but slowly where the length has a
 large prime factor p.  A length n = p*r that dft selects is split instead
-(Cooley-Tukey): pocketfft runs the length-r transforms, the twiddle
-follows, a block of rows at a time, and one batched pocketfft call runs
-the r length-p transforms.
+(Cooley-Tukey): pocketfft runs the length-r transforms, two tables of
+about r*sqrt(p) unit roots give the twiddle, and one batched pocketfft
+call runs the r length-p transforms.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .multgroup import factorize
 
 _SPLIT_MIN = 3991       # 13*307; splitting a shorter 2p or 3p saved <= 35 us
-_ROW_BLOCK = 1 << 20    # twiddle phases per block of rows
 
 
 @dataclass(frozen=True)
@@ -59,19 +58,18 @@ def _split(x: np.ndarray, p: int) -> np.ndarray:
     e(-j2*k1/n), then the length-p transforms over k1, all by pocketfft."""
     n = len(x)
     r = n // p
-    a = np.fft.fft(x.reshape(r, p), axis=0)     # a[j2, k1]
-    # e(-t/n) for the twiddle phase t = j2*k1 < n, as e(-(t // b)*b/n) *
-    # e(-(t % b)/n) from two tables of about sqrt(n) roots (about 2 ulp)
-    b = math.isqrt(n) + 1
-    coarse = _roots(b * np.arange(-(-n // b)), n)
-    fine = _roots(np.arange(b), n)
-    k = np.arange(p, dtype=np.int64)
-    rows = max(1, _ROW_BLOCK // p)
-    for lo in range(0, r, rows):
-        t = np.arange(lo, min(lo + rows, r), dtype=np.int64)[:, None] * k
-        a[lo:lo + rows] *= coarse[t // b] * fine[t % b]
+    # e(-j2*k1/n) = e(-j2*c*u/n) * e(-j2*v/n) for k1 = c*u + v, v < c, from
+    # two tables of about r*sqrt(p) roots, every phase below n (about 2 ulp),
+    # broadcast over rows padded to g*c >= p columns with zeros, not garbage
+    c = math.isqrt(p) + 1
+    g = -(-p // c)
+    a = np.zeros((r, g, c), dtype=complex)      # a[j2, u, v]
+    rows = a.reshape(r, g * c)[:, :p]           # rows[j2, k1]
+    np.fft.fft(x.reshape(r, p), axis=0, out=rows)
+    a *= _roots(np.outer(np.arange(r), np.arange(0, p, c)), n)[:, :, None]
+    a *= _roots(np.outer(np.arange(r), np.arange(c)), n)[:, None]
     out = np.empty((p, r), dtype=complex)       # out[j1, j2]
-    np.fft.fft(a, axis=1, out=out.T)
+    np.fft.fft(rows, axis=1, out=out.T)
     return out.reshape(-1)
 
 

@@ -48,9 +48,9 @@ class PrimeContext:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality verdict for 0 <= n < 2^64."""
+    """Deterministic primality verdict for 0 <= n < 2^64, else DomainError."""
     if n >= PRIME_LIMIT:
-        raise OverflowError(f"{n} is outside the proven 64-bit witness domain")
+        raise DomainError(f"{n} is outside the proven 64-bit witness domain")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -91,16 +91,17 @@ class TestCompute:
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone.
-        # The bound is that peak as measured (476 MB on 2 cores, numpy
-        # 2.4.6) plus 10%; with two transforms per table, one per parity,
-        # it peaked at 553 MB, with pocketfft's Bluestein over each whole
-        # transform at 601 MB, and with an int64 array of all q-1 residues
-        # held for the run at 683 MB
+        # The bound is that peak as measured (451 MB on 2 cores, numpy
+        # 2.4.6) plus 10%; with the split's twiddle in row blocks it peaked
+        # at 475 MB, with two transforms per table, one per parity, at
+        # 553 MB, with pocketfft's Bluestein over each whole transform at
+        # 601 MB, and with an int64 array of all q-1 residues held for the
+        # run at 683 MB
         proc = run_fresh_cli(["compute", 10000019], timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 524 * 2**10, peak_kb
+        assert peak_kb < 496 * 2**10, peak_kb
 
     def test_method_both_reports_discrepancy(self, capsys):
         code, out, _ = run(capsys, "compute", "101", "--method", "both")
@@ -282,11 +283,12 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
         # the four tables on disk, then a fresh ek compute whose ru_maxrss
-        # is its own peak.  The bound is that peak as measured (489 MB
-        # on 2 cores, numpy 2.4.6) plus 10%; two transforms per table
-        # peaked at 605 MB, pocketfft's Bluestein over each whole
-        # transform at 654 MB, loading every table up front at 856 MB, and
-        # holding all q-1 residues for the run at 742 MB
+        # is its own peak.  The bound is that peak as measured (464 MB
+        # on 2 cores, numpy 2.4.6) plus 10%; the split's twiddle in row
+        # blocks peaked at 489 MB, two transforms per table at 605 MB,
+        # pocketfft's Bluestein over each whole transform at 654 MB,
+        # loading every table up front at 856 MB, and holding all q-1
+        # residues for the run at 742 MB
         q, cache = 10000019, str(tmp_path)
         for tag in FunctionTag:
             proc = run_fresh_cli(["precompute", q, "--tag", tag.value,
@@ -297,7 +299,7 @@ class TestCacheCommands:
         assert proc.returncode == 0, proc.stderr
         assert "method_discrepancy = " in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 538 * 2**10, peak_kb
+        assert peak_kb < 510 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)
@@ -816,6 +818,7 @@ class TestSmallCommands:
         for argv in (["gamma-n", "31"], ["gamma-n", "-1"], ["offsets", "0"],
                      ["stieltjes", "101"], ["stieltjes", "7", "--kmax", "21"],
                      ["vq", "2"], ["vq", "10000000000000000"],
+                     ["scan", "18446744073709551557", "18446744073709551636"],
                      ["compute", "9"], ["checksum", "9", "--tag", "T"],
                      ["precompute", "9", "--tag", "T", "--cache", str(cache)],
                      ["precompute", "101", "--tag", "T", "--range", "0", "500",

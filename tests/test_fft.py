@@ -1,5 +1,7 @@
 """Transforms: definition spot checks, oracle equivalence, decimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,11 +70,13 @@ def _max_rel_error(y, ref):
 class TestPrimeFactorSplit:
     # 2^3*3*5^3 and 17*257: no prime factor above 300; 2*1511 and 3*1009:
     # below the least split length; the primes 3001 and 4001: one row;
-    # 13*307, the least split length, 4*1009 and 16*311: split
+    # 13*307, the least split length, 4*1009, 16*311 and 11*379: split;
+    # with c = isqrt(p) + 1, 307 % 18 = 1 and 379 % 20 = 19 put one column
+    # and all but one in the last group of c columns of the twiddle
     @pytest.mark.parametrize("n, split", [
         (3000, False), (3022, False), (3001, False), (3027, False),
         (4369, False), (4001, False), (4036, True), (3991, True),
-        (4976, True)])
+        (4976, True), (4169, True)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_each_branch_equals_the_naive_sum(self, split_calls, n, split,
                                               kind):
@@ -85,10 +89,11 @@ class TestPrimeFactorSplit:
 
     # 3*7*2381 and 2*5*15287, the half lengths of q = 100003 and 305741;
     # 2*3*31*823, whose largest prime factor is below 1000; 7*67*1523;
-    # 2^4*5*13*1009, whose 1040 twiddle rows take two blocks of 1039;
-    # three and two rows: 3*50021, 3*349529 and 2*100003
-    @pytest.mark.parametrize("n", [50001, 152870, 153078, 714287, 1049360,
-                                   150063, 1048587, 200006])
+    # 2^4*5*13*1009, 1040 rows; three and two rows: 3*50021, 3*349529 and
+    # 2*100003; 7^2*67*1523, the half length of q = 10000019
+    @pytest.mark.parametrize("n", [
+        50001, 152870, 153078, 714287, 1049360, 150063, 1048587, 200006,
+        pytest.param(5000009, marks=pytest.mark.extended)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_error_within_twice_pocketfft_against_long_double(
             self, split_calls, n, kind):
@@ -101,9 +106,22 @@ class TestPrimeFactorSplit:
         assert split_calls == [n]
         assert got <= 2 * _max_rel_error(np.fft.fft(x), ref)
 
-    def test_two_twiddle_blocks_at_1049360(self):
-        p = max(multgroup.factorize(1049360))
-        assert (p, 1049360 // p, fft._ROW_BLOCK // p) == (1009, 1040, 1039)
+    @pytest.mark.parametrize("n", [3991, 4169, 152870])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_no_floating_point_warning_on_a_split_length(self, split_calls,
+                                                         n, kind):
+        x = RNG.standard_normal(n)
+        if kind == "complex":
+            x = x + 1j * RNG.standard_normal(n)
+        # freed infinities of sizes from n to 2n, which a buffer that dft
+        # left uncleared would likely reuse; inf + inf*1j times a root warns
+        infinities = [np.full(n + n * i // 4, complex(np.inf, np.inf))
+                      for i in range(5)]
+        del infinities
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(dft(x).values))
+        assert split_calls == [n]
 
     def test_no_length_below_the_least_split_is_factorised(
             self, split_calls, monkeypatch):
