@@ -131,8 +131,9 @@ def residues(ctx: PrimeContext, k_lo: int, k_hi: int) -> np.ndarray:
     a[:1] = pow(ctx.g, k_lo, q)
     n = 1
     while n < len(a):
-        # a[n+k] = a[k] * g^n: extend the known prefix by up to its length
+        # a[n+k] = a[k] * g^n, in place: extend the prefix by up to its length
         step = min(n, len(a) - n)
-        a[n:n + step] = a[:step] * pow(ctx.g, n, q) % q
+        np.multiply(a[:step], pow(ctx.g, n, q), out=a[n:n + step])
+        a[n:n + step] %= q
         n += step
     return a

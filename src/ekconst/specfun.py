@@ -19,18 +19,18 @@ evaluation whose bound exceeds the fixed target TARGET_ABS_ERROR raises
 NonConvergenceError.  The functions of x take arrays of points only.
 psi_n_values starts its series at a truncation point that depends on n and
 doubles it, point by point, until the bound meets the target.  T and
-S(x)+S(1-x) start their tails at m = 64, are checked once there, and sum
-the terms m = 2..63 as a polynomial in x (in x - 1/2, respectively in x^2
-after S(x)+S(1-x) is folded to x <= 1/2), whose coefficients are summed
-once per process; a bound on the polynomial's omitted terms joins the
-remainder bound, and psi_n_values(1, x), which sums those terms one by one,
-checks T.  Every function evaluates each of the points it is given
-independently of the others, with temporaries of their length;
-cache.precompute passes a table to them in blocks.  S(x)+S(1-x) is
-evaluated by its series alone; its integral representation, integrated by a
-double-exponential rule, lives in the test suite (tests/oracles.py) as an
-independent reference.  digamma and log Gamma come from scipy.special,
-which is imported on first use.
+S(x)+S(1-x) sum every term m >= 2 as one polynomial in x (in x - 1/2,
+respectively in x^2 after S(x)+S(1-x) is folded to x <= 1/2), whose
+coefficients are summed once per process: the terms m = 2..63 one by one,
+the tail from m = 64 by Euler-Maclaurin.  A point's bound weights the
+coefficients' remainders by its powers and adds a bound on the omitted
+terms.  psi_n_values(1, x), which keeps its per-point tail, checks T.
+Every function evaluates each of the points it is given independently of
+the others, with temporaries of their length; cache.precompute passes a
+table to them in blocks.  S(x)+S(1-x) is evaluated by its series alone;
+its integral representation, integrated by a double-exponential rule,
+lives in the test suite (tests/oracles.py) as an independent reference.
+digamma and log Gamma come from scipy.special, imported on first use.
 
 Everything is plain float64; long accumulations use exact (fsum) or pairwise
 summation so results carry close to full double accuracy.
@@ -256,13 +256,7 @@ def psi_n_values(n: int, x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# T and S(x)+S(1-x): series with a fixed start
-#
-# Each series has its Euler-Maclaurin tail from m = _SERIES_START.  The
-# term m = 1 is summed directly and the terms m = 2.._SERIES_START-1 form a
-# polynomial in x, whose coefficients are summed once per process and which
-# is evaluated by Horner's rule; a bound on the polynomial's omitted terms
-# joins the tail's remainder bound.
+# T and S(x)+S(1-x): the term m = 1 directly, every m >= 2 in one polynomial
 
 _SERIES_START = 64
 _T_BULK_DEGREE = 28        # in x - 1/2; omitted terms below 2e-20
@@ -295,37 +289,67 @@ def _harmonic(n: int) -> float:
     return math.fsum(1.0 / j for j in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _t_bulk_poly() -> tuple[tuple, float]:
-    """(c, E): sum_{m=2}^{63} [f(m+x) - f(m)], f(u) = log(u)/u, equals
-    sum_{k<=K} c[k] t^k, t = x - 1/2, to within E |t|^(K+1) on (0, 1].
+def _log_integral(alpha: float, beta: float, n: int, a: float) -> float:
+    """integral_a^inf (alpha + beta log u)/u^n du, n > 1."""
+    return a ** (1 - n) * ((alpha + beta * math.log(a)) / (n - 1)
+                           + beta / (n - 1) ** 2)
 
-    c[0] = sum_m [f(m+1/2) - f(m)] and c[k] = sum_m f^(k)(m+1/2)/k!.  As
-    f^(k)(u)/k! = (-1)^(k+1) (log u - H_k)/u^(k+1), the omitted terms of
-    one m are at most (H_k + log u)(|t|/u)^k/u with |t|/u <= 1/5, each at
-    most rho = (1 + 1/(K+2))/5 times the one before it.
+
+def _em_corrections(fams, j: int, A: float) -> tuple[list, float]:
+    """Euler-Maclaurin for sum_{n>=0} g(A+n), g = fams[j], but its integral:
+    the terms through g^(5)(A), and as the bound twice the first omitted
+    one, which the top orders of T and S(x)+S(1-x) pass by up to 1.4%."""
+    g = [float(_family_eval(fams, j + i, A)) for i in range(8)]
+    return [g[0] / 2, -g[1] / 12, g[3] / 720, -g[5] / 30240], \
+        abs(g[7]) / 604800.0
+
+
+@lru_cache(maxsize=None)
+def _majorant(b: tuple, s_max: float) -> tuple:
+    """A quadratic at least sum_j b[j] s^j on [0, s_max], for b[j] >= 0."""
+    return b[0], b[1], math.fsum(bj * s_max**j for j, bj in enumerate(b[2:]))
+
+
+@lru_cache(maxsize=None)
+def _t_bulk_poly() -> tuple[tuple, tuple]:
+    """(c, r): sum_{m>=2} [f(m+x) - f(m)], f(u) = log(u)/u, is
+    sum_{k<=K} c[k] t^k, t = x - 1/2, within sum_{j<=K+1} r[j] |t|^j.
+
+    c[0] = sum_m [f(m+1/2) - f(m)] and c[k] = sum_m f^(k)(m+1/2)/k!, from
+    m = 64 by Euler-Maclaurin (c[0] by _psi_tail), within r[k].  As
+    f^(k)(u)/k! = (-1)^k (log u - H_k)/u^(k+1), the omitted terms of one m
+    are at most (H_k + log u)(|t|/u)^k/u with |t|/u <= 1/5, each at most
+    rho = (1 + 1/(K+2))/5 times the one before it; r[K+1] sums their bound
+    over m, from m = 64 as an integral.
     """
     K = _T_BULK_DEGREE
+    A = _SERIES_START + 0.5
     u = (np.arange(2, _SERIES_START) + 0.5).tolist()
-    fams = _log_poly_family((0.0, 1.0), 1, K)
-    c = [math.fsum(math.log(v) / v - math.log(v - 0.5) / (v - 0.5)
-                   for v in u)]
-    c += [math.fsum(_family_eval(fams, k, u).tolist()) / math.factorial(k)
-          for k in range(1, K + 1)]
+    fams = _log_poly_family((0.0, 1.0), 1, K + 7)
+    tail, rem = _psi_tail(1, np.array([0.5]), float(_SERIES_START))
+    c = [math.fsum([math.log(v) / v - math.log(v - 0.5) / (v - 0.5)
+                    for v in u] + [float(tail[0])])]
+    r = [2 * float(rem[0])]
+    for k in range(1, K + 1):
+        terms, rem = _em_corrections(fams, k, A)
+        integral = -float(_family_eval(fams, k - 1, A))
+        c.append(math.fsum(_family_eval(fams, k, u).tolist() + [integral]
+                           + terms) / math.factorial(k))
+        r.append(rem / math.factorial(k))
     rho = (1 + 1 / (K + 2)) / 5
-    bound = math.fsum((_harmonic(K + 1) + math.log(v)) / v ** (K + 2)
-                      for v in u) / (1 - rho)
-    return tuple(c), bound
+    H, n = _harmonic(K + 1), K + 2
+    r.append(math.fsum([(H + math.log(v)) / v**n for v in u]
+                       + [_log_integral(H, 1.0, n, A - 1)]) / (1 - rho))
+    return tuple(c), tuple(r)
 
 
 def _t_series_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The psi_1 series sum_{m>=1} [f(m+x) - f(m)], f(u) = log(u)/u, at
     x in (0, 1].  Returns (values, remainder_bound)."""
-    c, bound = _t_bulk_poly()
+    c, r = _t_bulk_poly()
     t = x - 0.5
-    tail, rem = _psi_tail(1, x, float(_SERIES_START))
-    bulk = np.log1p(x) / (1.0 + x) + _horner(c, t)
-    return bulk + tail, rem + bound * np.abs(t) ** len(c)
+    return (np.log1p(x) / (1.0 + x) + _horner(c, t),
+            _horner(_majorant(r, 0.5), np.abs(t)))
 
 
 def _t_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,69 +362,43 @@ def t_values(x: np.ndarray) -> np.ndarray:
     return _fixed_start_checked(_t_batch, x, "T")
 
 
-def _h_fams():
-    return _log_poly_family((0.0, 2.0), 1, 8)  # 2 log(u)/u and derivatives
-
-
 @lru_cache(maxsize=None)
-def _atanh_int_coeffs(nterms: int) -> tuple:
-    # integral of 2 atanh(s): sum 2 d^{2k+2} / ((2k+1)(2k+2))
-    return tuple(2.0 / ((2 * k + 1) * (2 * k + 2)) for k in range(nterms))
-
-
-@lru_cache(maxsize=None)
-def _sym_cross_coeffs(nterms: int) -> tuple:
-    # coefficients of log(1-s^2) * 2 atanh(s) = sum c_j s^{2j+3}
-    la = np.array([-1.0 / (j + 1) for j in range(nterms)])
-    at = np.array([2.0 / (2 * i + 1) for i in range(nterms)])
-    return tuple(np.convolve(la, at)[:nterms])
-
-
-@lru_cache(maxsize=None)
-def _s_pair_bulk_poly() -> tuple[tuple, float]:
-    """(C, E): sum_{m=2}^{63} w_m(x) equals sum_{k=1}^{K} C[k-1] x^(2k) to
-    within E x^(2K+2) on (0, 1/2].
+def _s_pair_bulk_poly() -> tuple[tuple, tuple]:
+    """(C, b): sum_{m>=2} w_m(x) is sum_{k=1}^{K} C[k-1] x^(2k) within
+    sum_{j<=K+1} b[j] x^(2j) on (0, 1/2].
 
     w_m = 2 log(m) log(1-d^2) + log(1+d)^2 + log(1-d)^2, d = x/m, is
-    sum_k (2/k)(H_{2k-1} - log m) d^(2k).  For k > K the factor
-    (2/k)|H_{2k-1} - log m| is at most (2/(K+1))(H_{2K+1} + log m), and
-    d <= 1/4 makes sum_{k>K} d^(2k) at most (16/15) d^(2K+2).
+    sum_k (2/k)(H_{2k-1} - log m) d^(2k), from m = 64 by Euler-Maclaurin
+    with remainder b[k].  For k > K the factor (2/k)|H_{2k-1} - log m| is
+    at most (2/(K+1))(H_{2K+1} + log m), and d <= 1/4 makes
+    sum_{k>K} d^(2k) at most (16/15) d^(2K+2); b[K+1] sums this bound over
+    m, from m = 64 as an integral.
     """
     K = _S_PAIR_BULK_DEGREE
+    A = float(_SERIES_START)
     ms = range(2, _SERIES_START)
-    C = [2 / k * math.fsum((_harmonic(2 * k - 1) - math.log(m)) / m ** (2 * k)
-                           for m in ms) for k in range(1, K + 1)]
-    bound = 16 / 15 * 2 / (K + 1) * math.fsum(
-        (_harmonic(2 * K + 1) + math.log(m)) / m ** (2 * K + 2) for m in ms)
-    return tuple(C), bound
+    C, b = [], [0.0]
+    for k in range(1, K + 1):
+        H, n = _harmonic(2 * k - 1), 2 * k
+        terms, rem = _em_corrections(_log_poly_family((H, -1.0), n, 7), 0, A)
+        C.append(2 / k * math.fsum([(H - math.log(m)) / m**n for m in ms]
+                                   + [_log_integral(H, -1.0, n, A)] + terms))
+        b.append(2 / k * rem)
+    H, n = _harmonic(2 * K + 1), 2 * K + 2
+    b.append(16 / 15 * 2 / (K + 1) * math.fsum(
+        [(H + math.log(m)) / m**n for m in ms]
+        + [_log_integral(H, 1.0, n, A - 1)]))
+    return tuple(C), tuple(b)
 
 
 def _s_pair_series_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_{m>=1} [log(m+x)^2 + log(m-x)^2 - 2 log(m)^2], the series of
     S(x) + S(1-x) - log(x)^2, at x in (0, 1/2].  Returns (values,
     remainder_bound)."""
-    C, bound = _s_pair_bulk_poly()
+    C, b = _s_pair_bulk_poly()
     y = x * x
-    bulk = np.log1p(x) ** 2 + np.log1p(-x) ** 2 + y * _horner(C, y)
-
-    A = float(_SERIES_START)
-    lA = math.log(A)
-    delta = x / A
-    d2 = delta * delta
-    nt = 10
-    T1 = d2 * _horner(_atanh_int_coeffs(nt), d2)
-    T2 = d2 * d2 * _horner(np.array(_sym_cross_coeffs(nt))
-                           / (2 * np.arange(nt) + 4), d2)
-    integral = -A * (2.0 * lA * T1 + T2)
-    gA = (2.0 * lA * np.log1p(-d2)
-          + np.log1p(delta) ** 2 + np.log1p(-delta) ** 2)
-    h = _h_fams()
-    def deriv(j):
-        return (_family_eval(h, j, A + x) + _family_eval(h, j, A - x)
-                - 2.0 * _family_eval(h, j, A))
-    tail = integral + gA / 2 - deriv(0) / 12 + deriv(2) / 720 - deriv(4) / 30240
-    rem = np.abs(deriv(6)) / 1209600.0
-    return bulk + tail, rem + bound * y ** (len(C) + 1)
+    return (np.log1p(x) ** 2 + np.log1p(-x) ** 2 + y * _horner(C, y),
+            _horner(_majorant(b, 0.25), y))
 
 
 def _s_pair_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,9 @@ explicitly from a generator, series are summed
 by brute force with only elementary tail handling, S is integrated by
 quadrature of its integral forms, and primality falls back to trial
 division.  The exceptions are s_pair_series_direct and s_series: they sum
-their bulk term by term but build their Euler-Maclaurin tails from library
-helpers, and s_series checks its remainder bounds with the library's block
-check.  gamma1_closed also takes T from the library's table function.
+their bulk term by term and their Euler-Maclaurin tails point by point,
+with library helpers for the derivatives of log(u)^n/u, and s_series
+checks its remainder bounds with the library's block check.  gamma1_closed also takes T from the library's table function.
 gammak_aq is the per-cell form of the library's gamma_k(a, q) table: it
 takes each psi_n at the one point a/q from the library's psi_n_values and
 applies the same binomial formula, so it checks the table's assembly over
@@ -230,6 +230,30 @@ def s_bruteforce(x: float, terms: int = 2_000_000) -> float:
 
 
 # ----------------------------------------------------------------------
+# pieces of the per-point Euler-Maclaurin tails of s_series and
+# s_pair_series_direct; the library sums its tails inside the coefficients
+# of its polynomials instead
+
+def _h_fams():
+    # 2 log(u)/u and its derivatives
+    return specfun._log_poly_family((0.0, 2.0), 1, 8)
+
+
+@lru_cache(maxsize=None)
+def _atanh_int_coeffs(nterms: int) -> tuple:
+    # integral of 2 atanh(s): sum 2 d^{2k+2} / ((2k+1)(2k+2))
+    return tuple(2.0 / ((2 * k + 1) * (2 * k + 2)) for k in range(nterms))
+
+
+@lru_cache(maxsize=None)
+def _sym_cross_coeffs(nterms: int) -> tuple:
+    # coefficients of log(1-s^2) * 2 atanh(s) = sum c_j s^{2j+3}
+    la = np.array([-1.0 / (j + 1) for j in range(nterms)])
+    at = np.array([2.0 / (2 * i + 1) for i in range(nterms)])
+    return tuple(np.convolve(la, at)[:nterms])
+
+
+# ----------------------------------------------------------------------
 # S(x) by its accelerated series
 #
 #     S(x) = 2*gamma1*x + log(x)^2
@@ -243,7 +267,7 @@ def s_series(x: np.ndarray) -> np.ndarray:
     """S(x) on an array of points in (0, 1): terms m < 64 summed one by one,
     an Euler-Maclaurin tail from m = 64, and NonConvergenceError where its
     remainder bound exceeds specfun.TARGET_ABS_ERROR."""
-    from ekconst.specfun import (_family_eval, _fixed_start_checked, _h_fams,
+    from ekconst.specfun import (_family_eval, _fixed_start_checked,
                                  _int_log1p_pow, _log1p_minus,
                                  _log_poly_family)
 
@@ -277,16 +301,17 @@ def s_series(x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # the S(x)+S(1-x) series with its terms m < start summed one by one
 #
-# The library sums the terms m = 2..63 of this series as a polynomial in
-# x; this is the series before that change, term by term, with the tail
-# integral's power series summed column by column.  (The psi_1 series
-# that T uses keeps such a direct bulk in specfun._psi_series_batch.)
+# The library sums every term m >= 2 of this series as one polynomial in
+# x, the tail from m = 64 inside its coefficients; this is the series with
+# its terms m < start summed one by one and its own Euler-Maclaurin tail at
+# each point, the tail integral's power series summed column by column.
+# (The psi_1 series that T uses keeps such a per-point form in
+# specfun._psi_series_batch.)
 
 def s_pair_series_direct(x: np.ndarray, start: int = 64):
     """sum_{m>=1} [log(m+x)^2 + log(m-x)^2 - 2 log(m)^2] for 0 < x < 1;
     returns (values, remainder bound)."""
-    from ekconst.specfun import (_atanh_int_coeffs, _family_eval, _h_fams,
-                                 _sym_cross_coeffs)
+    from ekconst.specfun import _family_eval
 
     x = np.asarray(x, dtype=np.float64)
     A = float(start)

@@ -236,9 +236,9 @@ class TestScan:
     ])
     def test_scan_to_300_keeps_its_bytes(self, capsys, name, options):
         # tests/data holds what `ek scan 3 300` printed with these options
-        # once each table's two parities came from one packed transform; a
-        # change in the order of any float64 operation of the assembly
-        # shows here
+        # once each table's two parities came from one packed transform and
+        # T and S(x)+S(1-x) summed every m >= 2 as one polynomial; a change
+        # in the order of any float64 operation of the assembly shows here
         code, out, _ = run(capsys, "scan", "3", "300", *options)
         assert code == 0
         with open(os.path.join(DATA, f"scan_3_300_{name}.csv"), "rb") as f:

@@ -221,8 +221,10 @@ class TestSVsMpmath:
 
 
 class TestPolynomialBulks:
-    """T and S(x)+S(1-x) sum their series terms m = 2..63 as a polynomial
-    in x, with a bound on the polynomial's omitted terms."""
+    """T and S(x)+S(1-x) sum their series terms m >= 2 as one polynomial in
+    x, whose coefficients take the terms from m = 64 by Euler-Maclaurin;
+    each point's bound joins the coefficients' remainders and a bound on
+    the polynomial's omitted terms."""
 
     X = np.arange(1, 20_000) / 20_000
 
@@ -237,32 +239,112 @@ class TestPolynomialBulks:
         direct = oracles.s_pair_series_direct(x)[0]
         assert float(np.max(np.abs(poly - direct))) <= 2e-15
 
-    def test_t_truncation_bound_is_gated(self, monkeypatch):
-        # near x = 0 the Euler-Maclaurin bound vanishes but the polynomial's
-        # (at |x - 1/2| = 1/2) does not: only the latter exceeds the target
-        x = np.array([1e-6])
-        c, e = specfun._t_bulk_poly()
-        trunc = e * abs(x[0] - 0.5) ** len(c)
-        assert specfun._psi_tail(1, x, 64.0)[1][0] < trunc / 2
-        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", 2 * trunc)
-        specfun.t_values(x)
-        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", trunc / 2)
+    @staticmethod
+    def gate_at(monkeypatch, values, x, rem):
+        # a target just over the bound passes, and one just under fails
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", rem)
+        values(x)
+        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", math.nextafter(rem, 0))
         with pytest.raises(NonConvergenceError):
-            specfun.t_values(x)
+            values(x)
+
+    def test_t_truncation_bound_is_gated(self, monkeypatch):
+        # the bound is sum_j r[j] |t|^j, t = x - 1/2: the coefficients' own
+        # remainders and, at j = K+1, the polynomial's omitted terms
+        x = np.array([1e-6])
+        c, r = specfun._t_bulk_poly()
+        t = 0.5 - 1e-6
+        rem = float(specfun._t_batch(x)[1][0])
+        assert rem == pytest.approx(
+            math.fsum(rj * t**j for j, rj in enumerate(r)), rel=1e-4, abs=0)
+        # the truncation term alone, made large, fails the target
+        big = r[:-1] + (2 * specfun.TARGET_ABS_ERROR / t ** len(c),)
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_t_bulk_poly", lambda: (c, big))
+            with pytest.raises(NonConvergenceError):
+                specfun.t_values(x)
+        self.gate_at(monkeypatch, specfun.t_values, x, rem)
 
     def test_s_pair_truncation_bound_is_gated(self, monkeypatch):
-        # on (0, 1/2] the Euler-Maclaurin bound is the larger one, so the
-        # polynomial's shows as the excess over the direct series' bound
-        x = np.array([0.4, 0.45, 0.5])
-        C, e = specfun._s_pair_bulk_poly()
-        excess = (specfun._s_pair_series_batch(x)[1]
-                  - oracles.s_pair_series_direct(x)[1])
-        assert np.allclose(excess, e * x ** (2 * len(C) + 2), rtol=1e-9,
-                           atol=0)
-        trunc = e * 0.5 ** (2 * len(C) + 2)
-        monkeypatch.setattr(specfun, "TARGET_ABS_ERROR", trunc / 2)
-        with pytest.raises(NonConvergenceError):
-            specfun.s_pair_values(np.array([0.5]))
+        # the bound is sum_j b[j] x^(2j) on (0, 1/2], largest at x = 1/2
+        x = np.array([0.5])
+        C, b = specfun._s_pair_bulk_poly()
+        rem = float(specfun._s_pair_batch(x)[1][0])
+        assert rem == pytest.approx(
+            math.fsum(bj * 0.25**j for j, bj in enumerate(b)), rel=1e-12,
+            abs=0)
+        big = b[:-1] + (2 * specfun.TARGET_ABS_ERROR * 4 ** len(b),)
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_s_pair_bulk_poly", lambda: (C, big))
+            with pytest.raises(NonConvergenceError):
+                specfun.s_pair_values(x)
+        self.gate_at(monkeypatch, specfun.s_pair_values, x, rem)
+
+    def test_coefficients_vs_mpmath(self):
+        # Summed over every m >= 2 at 30 digits.  T's c[k], k >= 1, are
+        # Hurwitz-zeta derivatives at s = k+1, a = 5/2, as f^(k)(u)/k! =
+        # (-1)^k (log u - H_k)/u^(k+1), and c[0] = gamma_1(5/2) - gamma_1(2);
+        # the pair's C[k-1] = (2/k)(H_{2k-1} (zeta(2k) - 1) + zeta'(2k))
+        mpmath = pytest.importorskip("mpmath")
+        c, r = specfun._t_bulk_poly()
+        C, b = specfun._s_pair_bulk_poly()
+        with mpmath.workdps(30):
+            a = mpmath.mpf(5) / 2
+            H = [mpmath.fsum(mpmath.mpf(1) / j for j in range(1, n + 1))
+                 for n in range(len(c) + 2 * len(C))]
+            want_c = [mpmath.stieltjes(1, a) - mpmath.stieltjes(1, 2)] + [
+                (-1) ** k * (-mpmath.zeta(k + 1, a, 1)
+                             - H[k] * mpmath.zeta(k + 1, a))
+                for k in range(1, len(c))]
+            want_C = [2 * (H[2 * k - 1] * (mpmath.zeta(2 * k) - 1)
+                           + mpmath.zeta(2 * k, 1, 1)) / k
+                      for k in range(1, len(C) + 1)]
+        for got, want, rem in ((c, want_c, r), (C, want_C, b[1:])):
+            want = np.array([float(w) for w in want])
+            err = np.abs(np.array(got) - want)
+            assert np.all(err <= np.array(rem[:len(got)])
+                          + 4e-15 * np.abs(want))
+
+    def test_coefficient_remainders_bound_their_tails(self):
+        # Each coefficient's Euler-Maclaurin sum from m = 64, at 60 digits
+        # (30 do not resolve the top orders), against the exact sum over
+        # m >= 64 from Hurwitz zeta values: the error is within its bound.
+        # f^(j)(u) = (-1)^j j! (log u - H_j)/u^(j+1) for f(u) = log(u)/u.
+        mpmath = pytest.importorskip("mpmath")
+        c, r = specfun._t_bulk_poly()
+        C, b = specfun._s_pair_bulk_poly()
+        with mpmath.workdps(60):
+            A = mpmath.mpf(64)
+            h = A + mpmath.mpf(1) / 2
+
+            def f(j, u):
+                return ((-1) ** j * mpmath.factorial(j)
+                        * (mpmath.log(u) - mpmath.harmonic(j)) / u ** (j + 1))
+
+            def em(g, integral):  # g(i) is the i-th derivative at the start
+                return (integral + g(0) / 2 - g(1) / 12 + g(3) / 720
+                        - g(5) / 30240)
+
+            err = [em(lambda i: f(i, h) - f(i, A),
+                      (mpmath.log(A) ** 2 - mpmath.log(h) ** 2) / 2)
+                   - mpmath.stieltjes(1, h) + mpmath.stieltjes(1, A)]
+            for k in range(1, len(c)):
+                kf = mpmath.factorial(k)
+                err.append(em(lambda i: f(k + i, h) / kf, -f(k - 1, h) / kf)
+                           - (-1) ** k * (-mpmath.zeta(k + 1, h, 1)
+                                          - mpmath.harmonic(k)
+                                          * mpmath.zeta(k + 1, h)))
+            assert all(abs(e) <= rk for e, rk in zip(err, r))
+            for k in range(1, len(C) + 1):
+                H, n = mpmath.harmonic(2 * k - 1), 2 * k
+
+                def g(u):
+                    return (H - mpmath.log(u)) / u**n
+                integral = A ** (1 - n) * ((H - mpmath.log(A)) / (n - 1)
+                                           - mpmath.mpf(1) / (n - 1) ** 2)
+                e = em(lambda i: mpmath.diff(g, A, i), integral) - (
+                    H * mpmath.zeta(n, A) + mpmath.zeta(n, A, 1))
+                assert 2 * abs(e) / k <= b[k], k
 
     def test_fold_is_exact(self):
         # 1 - x is exact for x >= 1/2, and so is the fold of 1 - x back to x
