@@ -11,9 +11,9 @@ real table from one transform of half the length.
 from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     MergeError, ValueTable, closed_form_sum, load,
                     precompute, save)
-from .ek import (CharacterSumError, EKResult, compute_ek, packed_spectrum,
-                 parity_bins)
-from .fft import Spectrum, dft, twiddle
+from .ek import (CharacterSumError, EKResult, compute_ek, pack,
+                 packed_spectrum, parity_bins)
+from .fft import Spectrum, UnitRoots, dft
 from .multgroup import (DomainError, NotPrimeError, PrimeContext,
                         build_context, is_prime, primitive_root)
 from .offsets import OffsetSequence, greedy_offsets, v_of_q
@@ -28,8 +28,8 @@ __all__ = [
     "DisagreementError", "DomainError", "EKResult", "EULER_GAMMA",
     "FunctionTag", "GAMMA1", "LOG_2PI", "MergeError", "NonConvergenceError",
     "NotPrimeError", "OffsetSequence", "PrimeContext", "Spectrum",
-    "StieltjesTable", "ValueTable", "ZETA_DD_AT_0",
+    "StieltjesTable", "UnitRoots", "ValueTable", "ZETA_DD_AT_0",
     "build_context", "closed_form_sum", "compute_ek", "dft", "gamma_n",
-    "greedy_offsets", "is_prime", "load", "packed_spectrum", "parity_bins",
-    "precompute", "primitive_root", "save", "twiddle", "v_of_q",
+    "greedy_offsets", "is_prime", "load", "pack", "packed_spectrum",
+    "parity_bins", "precompute", "primitive_root", "save", "v_of_q",
 ]

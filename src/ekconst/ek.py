@@ -6,9 +6,11 @@ through a_k = g^k into discrete Fourier transforms (bin j of the
 transform of f(a_k/q) is the sum of conj(chi_1^j)(a) f(a/q), where
 chi_1(g) = e(1/(q-1))).  chi_1^j is even exactly when j is even.  Both
 parities of a table come from one transform of length m = (q-1)/2 of its
-values packed as f[0::2] + i f[1::2] (packed_spectrum, parity_bins).  The
-Bernoulli sequence is the odd branch of a decimation split, and the S
-pair table an even branch as it stands.
+values packed as f[0::2] + i f[1::2] (pack, packed_spectrum, parity_bins),
+whose unit roots UnitRoots forms per block.  The S pair values and the
+Bernoulli input share one such table (s_pair_bernoulli): the S pair
+values are its even branch, and the first chi-Bernoulli numbers its odd
+branch.
 
 Each of two independent routes runs in two parity halves.  A half divides
 two sets of bins, one ratio per character; _half reduces the ratios to the
@@ -17,7 +19,7 @@ the next half allocates.  The odd half gives ek_diff, the even ek_plus:
 
   method "s":  odd characters through log Gamma and the first
                chi-Bernoulli numbers (s_odd), even characters through
-               S(x) and log Gamma (s_even): three transforms;
+               S(x) and log Gamma (s_even): two transforms;
   method "t":  both halves through T(x) and psi(x) (t_half): two.
 """
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import cache as cache_mod
 from .cache import FunctionTag, ValueTable
-from .fft import dft, twiddle
+from .fft import UnitRoots, dft
 from .multgroup import PrimeContext, residues
 from .specfun import EULER_GAMMA, LOG_2PI
 
@@ -89,124 +91,170 @@ def _table(ctx: PrimeContext, tables: Callable | None,
     return table
 
 
-def packed_spectrum(f: np.ndarray, tw: np.ndarray,
-                    tag: FunctionTag) -> np.ndarray:
-    """Z, the dft of the tag's real table f (length q-1 = 2m) packed as z =
-    (f-c)[0::2] + i (f-c)[1::2]; f is dropped once packed.  c moves bin 0
-    only: mean(f) for LOGGAMMA, which keeps its transform accurate, else 0,
-    as for T and psi, ruled by their values near x = 0.
+def pack(f: np.ndarray, centre: bool = False) -> np.ndarray:
+    """z = (f-c)[0::2] + i (f-c)[1::2] for a real table f of even length,
+    a complex view of the new array f - c.  c moves bin 0 only: mean(f)
+    if centre, as for LOGGAMMA, which keeps its transform accurate, else
+    0, as for T and psi, ruled by their values near x = 0."""
+    if len(f) % 2:
+        raise ValueError(f"input length must be even, got {len(f)}")
+    return np.subtract(f, f.sum() / len(f) if centre else 0.0).view(complex)
+
+
+def s_pair_bernoulli(ctx: PrimeContext, s: np.ndarray) -> np.ndarray:
+    """The S pair values s and the Bernoulli input as one real table y of
+    length q-1 = 2m, packed as pack packs: y[k] = s[k] - c + 8 u[k] and
+    y[k+m] = s[k] - c - 8 u[k], k < m, u[k] = (2 a_k - q)/q, c = mean(s).
+    Its bin 2t is twice bin t of s (t >= 1), its bin 2t+1 is 16 times
+    B_{1, conj(chi_1^{2t+1})} = (1/q) sum_a a conj(chi)(a), the odd branch
+    of a/q with a_{k+m} = q - a_k folded in exactly.  The factor 8 gives
+    the two parts about the same norm (||s - c||/||u|| is 7 to 10 for q
+    from 101 to 10^7), and scales exactly."""
+    m = ctx.m
+    u = 2.0 * residues(ctx, 0, m)
+    u -= ctx.q
+    u /= ctx.q / 8
+    y = np.empty(2 * m)
+    lo, hi = y[:m], y[m:]
+    np.subtract(s, s.sum() / len(s), out=lo)
+    np.subtract(lo, u, out=hi)
+    lo += u
+    return y.view(complex)
+
+
+_BLOCK = 1 << 15    # points per block of roots and of their temporaries
+
+
+def packed_spectrum(z: np.ndarray, roots: UnitRoots,
+                    what: str) -> np.ndarray:
+    """Z = dft(z), z the packed real table f of length q-1 = 2m, z =
+    f[0::2] + i f[1::2] (pack, s_pair_bernoulli); z is consumed, roots is
+    UnitRoots(q-1), and what names the table in an error.
 
     One inverse sample checks Z: sum_j Z[j] e(jt/m) = m z[t], t = (m-1)//2,
     which a one-bin roll of Z moves by about 2m|z[t]|; t != -t (mod m)
-    refuses a conjugate-direction Z.  e(jt/m) is (-1)^j tw[j] for odd m,
-    and (-1)^j e(-j/m) for even m, e(-j/m) being tw[2j], then -tw[2j-m].
-    Past eps*log2(q-1)*m*||z||_2, which bounds _half's kind of budget
+    refuses a conjugate-direction Z.  e(jt/m) is (-1)^j e(-j/2m) for odd
+    m, and (-1)^j e(-j/m) for even m, then minus that at j - m/2.  Past
+    eps*log2(q-1)*m*||z||_2, which bounds _half's kind of budget
     eps*log2(q-1)*sum|Z| (Parseval) and comes from the input, so that a
     wrong Z cannot raise it: CharacterSumError.
     """
-    m, odd = divmod(len(f), 2)
-    if odd:
-        raise ValueError(f"input length must be even, got {len(f)}")
-    c = float(np.mean(f)) if tag is FunctionTag.LOGGAMMA else 0.0
-    z = np.empty(m, dtype=complex)
-    np.subtract(f[0::2], c, out=z.real)
-    np.subtract(f[1::2], c, out=z.imag)
-    del f
+    m = len(z)
     sample = complex(z[(m - 1) // 2])
     scale = m * math.sqrt(np.vdot(z, z).real)
-    z, roots = dft(z).values, tw[::2 - m % 2]
-    h = len(roots)  # m for odd m, when z[h:] is empty
-    back = (_alternating_dot(roots, z[:h])
-            - (-1) ** h * _alternating_dot(roots, z[h:]))
+    z = dft(z).values
+    # the roots of a block serve both halves, z[:h] and, for even m only,
+    # z[h:]; each block's alternating sums are pairwise, then over blocks
+    step = 2 - m % 2
+    h = m // step
+    halves = (z[:h], z[h:])[:step]
+    sums = np.zeros((step, -(-h // _BLOCK)), dtype=complex)
+    for block, i in enumerate(range(0, h, _BLOCK)):
+        r = roots.block(step * i, step * min(i + _BLOCK, h), step)
+        for total, half in zip(sums, halves):
+            part = half[i:i + _BLOCK]
+            total[block] = ((r[0::2] * part[0::2]).sum()
+                            - (r[1::2] * part[1::2]).sum())
+    back, *upper = sums.sum(axis=1)
+    if upper:
+        back -= (-1) ** h * upper[0]
     residual, bound = abs(back - m * sample), _EPS * math.log2(2 * m) * scale
     if not residual <= bound:
         raise CharacterSumError(
-            f"inverse sample of the packed {tag.value} transform is off by "
+            f"inverse sample of the packed {what} transform is off by "
             f"{residual:.3e}, past its float64 budget "
             f"eps*log2({2 * m})*m*||z||_2 = {bound:.3e}")
     return z
 
 
-def _alternating_dot(roots: np.ndarray, z: np.ndarray,
-                     block: int = 1 << 15) -> complex:
-    """sum_j (-1)^j roots[j] z[j], added pairwise in cached blocks of even
-    length, then over them."""
-    return complex(np.sum([np.sum(roots[i:i + block:2] * z[i:i + block:2])
-                           - np.sum(roots[i + 1:i + block:2]
-                                    * z[i + 1:i + block:2])
-                           for i in range(0, len(z), block)]))
-
-
-def parity_bins(z: np.ndarray, tw: np.ndarray, odd: bool) -> np.ndarray:
-    """One parity of the transform F of f, z = packed_spectrum(f, tw, ...):
+def parity_bins(z: np.ndarray, roots: UnitRoots, odd: bool) -> np.ndarray:
+    """One parity of the transform F of f, z = packed_spectrum of f:
     odd, out[t] = F[2t+1], t < m; even, out[t-1] = F[2t], 1 <= t < m, from
-    F[i] = E[i] + tw[i] O[i] and F[i+m] = E[i] - tw[i] O[i], i < m, where
-    E = (Z + conj Z[-i])/2 and O = (Z - conj Z[-i])/2i transform f[0::2]
-    and f[1::2], read at i, i+2, ... from strided and reversed views."""
+    F[i] = E[i] + w[i] O[i] and F[i+m] = E[i] - w[i] O[i], i < m, w[i] =
+    e(-i/2m), where E = (Z + conj Z[-i])/2 and O = (Z - conj Z[-i])/2i
+    transform f[0::2] and f[1::2].  F[i] runs over i = 2-odd, 2-odd+2, ...
+    and F[i+m] over i = j, j+2, ..., j = (m+odd) % 2, the same i for even
+    m, where one pass gives both."""
     m = len(z)
-    out = rest = np.empty(m - 1 + odd, dtype=complex)
-    for i, sign in ((2 - odd, 1), ((m + odd) % 2, -1)):
-        part, rest = rest[:len(range(i, m, 2))], rest[len(range(i, m, 2)):]
-        if i == 0:  # Z[-0] is Z[0], so E[0] and O[0] are its two parts
-            part[0] = z[0].real + sign * z[0].imag
-            part, i = part[1:], 2
-        a, b = z[i::2], np.conjugate(z[m - i::-2][:len(part)])
-        np.add(a, b, out=part)
-        np.subtract(a, b, out=b)
-        b *= tw[i::2]
-        part += np.multiply(b, -1j * sign, out=b)  # in place: a lower peak
-        part *= 0.5
+    out = np.empty(m - 1 + odd, dtype=complex)
+    i, j = 2 - odd, (m + odd) % 2
+    n = len(range(i, m, 2))
+    lower, upper = out[:n], out[n:]
+    at_m = j == 0  # F[m] = E[0] - O[0], Z[-0] being Z[0]: set once halved
+    if at_m:
+        upper, j = upper[1:], 2
+    if i == j:
+        _unpack(z, roots, i, lower, upper)
+    else:
+        _unpack(z, roots, i, lower, None)
+        _unpack(z, roots, j, None, upper)
+    out *= 0.5
+    if at_m:
+        out[len(lower)] = z[0].real - z[0].imag
     return out
 
 
-def bernoulli_twisted(ctx: PrimeContext, tw: np.ndarray) -> np.ndarray:
-    """First chi-Bernoulli numbers B_{1, conj(chi_1^{2t+1})}, t < m, with
-    B_{1,chi} = (1/q) sum_a a chi(a), nonzero exactly for odd characters:
-    the odd branch of f(x) = x, a_{k+m} = q - a_k folded in exactly."""
-    return dft(tw * (2.0 * residues(ctx, 0, ctx.m) - ctx.q) / ctx.q).values
+def _unpack(z: np.ndarray, roots: UnitRoots, i: int,
+            plus: np.ndarray | None, minus: np.ndarray | None) -> None:
+    """2E[k] + 2w[k] O[k] into plus and 2E[k] - 2w[k] O[k] into minus, k =
+    i, i+2, ..., either of them None, with E, O and w as in parity_bins,
+    in blocks read from strided and reversed views of z."""
+    m, n = len(z), len(minus if plus is None else plus)
+    for lo in range(0, n, _BLOCK):
+        k, hi = i + 2 * lo, min(lo + _BLOCK, n)
+        a, b = z[k::2][:hi - lo], np.conjugate(z[m - k::-2][:hi - lo])
+        e = (minus if plus is None else plus)[lo:hi]
+        np.add(a, b, out=e)                         # 2E
+        np.subtract(a, b, out=b)
+        b *= roots.block(k, k + 2 * (hi - lo), 2)
+        b *= -1j                                    # 2wO
+        if plus is not None and minus is not None:
+            np.subtract(e, b, out=minus[lo:hi])
+        (np.subtract if plus is None else np.add)(e, b, out=e)
 
 
 def _divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     """num / den, in place in num; CharacterSumError if some |den| is below
     BERNOULLI_FLOOR (or NaN), where the ratio would be inf or noise."""
-    if den.size and not float(np.min(np.abs(den))) >= BERNOULLI_FLOOR:
+    if den.size and not np.abs(den).min() >= BERNOULLI_FLOOR:
         raise CharacterSumError(f"{what} is numerically zero "
                                 f"(below {BERNOULLI_FLOOR:g})")
     num /= den
     return num
 
 
-def s_odd(ctx: PrimeContext, log_gamma: np.ndarray,
-          tw: np.ndarray) -> np.ndarray:
-    """The odd half of the S method, log_gamma the packed spectrum of the
-    LOGGAMMA values and tw = twiddle(q-1): for chi = chi_1^{2t+1}, t < m,
-    out[t] = L'/L(1,chi) - (gamma + log 2 pi), the ratio of
-    sum_a conj(chi)(a) log Gamma(a/q) to B_{1,conj chi}."""
-    den = bernoulli_twisted(ctx, tw)  # before the bins, for a lower peak
-    return _divide(parity_bins(log_gamma, tw, True), den,
+def s_odd(log_gamma: np.ndarray, s_bern: np.ndarray,
+          roots: UnitRoots) -> np.ndarray:
+    """The odd half of the S method, log_gamma and s_bern the packed
+    spectra of the LOGGAMMA values and of s_pair_bernoulli: for
+    chi = chi_1^{2t+1}, t < m, out[t] = L'/L(1,chi) - (gamma + log 2 pi),
+    the ratio of sum_a conj(chi)(a) log Gamma(a/q) to B_{1,conj chi}."""
+    den = parity_bins(s_bern, roots, True)
+    den *= 1 / 16
+    return _divide(parity_bins(log_gamma, roots, True), den,
                    "a first chi-Bernoulli number")
 
 
-def s_even(log_gamma: np.ndarray, tw: np.ndarray,
-           s_pair_table: ValueTable) -> np.ndarray:
-    """The even half of the S method, log_gamma and tw as for s_odd: for
+def s_even(log_gamma: np.ndarray, s_bern: np.ndarray,
+           roots: UnitRoots) -> np.ndarray:
+    """The even half of the S method, the spectra as for s_odd: for
     chi = chi_1^{2t}, 1 <= t < m, out[t-1] = L'/L(1,chi) - (gamma + log 2 pi),
     -1/2 times the ratio of sum_a conj(chi)(a) S(a/q), from S(x) + S(1-x),
-    an even branch as it stands, to sum_a conj(chi)(a) log Gamma(a/q)."""
-    num = dft(s_pair_table.values).values[1:]  # before the bins, as s_odd
-    even = _divide(num, parity_bins(log_gamma, tw, False),
+    whose bins s_bern holds twice, to sum_a conj(chi)(a) log Gamma(a/q)."""
+    even = _divide(parity_bins(s_bern, roots, False),
+                   parity_bins(log_gamma, roots, False),
                    "an even-character log Gamma sum")
-    even *= -0.5
+    even *= -0.25
     return even
 
 
-def t_half(q: int, t: np.ndarray, psi: np.ndarray, tw: np.ndarray,
+def t_half(q: int, t: np.ndarray, psi: np.ndarray, roots: UnitRoots,
            odd: bool) -> np.ndarray:
     """One half of the T method, t and psi the packed spectra of the T and
     PSI values: L'/L(1,chi) = -log q - r, r the ratio of sum_a chi(a) T(a/q)
-    to sum_a chi(a) psi(a/q), for the characters of parity_bins(., tw, odd),
+    to sum_a chi(a) psi(a/q), for the characters of parity_bins(., ., odd),
     indexed as it indexes them."""
-    r = _divide(parity_bins(t, tw, odd), parity_bins(psi, tw, odd),
+    r = _divide(parity_bins(t, roots, odd), parity_bins(psi, roots, odd),
                 f"an {'odd' if odd else 'even'}-character psi sum")
     # the transforms give the conj(chi) sums of real tables; conjugating
     # their ratio gives the ratio of the chi sums
@@ -222,17 +270,17 @@ def _half(q: int, terms: np.ndarray, shift: float, constant: float,
     transforms of length at most q-1, with a relative float64 error of
     about eps*log2(q-1), so its imaginary residue is bounded by that error
     budget of the whole sum, eps*log2(q-1)*sum|terms|."""
-    value = constant + complex(np.sum(terms))
+    value = constant + complex(terms.sum())
     if not cmath.isfinite(value):
         raise CharacterSumError(f"{what} is not finite: {value}")
     residue = abs(value.imag)
-    bound = _EPS * math.log2(q - 1) * float(np.sum(np.abs(terms)))
+    bound = _EPS * math.log2(q - 1) * float(np.abs(terms).sum())
     if not residue <= bound:
         raise CharacterSumError(
             f"imaginary residue {residue:.3e} of {what} exceeds its float64 "
             f"budget eps*log2({q - 1})*sum|terms| = {bound:.3e}"
         )
-    mq = float(np.max(np.abs(shift + terms))) if terms.size else 0.0
+    mq = float(np.abs(shift + terms).max()) if terms.size else 0.0
     return value.real, mq, (residue, bound)
 
 
@@ -242,38 +290,44 @@ def compute_ek(ctx: PrimeContext, tables: Callable | None = None,
 
     Each table is fetched at its first use from the lookup tables(tag), a
     FunctionTag -> ValueTable or None, or evaluated here where that gives
-    None: LOGGAMMA, packed, for route "s", S_PAIR for its even half, T and
-    then PSI, each packed, for route "t".  A table is dropped once packed,
-    unless tables(tag) holds it; its spectrum lives while its halves run.
+    None: LOGGAMMA and then S_PAIR, packed with the Bernoulli input, for
+    route "s", T and then PSI for route "t", each packed.  A table is
+    dropped once packed, unless tables(tag) holds it; its spectrum lives
+    while its halves run.
     With method "both" the S route provides the reported values and the T
     route the cross-check discrepancy.
     """
     if method not in METHOD_TAGS:
         raise ValueError(f"unknown method {method!r}")
     q, m = ctx.q, ctx.m
-    tw = twiddle(q - 1)
+    roots = UnitRoots(q - 1)
     # per route, ((ek_diff, mq_odd, imag), (ek_plus, mq_even, imag)); each
     # half's arrays are gone once _half returns, before the next allocates
     routes = []
     if method in (METHOD_S, METHOD_BOTH):
-        lg = packed_spectrum(_table(ctx, tables, FunctionTag.LOGGAMMA).values,
-                             tw, FunctionTag.LOGGAMMA)
+        lg = packed_spectrum(
+            pack(_table(ctx, tables, FunctionTag.LOGGAMMA).values, True),
+            roots, FunctionTag.LOGGAMMA.value)
+        sb = packed_spectrum(
+            s_pair_bernoulli(ctx,
+                             _table(ctx, tables, FunctionTag.S_PAIR).values),
+            roots, "S_PAIR+Bernoulli")
         shift = EULER_GAMMA + LOG_2PI
-        odd = _half(q, s_odd(ctx, lg, tw), shift, m * shift,
-                    "odd character sum")
-        even = _half(q, s_even(lg, tw,
-                               _table(ctx, tables, FunctionTag.S_PAIR)),
-                     shift, m * EULER_GAMMA + (m - 1) * LOG_2PI,
-                     "even character sum")
-        routes.append((odd, even))
-        del lg  # before the T route makes its own spectra
+        routes.append((
+            _half(q, s_odd(lg, sb, roots), shift, m * shift,
+                  "odd character sum"),
+            _half(q, s_even(lg, sb, roots), shift,
+                  m * EULER_GAMMA + (m - 1) * LOG_2PI, "even character sum"),
+        ))
+        del lg, sb  # before the T route makes its own spectra
     if method in (METHOD_T, METHOD_BOTH):
-        t, psi = (packed_spectrum(_table(ctx, tables, tag).values, tw, tag)
+        t, psi = (packed_spectrum(pack(_table(ctx, tables, tag).values),
+                                  roots, tag.value)
                   for tag in METHOD_TAGS[METHOD_T])
         routes.append((
-            _half(q, t_half(q, t, psi, tw, True), 0.0, 0.0,
+            _half(q, t_half(q, t, psi, roots, True), 0.0, 0.0,
                   "odd character sum"),
-            _half(q, t_half(q, t, psi, tw, False), 0.0, EULER_GAMMA,
+            _half(q, t_half(q, t, psi, roots, False), 0.0, EULER_GAMMA,
                   "even character sum"),
         ))
     ek, *cross = (odd[0] + even[0] for odd, even in routes)

@@ -1,6 +1,7 @@
-"""Discrete Fourier transforms of arbitrary length, and the twiddle factors
+"""Discrete Fourier transforms of arbitrary length, and the unit roots
 e(-k/N), k < N/2, that unpack a packed transform (ek.parity_bins) and
-twist the odd branch of a decimation split (ek.bernoulli_twisted).
+weight its inverse sample (ek.packed_spectrum), made per block from two
+tables of about sqrt(N/2) roots (UnitRoots).
 
 Convention: dft(x).values[j] = sum_k e(-j*k/N) x[k] with
 e(t) = exp(2*pi*i*t), unnormalized (the usual engineering DFT).
@@ -73,7 +74,32 @@ def _split(x: np.ndarray, p: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def twiddle(n: int) -> np.ndarray:
-    """The factors e(-k/n), k < n/2, of the odd branch of a length-n input,
-    and of the unpacking of its packed transform."""
-    return _roots(np.arange(n // 2), n)
+class UnitRoots:
+    """e(-k/n), 0 <= k < n/2, formed where a block of them is used, as
+    coarse[u] * fine[v] for k = c*u + v, v < c: two tables of about
+    sqrt(n/2) roots, c even, so that the roots of one parity over a run of
+    whole rows are one outer product.  Below _WHOLE roots, that product
+    is formed once for every k, and a block is a view of it."""
+
+    _WHOLE = 1 << 16
+
+    def __init__(self, n: int):
+        half = n // 2
+        c = 2 * (math.isqrt(half) // 2 + 1)
+        # every phase below 1/2, so _roots' fold is not needed
+        self.coarse = np.exp(-2j * np.pi * np.arange(0, half, c) / n)
+        self.fine = np.exp(-2j * np.pi * np.arange(c) / n)
+        self.whole = (np.multiply.outer(self.coarse, self.fine).reshape(-1)
+                      if half <= self._WHOLE else None)
+
+    def block(self, k0: int, k1: int, step: int = 1) -> np.ndarray:
+        """e(-k/n) for k in range(k0, k1, step), k1 <= n/2, step 1 or 2:
+        the rows from k0's to k1's, sliced."""
+        if self.whole is not None:
+            return self.whole[k0:k1:step]
+        c = len(self.fine)
+        u0 = k0 // c
+        rows = np.multiply.outer(self.coarse[u0:-(-k1 // c)],
+                                 self.fine[k0 % step::step])
+        start = (k0 - u0 * c) // step
+        return rows.reshape(-1)[start:start + len(range(k0, k1, step))]

@@ -8,9 +8,9 @@ import numpy as np
 import oracles
 from ekconst import specfun
 from ekconst.cache import FunctionTag, closed_form_sum, precompute
-from ekconst.ek import (compute_ek, packed_spectrum, parity_bins, s_even,
-                        s_odd)
-from ekconst.fft import dft, twiddle
+from ekconst.ek import (compute_ek, pack, packed_spectrum, parity_bins,
+                        s_even, s_odd, s_pair_bernoulli)
+from ekconst.fft import UnitRoots, dft
 from ekconst.multgroup import build_context
 from ekconst.offsets import greedy_offsets, v_of_q
 from ekconst.specfun import gamma_n
@@ -103,9 +103,9 @@ def test_criterion_5_fft_correctness():
     for q in oracles.odd_primes_up_to(101):
         f = rng.standard_normal(q - 1)
         full = oracles.naive_dft(f, -1)
-        tw = twiddle(len(f))
-        z = packed_spectrum(f, tw, FunctionTag.LOGGAMMA)
-        even, odd = parity_bins(z, tw, False), parity_bins(z, tw, True)
+        roots = UnitRoots(len(f))
+        z = packed_spectrum(pack(f, True), roots, "LOGGAMMA")
+        even, odd = parity_bins(z, roots, False), parity_bins(z, roots, True)
         assert float(np.max(np.abs(even - full[2::2]),
                             initial=0.0)) <= 1e-10 * q
         assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-10 * q
@@ -121,10 +121,12 @@ def test_criterion_6_character_sum_oracle():
         lg = precompute(ctx, FunctionTag.LOGGAMMA)
         sp = precompute(ctx, FunctionTag.S_PAIR)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
-        tw = twiddle(q - 1)
-        z = packed_spectrum(lg.values, tw, FunctionTag.LOGGAMMA)
-        odd_vals = shift + s_odd(ctx, z, tw)
-        even_vals = shift + s_even(z, tw, sp)
+        roots = UnitRoots(q - 1)
+        z = packed_spectrum(pack(lg.values, True), roots, "LOGGAMMA")
+        s_bern = packed_spectrum(s_pair_bernoulli(ctx, sp.values), roots,
+                                 "S_PAIR+Bernoulli")
+        odd_vals = shift + s_odd(z, s_bern, roots)
+        even_vals = shift + s_even(z, s_bern, roots)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):

@@ -31,10 +31,10 @@ def test_traced_compute_sees_every_layer(tracing, capsys):
     names = {span.name for span in tracer.spans}
     assert {"multgroup.build_context", "fft.dft", "ek.compute_ek",
             *(f"specfun.{tag}" for tag in tracing.TAGS)} <= names
-    # five transforms of length (q-1)/2: route s packs log Gamma into one
-    # and makes the Bernoulli and S pair transforms, route t packs T and
-    # psi into one each
-    assert tracer.counts[("setup", "fft.points")] == 5 * (q - 1) // 2
+    # four transforms of length (q-1)/2: route s packs log Gamma into one
+    # and S pair with the Bernoulli input into another, route t packs T
+    # and psi into one each
+    assert tracer.counts[("setup", "fft.points")] == 4 * (q - 1) // 2
     assert cli.build_context is multgroup.build_context  # restored
 
 

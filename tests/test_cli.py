@@ -91,17 +91,31 @@ class TestCompute:
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone.
-        # The bound is that peak as measured (451 MB on 2 cores, numpy
-        # 2.4.6) plus 10%; with the split's twiddle in row blocks it peaked
-        # at 475 MB, with two transforms per table, one per parity, at
-        # 553 MB, with pocketfft's Bluestein over each whole transform at
-        # 601 MB, and with an int64 array of all q-1 residues held for the
-        # run at 683 MB
+        # The bound is that peak as measured (400 MB on 2 cores, numpy
+        # 2.4.6) plus 10%; with a separate Bernoulli transform and an
+        # m-length twiddle held for the run it peaked at 444 MB, with the
+        # split's twiddle in row blocks at 475 MB, with two transforms per
+        # table, one per parity, at 553 MB, with pocketfft's Bluestein over
+        # each whole transform at 601 MB, and with an int64 array of all
+        # q-1 residues held for the run at 683 MB
         proc = run_fresh_cli(["compute", 10000019], timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 496 * 2**10, peak_kb
+        assert peak_kb < 440 * 2**10, peak_kb
+
+    @pytest.mark.extended
+    def test_ten_million_with_a_prime_half_length(self):
+        # q = 10000223, whose m = 5000111 is prime, so pocketfft runs each
+        # transform whole, by its own Bluestein.  A fresh process; the
+        # bound is its peak as measured (894 MB on 2 cores, numpy 2.4.6)
+        # plus 10%; with a separate Bernoulli transform and an m-length
+        # twiddle it peaked at 1009 MB
+        proc = run_fresh_cli(["compute", 10000223], timeout=1800)
+        assert proc.returncode == 0, proc.stderr
+        assert "q = 10000223" in proc.stdout
+        peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
+        assert peak_kb < 984 * 2**10, peak_kb
 
     def test_method_both_reports_discrepancy(self, capsys):
         code, out, _ = run(capsys, "compute", "101", "--method", "both")
@@ -236,9 +250,11 @@ class TestScan:
     ])
     def test_scan_to_300_keeps_its_bytes(self, capsys, name, options):
         # tests/data holds what `ek scan 3 300` printed with these options
-        # once each table's two parities came from one packed transform and
-        # T and S(x)+S(1-x) summed every m >= 2 as one polynomial; a change
-        # in the order of any float64 operation of the assembly shows here
+        # once each table's two parities came from one packed transform,
+        # T and S(x)+S(1-x) summed every m >= 2 as one polynomial, the S
+        # pair values shared a packed table with the Bernoulli input, and
+        # the unit roots came from two sqrt-size tables; a change in the
+        # order of any float64 operation of the assembly shows here
         code, out, _ = run(capsys, "scan", "3", "300", *options)
         assert code == 0
         with open(os.path.join(DATA, f"scan_3_300_{name}.csv"), "rb") as f:
@@ -283,9 +299,10 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
         # the four tables on disk, then a fresh ek compute whose ru_maxrss
-        # is its own peak.  The bound is that peak as measured (464 MB
-        # on 2 cores, numpy 2.4.6) plus 10%; the split's twiddle in row
-        # blocks peaked at 489 MB, two transforms per table at 605 MB,
+        # is its own peak.  The bound is that peak as measured (376 MB
+        # on 2 cores, numpy 2.4.6) plus 10%; a separate Bernoulli transform
+        # and an m-length twiddle peaked at 457 MB, the split's twiddle in
+        # row blocks at 489 MB, two transforms per table at 605 MB,
         # pocketfft's Bluestein over each whole transform at 654 MB,
         # loading every table up front at 856 MB, and holding all q-1
         # residues for the run at 742 MB
@@ -299,7 +316,7 @@ class TestCacheCommands:
         assert proc.returncode == 0, proc.stderr
         assert "method_discrepancy = " in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 510 * 2**10, peak_kb
+        assert peak_kb < 414 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)
@@ -504,8 +521,8 @@ class TestCacheCommands:
             self, capsys, tmp_path, monkeypatch):
         # each load is logged by its tag, and each transform by the tags
         # of the loaded tables whose values are still alive as it starts:
-        # a packed table is gone before its transform starts, and S_PAIR
-        # is transformed as it stands
+        # a packed table, S_PAIR packed with the Bernoulli input too, is
+        # gone before its transform starts
         cache = str(tmp_path)
         for tag in FunctionTag:
             run(capsys, "precompute", "101", "--tag", tag.value,
@@ -529,8 +546,7 @@ class TestCacheCommands:
         code, out, _ = run(capsys, "compute", "101", "--method", "both",
                            "--cache", cache)
         assert code == 0
-        assert events == ["LOGGAMMA", [], [], "S_PAIR", ["S_PAIR"],
-                          "T", [], "PSI", []]
+        assert events == ["LOGGAMMA", [], "S_PAIR", [], "T", [], "PSI", []]
         assert out == run(capsys, "compute", "101", "--method", "both")[1]
 
     def test_default_merge_replaces_parts(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import weakref
 
 import numpy as np
@@ -12,10 +13,10 @@ import ekconst
 from ekconst import ek, fft, specfun
 from ekconst.cache import (ChecksumMismatchError, FunctionTag, ValueTable,
                            precompute)
-from ekconst.ek import (METHOD_TAGS, CharacterSumError, _half,
-                        bernoulli_twisted, compute_ek, packed_spectrum,
-                        parity_bins, s_even, s_odd, t_half)
-from ekconst.fft import dft, twiddle
+from ekconst.ek import (METHOD_TAGS, CharacterSumError, _half, compute_ek,
+                        pack, packed_spectrum, parity_bins, s_even, s_odd,
+                        s_pair_bernoulli, t_half)
+from ekconst.fft import UnitRoots, dft
 from ekconst.multgroup import build_context, residues
 from ekconst.specfun import EULER_GAMMA
 from reference_values import EK, EK_PLUS, MQ
@@ -57,10 +58,28 @@ def calls(monkeypatch):
 
 
 def spectra(ctx, *tables):
-    """twiddle(q-1), then the packed spectrum of each table."""
-    tw = twiddle(ctx.q - 1)
-    return (tw, *(packed_spectrum(t.values, tw, t.function_tag)
-                  for t in tables))
+    """UnitRoots(q-1), then the packed spectrum of each table as
+    compute_ek makes it: LOGGAMMA centred, S_PAIR packed with the
+    Bernoulli input."""
+    roots = UnitRoots(ctx.q - 1)
+
+    def packed(table):
+        tag = table.function_tag
+        if tag is FunctionTag.S_PAIR:
+            return packed_spectrum(s_pair_bernoulli(ctx, table.values),
+                                   roots, "S_PAIR+Bernoulli")
+        return packed_spectrum(
+            pack(table.values, tag is FunctionTag.LOGGAMMA), roots,
+            tag.value)
+
+    return (roots, *map(packed, tables))
+
+
+def bernoulli(ctx):
+    """The first chi-Bernoulli numbers B_{1, conj(chi_1^{2t+1})}, t < m,
+    from the odd bins of the S pair and Bernoulli spectrum."""
+    roots, s_bern = spectra(ctx, tables(ctx)[1])
+    return parity_bins(s_bern, roots, True) / 16
 
 
 def without_character(table, j):
@@ -167,12 +186,19 @@ class TestStructuralIdentities:
 
     def test_mispaired_characters_are_refused(self, monkeypatch):
         # pairing each odd character's log Gamma sum with the next
-        # character's Bernoulli number leaves a large imaginary part
+        # character's Bernoulli number, the odd bins of the S pair and
+        # Bernoulli spectrum rolled by one, leaves a large imaginary part
         ctx = build_context(10007)
         caches = method_tables(ctx, "s")
         compute_ek(ctx, caches.get, method="s")  # correctly paired, it passes
-        monkeypatch.setattr(ek, "bernoulli_twisted",
-                            lambda c, tw: np.roll(bernoulli_twisted(c, tw), 1))
+        divide = ek._divide
+
+        def mispaired(num, den, what):
+            if "Bernoulli" in what:
+                den = np.roll(den, 1)
+            return divide(num, den, what)
+
+        monkeypatch.setattr(ek, "_divide", mispaired)
         with pytest.raises(CharacterSumError,
                            match="imaginary residue .* exceeds its float64 "
                                  "budget"):
@@ -180,7 +206,8 @@ class TestStructuralIdentities:
 
     @pytest.mark.parametrize("mutation", ["roll", "conjugate"])
     @pytest.mark.parametrize("method, tag, call", [
-        ("s", "LOGGAMMA", 0), ("t", "T", 0), ("t", "PSI", 1)])
+        ("s", "LOGGAMMA", 0), ("s", "S_PAIR+Bernoulli", 1), ("t", "T", 0),
+        ("t", "PSI", 1)])
     def test_corrupted_packed_spectrum_is_refused(self, method, tag, call,
                                                   mutation, monkeypatch):
         # a packed spectrum rolled by one bin, or transformed in the
@@ -202,9 +229,9 @@ class TestStructuralIdentities:
 
         monkeypatch.setattr(ek, "dft", mutated_dft)
         with pytest.raises(CharacterSumError,
-                           match=f"inverse sample of the packed {tag} "
-                                 "transform is off by .* past its float64 "
-                                 "budget"):
+                           match=f"inverse sample of the packed "
+                                 f"{re.escape(tag)} transform is off by .* "
+                                 "past its float64 budget"):
             compute_ek(ctx, caches.get, method=method)
         assert len(seen) == call + 1  # refused before the next transform
 
@@ -218,29 +245,20 @@ class TestStructuralIdentities:
 
     def test_first_bernoulli_nonzero(self, small_contexts):
         for ctx in small_contexts.values():
-            bern = bernoulli_twisted(ctx, twiddle(ctx.q - 1))
-            assert float(np.min(np.abs(bern))) > 1e-12
+            assert float(np.min(np.abs(bernoulli(ctx)))) > 1e-12
 
     @pytest.mark.parametrize("which", ["bernoulli", "even log Gamma"])
     def test_vanishing_denominators_are_refused(self, which, monkeypatch):
         # zeros where the S method divides must raise, not turn into inf
-        # or nan: a Bernoulli transform that returns zeros, or a log Gamma
-        # table one of whose even characters sums to zero, through its
-        # packed transform
+        # or nan: a Bernoulli input of zeros, every a_k = q/2, whose odd
+        # bins in the S pair and Bernoulli spectrum are then rounding
+        # noise, or a log Gamma table one of whose even characters sums to
+        # zero, through its packed transform
         ctx = build_context(101)
         caches = method_tables(ctx, "s")
         if which == "bernoulli":
-            k = np.arange(ctx.m)
-            target = (np.exp(-2j * np.pi * k / (ctx.q - 1))
-                      * (2.0 * residues(ctx, 0, ctx.m) - ctx.q) / ctx.q)
-
-            def dft_zeroing(x, *args, **kwargs):
-                spectrum = dft(x, *args, **kwargs)
-                if np.array_equal(x, target):
-                    spectrum.values[:] = 0.0
-                return spectrum
-
-            monkeypatch.setattr(ek, "dft", dft_zeroing)
+            monkeypatch.setattr(ek, "residues", lambda ctx, k0, k1: np.full(
+                k1 - k0, ctx.q / 2))
         else:
             caches[FunctionTag.LOGGAMMA] = without_character(
                 caches[FunctionTag.LOGGAMMA], 8)
@@ -291,20 +309,26 @@ class TestSigmaConvention:
             assert spec[j] == pytest.approx(direct, abs=1e-13)
         # the packed spectrum unpacks to bins 1, 3 and bin 2 of that
         # transform
-        tw, z = spectra(ctx, lg)
-        odd = parity_bins(z, tw, True)
+        roots, z = spectra(ctx, lg)
+        odd = parity_bins(z, roots, True)
         assert odd == pytest.approx(spec[1::2], abs=1e-13)
-        assert parity_bins(z, tw, False) == pytest.approx(spec[2:3],
-                                                          abs=1e-13)
+        assert parity_bins(z, roots, False) == pytest.approx(spec[2:3],
+                                                             abs=1e-13)
 
     def test_q5_bernoulli_matches_explicit(self):
+        # the odd bins of the S pair and Bernoulli spectrum are 16 times
+        # the Bernoulli numbers, its even bin 2t twice bin t of S_PAIR
         ctx = build_context(5)
         chars = oracles.character_table(ctx)
-        bern = bernoulli_twisted(ctx, twiddle(ctx.q - 1))
+        bern = bernoulli(ctx)
         for t in range(2):
             j = 2 * t + 1
             direct = np.sum(np.conj(chars[j]) * residues(ctx, 0, 4) / 5)
             assert bern[t] == pytest.approx(direct, abs=1e-14)
+        sp = tables(ctx)[1]
+        roots, s_bern = spectra(ctx, sp)
+        assert parity_bins(s_bern, roots, False) == pytest.approx(
+            2 * dft(sp.values).values[1:], abs=1e-14)
 
 
 class TestPerCharacterOracle:
@@ -313,9 +337,9 @@ class TestPerCharacterOracle:
         ctx = build_context(q)
         lg, sp = tables(ctx)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
-        tw, z = spectra(ctx, lg)
-        odd_vals = shift + s_odd(ctx, z, tw)
-        even_vals = shift + s_even(z, tw, sp)
+        roots, z, s_bern = spectra(ctx, lg, sp)
+        odd_vals = shift + s_odd(z, s_bern, roots)
+        even_vals = shift + s_even(z, s_bern, roots)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):
@@ -327,11 +351,12 @@ class TestPerCharacterOracle:
     def test_t_route_equals_direct_and_s(self, q):
         ctx = build_context(q)
         lg, sp = tables(ctx)
-        tw, z, t, psi = spectra(ctx, lg, precompute(ctx, FunctionTag.T),
-                                precompute(ctx, FunctionTag.PSI))
-        odd, even = s_odd(ctx, z, tw), s_even(z, tw, sp)
-        t_odd, t_even = t_half(q, t, psi, tw, True), t_half(q, t, psi, tw,
-                                                            False)
+        roots, z, s_bern, t, psi = spectra(
+            ctx, lg, sp, precompute(ctx, FunctionTag.T),
+            precompute(ctx, FunctionTag.PSI))
+        odd, even = s_odd(z, s_bern, roots), s_even(z, s_bern, roots)
+        t_odd = t_half(q, t, psi, roots, True)
+        t_even = t_half(q, t, psi, roots, False)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
@@ -345,9 +370,9 @@ class TestPerCharacterOracle:
 
     def test_conjugate_pairing(self):
         ctx = build_context(31)
-        lg, _ = tables(ctx)
-        tw, z = spectra(ctx, lg)
-        odd_vals = specfun.EULER_GAMMA + specfun.LOG_2PI + s_odd(ctx, z, tw)
+        roots, z, s_bern = spectra(ctx, *tables(ctx))
+        odd_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
+                    + s_odd(z, s_bern, roots))
         m = ctx.m
         for t in range(m):
             assert odd_vals[t] == pytest.approx(
@@ -445,9 +470,9 @@ class TestTransformContract:
                                                  monkeypatch):
         # wraps ek.dft the way benchmarks/tracing.py does and counts the
         # numpy transforms made outside the wrapper, each of length m:
-        # route s packs log Gamma into one and makes the Bernoulli and
-        # S pair transforms, route t packs T and psi into one each
-        calls = {"s": 3, "t": 2, "both": 5}[method]
+        # route s packs log Gamma into one and S pair with the Bernoulli
+        # input into another, route t packs T and psi into one each
+        calls = {"s": 2, "t": 2, "both": 4}[method]
         counts = {"wrapped": 0, "numpy": 0, "ifft": 0, "points": 0}
         lengths = set()
         np_fft, np_ifft, ek_dft = np.fft.fft, np.fft.ifft, ek.dft
@@ -477,11 +502,11 @@ class TestTransformContract:
         assert counts["points"] == calls * ctx.m
 
     def test_tables_are_evaluated_route_by_route(self, calls):
-        # each table is evaluated where it is first used: S_PAIR only for
-        # the even half of route s, T and PSI once route s is done, PSI
-        # once the T table is packed and transformed
+        # each table is evaluated where it is first used: S_PAIR once
+        # the log Gamma table is packed and transformed, T and PSI once
+        # route s is done, PSI once the T table is packed and transformed
         compute_ek(build_context(101), method="both")
-        assert calls == ["LOGGAMMA", "dft", "dft", "S_PAIR", "dft",
+        assert calls == ["LOGGAMMA", "dft", "S_PAIR", "dft",
                          "T", "dft", "PSI", "dft"]
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
@@ -489,8 +514,8 @@ class TestTransformContract:
                                                         monkeypatch):
         # a lookup that holds no references: each fetch is logged by its
         # tag, and each transform by the tags whose values are still
-        # alive as it starts.  A packed table is gone before its transform
-        # starts; S_PAIR is transformed as it stands
+        # alive as it starts.  A packed table, S_PAIR packed with the
+        # Bernoulli input too, is gone before its transform starts
         ctx = build_context(101)
         fetched, events = [], []
         ek_dft = ek.dft
@@ -507,7 +532,7 @@ class TestTransformContract:
 
         monkeypatch.setattr(ek, "dft", tracking_dft)
         compute_ek(ctx, lookup, method=method)
-        s_route = ["LOGGAMMA", [], [], "S_PAIR", ["S_PAIR"]]
+        s_route = ["LOGGAMMA", [], "S_PAIR", []]
         t_route = ["T", [], "PSI", []]
         assert events == {"s": s_route, "t": t_route,
                           "both": s_route + t_route}[method]
@@ -517,7 +542,7 @@ class TestTransformContract:
                                                    monkeypatch):
         # at the start of each transform, how many spectra of earlier
         # transforms are still alive: the packed log Gamma spectrum while
-        # the Bernoulli and S pair transforms run, the packed T spectrum
+        # the S pair and Bernoulli transform runs, the packed T spectrum
         # while PSI's runs, and nothing of route s once route t starts
         ctx = build_context(101)
         caches = method_tables(ctx, method)
@@ -532,14 +557,15 @@ class TestTransformContract:
 
         monkeypatch.setattr(ek, "dft", tracking_dft)
         compute_ek(ctx, caches.get, method=method)
-        s_route, t_route = [0, 1, 1], [0, 1]
+        s_route, t_route = [0, 1], [0, 1]
         assert alive == {"s": s_route, "t": t_route,
                          "both": s_route + t_route}[method]
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
     def test_one_twiddle_per_route(self, method, monkeypatch):
-        # the m-length twiddle is the only np.exp of the assembly, formed
-        # once per compute whatever the method
+        # the roots of the assembly come from two tables of about sqrt(m)
+        # roots, the only np.exp calls it makes, formed once per compute
+        # whatever the method: no m-length twiddle
         ctx = build_context(101)
         caches = method_tables(ctx, method)
         lengths = []
@@ -549,9 +575,11 @@ class TestTransformContract:
             lengths.append(np.size(x))
             return np_exp(x, *args, **kwargs)
 
+        roots = UnitRoots(ctx.q - 1)
         monkeypatch.setattr(np, "exp", counting_exp)
         compute_ek(ctx, caches.get, method=method)
-        assert lengths == [ctx.m]
+        assert lengths == [len(roots.coarse), len(roots.fine)]
+        assert max(lengths) <= math.isqrt(ctx.m) + 2
 
     def test_star_import_and_all(self):
         namespace = {}

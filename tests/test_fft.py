@@ -1,5 +1,6 @@
 """Transforms: definition spot checks, oracle equivalence, decimation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,9 +8,8 @@ import pytest
 
 import oracles
 from ekconst import fft, multgroup
-from ekconst.cache import FunctionTag
-from ekconst.ek import packed_spectrum, parity_bins
-from ekconst.fft import dft, twiddle
+from ekconst.ek import pack, packed_spectrum, parity_bins
+from ekconst.fft import UnitRoots, dft
 
 RNG = np.random.default_rng(20240817)
 
@@ -159,25 +159,75 @@ class TestProperties:
         assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
-# packed_spectrum takes the mean out of a LOGGAMMA table only
-CENTRED_OR_NOT = (FunctionTag.LOGGAMMA, FunctionTag.T)
+def materialised_roots(roots, k):
+    """coarse[k // c] * fine[k % c], each root formed by itself."""
+    c = len(roots.fine)
+    return roots.coarse[k // c] * roots.fine[k % c]
+
+
+class TestUnitRoots:
+    # n = 305740 and 1000002 are q - 1 for q = 305741 and 1000003, and
+    # 10000018 for q = 10000019
+    @pytest.mark.parametrize("n", [
+        305740, 1000002, pytest.param(10000018, marks=pytest.mark.extended)])
+    def test_every_root_within_1_2_times_np_exp_of_long_double(self, n):
+        k = np.arange(n // 2)
+        phase = 2 * np.arccos(np.longdouble(-1)) * k / np.longdouble(n)
+        ref = np.cos(phase) - 1j * np.sin(phase)
+
+        def max_error(roots):
+            return float(np.max(np.abs(roots - ref)))
+
+        exp_error = max_error(np.exp(-2j * np.pi * k / n))
+        assert max_error(UnitRoots(n).block(0, n // 2)) <= 1.2 * exp_error
+
+    # m = n/2 below c (n = 2), equal to it (4) and above it, odd (1, 3,
+    # 101) and even, with c = 2, 2, 2, 4, 8, 12 and 24; blocks from and to
+    # whole rows, and from and to partial ones, of both parities, each
+    # formed where it is asked for or viewed from all the roots formed once
+    @pytest.mark.parametrize("n", [2, 4, 6, 12, 100, 202, 1008])
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_blocks_equal_the_materialised_product(self, n, whole,
+                                                   monkeypatch):
+        if not whole:
+            monkeypatch.setattr(UnitRoots, "_WHOLE", 0)
+        roots = UnitRoots(n)
+        assert (roots.whole is not None) == whole
+        m, c = n // 2, len(roots.fine)
+        assert c % 2 == 0 and len(roots.coarse) * c >= m
+        edges = sorted({0, 1, 2, c - 1, c, c + 1, 2 * c + 3, m - c - 1,
+                        m - 2, m - 1, m} & set(range(m + 1)))
+        for k0 in edges:
+            for k1 in edges:
+                for step in (1, 2):
+                    want = materialised_roots(roots, np.arange(k0, k1, step))
+                    got = roots.block(k0, k1, step)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (k0, k1, step)
+
+    def test_tables_are_about_the_square_root(self):
+        for n in (2, 1000002, 10000018):
+            roots = UnitRoots(n)
+            assert len(roots.fine) <= math.isqrt(n // 2) + 2
+            assert len(roots.coarse) <= math.isqrt(n // 2) + 1
 
 
 class TestDecimation:
     def test_arithmetic_example_q5(self):
         # the full transform of f is [6, -2+2i, -2, -2-2i]
         f = np.array([0.0, 1.0, 2.0, 3.0])
-        tw = twiddle(len(f))
-        for tag in CENTRED_OR_NOT:
-            z = packed_spectrum(f, tw, tag)
-            assert np.allclose(parity_bins(z, tw, False), [-2.0], atol=1e-15)
-            assert np.allclose(parity_bins(z, tw, True),
+        roots = UnitRoots(len(f))
+        for centre in (False, True):
+            z = packed_spectrum(pack(f, centre), roots, "test")
+            assert np.allclose(parity_bins(z, roots, False), [-2.0],
+                               atol=1e-15)
+            assert np.allclose(parity_bins(z, roots, True),
                                [-2.0 + 2.0j, -2.0 - 2.0j], atol=1e-15)
 
     def test_odd_length_rejected(self):
-        for tag in CENTRED_OR_NOT:
+        for centre in (False, True):
             with pytest.raises(ValueError, match="length must be even"):
-                packed_spectrum(np.zeros(5), twiddle(5), tag)
+                pack(np.zeros(5), centre)
 
     @pytest.mark.parametrize("q", oracles.odd_primes_up_to(101))
     def test_bin_equivalence_all_primes_to_101(self, q):
@@ -185,10 +235,11 @@ class TestDecimation:
         # packed spectrum with and without the mean taken out
         f = RNG.standard_normal(q - 1) + 3.0
         full = oracles.naive_dft(f, -1)
-        tw = twiddle(len(f))
-        for tag in CENTRED_OR_NOT:
-            z = packed_spectrum(f, tw, tag)
-            even, odd = parity_bins(z, tw, False), parity_bins(z, tw, True)
+        roots = UnitRoots(len(f))
+        for centre in (False, True):
+            z = packed_spectrum(pack(f, centre), roots, "test")
+            even = parity_bins(z, roots, False)
+            odd = parity_bins(z, roots, True)
             assert float(np.max(np.abs(even - full[2::2]),
                                 initial=0.0)) <= 1e-12 * q
             assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-12 * q

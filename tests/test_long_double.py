@@ -9,8 +9,8 @@ import pytest
 import oracles
 from ekconst import specfun
 from ekconst.cache import FunctionTag, precompute
-from ekconst.ek import packed_spectrum, parity_bins
-from ekconst.fft import twiddle
+from ekconst.ek import pack, packed_spectrum, parity_bins, s_pair_bernoulli
+from ekconst.fft import UnitRoots
 from ekconst.multgroup import build_context
 from reference_values import EK_MID, EK_PLUS_MID
 
@@ -81,18 +81,24 @@ def test_route_s_oracle_against_the_published_values(q, s_tables):
 
 
 @pytest.mark.parametrize("q", [10007, 100003])
-@pytest.mark.parametrize("tag", ["LOGGAMMA", "T", "PSI"])
+@pytest.mark.parametrize("tag", ["LOGGAMMA", "T", "PSI", "S_PAIR+Bernoulli"])
 def test_packed_parities_against_long_double(q, tag):
     # the float64 error of a transform of length N is at most about
     # eps*log2(N) times the 2-norm of its spectrum, sqrt(N)*||f||_2, in
-    # every bin
+    # every bin.  The S pair and Bernoulli table f is the real table that
+    # s_pair_bernoulli packs
     ctx = build_context(q)
-    f = precompute(ctx, FunctionTag(tag)).values
-    tw = twiddle(q - 1)
-    z = packed_spectrum(f, tw, FunctionTag(tag))
+    roots = UnitRoots(q - 1)
+    if tag == "S_PAIR+Bernoulli":
+        z = s_pair_bernoulli(ctx, precompute(ctx, FunctionTag.S_PAIR).values)
+        f = z.view(float).copy()
+    else:
+        f = precompute(ctx, FunctionTag(tag)).values
+        z = pack(f, tag == "LOGGAMMA")
+    z = packed_spectrum(z, roots, tag)
     ref = oracles.long_double_bins(f)
     bound = EPS * math.log2(q - 1) * math.sqrt(q - 1) * float(
         np.linalg.norm(f))
     for odd, bins in ((True, ref[1::2]), (False, ref[2::2])):
-        err = float(np.max(np.abs(parity_bins(z, tw, odd) - bins)))
+        err = float(np.max(np.abs(parity_bins(z, roots, odd) - bins)))
         assert err <= bound, (odd, err, bound)
