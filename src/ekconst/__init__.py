@@ -12,7 +12,7 @@ from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     MergeError, ValueTable, closed_form_sum, load,
                     precompute, save)
 from .ek import (CharacterSumError, EKResult, compute_ek, pack,
-                 packed_spectrum, parity_bins)
+                 packed_spectrum, parity_ratios)
 from .fft import Spectrum, UnitRoots, dft
 from .multgroup import (DomainError, NotPrimeError, PrimeContext,
                         build_context, is_prime, primitive_root)
@@ -31,5 +31,5 @@ __all__ = [
     "StieltjesTable", "UnitRoots", "ValueTable", "ZETA_DD_AT_0",
     "build_context", "closed_form_sum", "compute_ek", "dft", "gamma_n",
     "greedy_offsets", "is_prime", "load", "pack", "packed_spectrum",
-    "parity_bins", "precompute", "primitive_root", "save", "v_of_q",
+    "parity_ratios", "precompute", "primitive_root", "save", "v_of_q",
 ]

@@ -6,21 +6,24 @@ through a_k = g^k into discrete Fourier transforms (bin j of the
 transform of f(a_k/q) is the sum of conj(chi_1^j)(a) f(a/q), where
 chi_1(g) = e(1/(q-1))).  chi_1^j is even exactly when j is even.  Both
 parities of a table come from one transform of length m = (q-1)/2 of its
-values packed as f[0::2] + i f[1::2] (pack, packed_spectrum, parity_bins),
-whose unit roots UnitRoots forms per block.  The S pair values and the
+values packed as f[0::2] + i f[1::2] (pack, packed_spectrum), whose
+unit roots UnitRoots forms per block.  The S pair values and the
 Bernoulli input share one such table (s_pair_bernoulli): the S pair
 values are its even branch, and the first chi-Bernoulli numbers its odd
 branch.
 
-Each of two independent routes runs in two parity halves.  A half divides
-two sets of bins, one ratio per character; _half reduces the ratios to the
-half's constant, its max |L'/L(1,chi)| and its imaginary residue before
-the next half allocates.  The odd half gives ek_diff, the even ek_plus:
+Each of two independent routes runs in two parity halves, and every half
+is one pass of parity_ratios: block by block it unpacks one parity's bins
+of a numerator and of a denominator spectrum and divides them into the
+half's one array, one ratio per character.  _half reduces that array to
+the half's constant, its max |L'/L(1,chi)| and its imaginary residue
+before the next half allocates.  The odd half gives ek_diff, the even
+ek_plus:
 
   method "s":  odd characters through log Gamma and the first
-               chi-Bernoulli numbers (s_odd), even characters through
-               S(x) and log Gamma (s_even): two transforms;
-  method "t":  both halves through T(x) and psi(x) (t_half): two.
+               chi-Bernoulli numbers, even characters through S(x) and
+               log Gamma: two transforms;
+  method "t":  both halves through T(x) and psi(x): two.
 """
 
 from __future__ import annotations
@@ -167,120 +170,99 @@ def packed_spectrum(z: np.ndarray, roots: UnitRoots,
     return z
 
 
-def parity_bins(z: np.ndarray, roots: UnitRoots, odd: bool) -> np.ndarray:
-    """One parity of the transform F of f, z = packed_spectrum of f:
-    odd, out[t] = F[2t+1], t < m; even, out[t-1] = F[2t], 1 <= t < m, from
-    F[i] = E[i] + w[i] O[i] and F[i+m] = E[i] - w[i] O[i], i < m, w[i] =
-    e(-i/2m), where E = (Z + conj Z[-i])/2 and O = (Z - conj Z[-i])/2i
-    transform f[0::2] and f[1::2].  F[i] runs over i = 2-odd, 2-odd+2, ...
-    and F[i+m] over i = j, j+2, ..., j = (m+odd) % 2, the same i for even
-    m, where one pass gives both."""
-    m = len(z)
+def parity_ratios(num: np.ndarray, den: np.ndarray, roots: UnitRoots,
+                  odd: bool, scale: float, what: str) -> np.ndarray:
+    """N[i] / (scale * D[i]) for the characters of one parity, N and D the
+    transforms of the real tables whose packed spectra are num and den
+    (packed_spectrum), roots UnitRoots(q-1), scale a power of two: odd,
+    out[t] for i = 2t+1, t < m; even, out[t-1] for i = 2t, 1 <= t < m.
+    With Z = num or den, F[i] = E[i] + w[i] O[i] and F[i+m] = E[i] - w[i]
+    O[i], i < m, w[i] = e(-i/2m), where E = (Z + conj Z[-i])/2 and O = (Z -
+    conj Z[-i])/2i transform f[0::2] and f[1::2]; both sides keep the
+    factor 2 (_unpack), which cancels.  Block by block; CharacterSumError
+    (what names the denominator) where some |scale * D[i]| is below
+    BERNOULLI_FLOOR (or NaN), where the ratio would be inf or noise."""
+    m = len(num)
     out = np.empty(m - 1 + odd, dtype=complex)
+
+    def divide(part: np.ndarray, d: np.ndarray) -> None:
+        d *= scale
+        if not np.abs(d).min() >= 2 * BERNOULLI_FLOOR:
+            raise CharacterSumError(f"{what} is numerically zero "
+                                    f"(below {BERNOULLI_FLOOR:g})")
+        part /= d
+
+    # F[i] runs over i = 2-odd, 2-odd+2, ... and F[i+m] over i = j, j+2,
+    # ..., the same i for even m, where one run gives both
     i, j = 2 - odd, (m + odd) % 2
     n = len(range(i, m, 2))
     lower, upper = out[:n], out[n:]
-    at_m = j == 0  # F[m] = E[0] - O[0], Z[-0] being Z[0]: set once halved
-    if at_m:
+    if j == 0:  # F[m] = E[0] - O[0], Z[-0] being Z[0]
+        out[n] = 2 * (num[0].real - num[0].imag)
+        divide(out[n:n + 1],
+               np.array([2 * (den[0].real - den[0].imag)], dtype=complex))
         upper, j = upper[1:], 2
-    if i == j:
-        _unpack(z, roots, i, lower, upper)
-    else:
-        _unpack(z, roots, i, lower, None)
-        _unpack(z, roots, j, None, upper)
-    out *= 0.5
-    if at_m:
-        out[len(lower)] = z[0].real - z[0].imag
+    # (k, plus, minus): F[k], F[k+2], ... into plus, F[k+m], F[k+m+2], ...
+    # into minus
+    runs = ([(i, lower, upper)] if i == j
+            else [(i, lower, None), (j, None, upper)])
+    for k, plus, minus in runs:
+        size = len(minus if plus is None else plus)
+        for lo in range(0, size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
+            w = roots.block(k + 2 * lo, k + 2 * hi, 2)
+            parts = [v if v is None else v[lo:hi] for v in (plus, minus)]
+            _unpack(num, w, k + 2 * lo, *parts)
+            dens = [v if v is None else np.empty_like(v) for v in parts]
+            _unpack(den, w, k + 2 * lo, *dens)
+            for part, d in zip(parts, dens):
+                if part is not None:
+                    divide(part, d)
     return out
 
 
-def _unpack(z: np.ndarray, roots: UnitRoots, i: int,
+def _unpack(z: np.ndarray, w: np.ndarray, k: int,
             plus: np.ndarray | None, minus: np.ndarray | None) -> None:
-    """2E[k] + 2w[k] O[k] into plus and 2E[k] - 2w[k] O[k] into minus, k =
-    i, i+2, ..., either of them None, with E, O and w as in parity_bins,
-    in blocks read from strided and reversed views of z."""
-    m, n = len(z), len(minus if plus is None else plus)
-    for lo in range(0, n, _BLOCK):
-        k, hi = i + 2 * lo, min(lo + _BLOCK, n)
-        a, b = z[k::2][:hi - lo], np.conjugate(z[m - k::-2][:hi - lo])
-        e = (minus if plus is None else plus)[lo:hi]
-        np.add(a, b, out=e)                         # 2E
-        np.subtract(a, b, out=b)
-        b *= roots.block(k, k + 2 * (hi - lo), 2)
-        b *= -1j                                    # 2wO
-        if plus is not None and minus is not None:
-            np.subtract(e, b, out=minus[lo:hi])
-        (np.subtract if plus is None else np.add)(e, b, out=e)
-
-
-def _divide(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
-    """num / den, in place in num; CharacterSumError if some |den| is below
-    BERNOULLI_FLOOR (or NaN), where the ratio would be inf or noise."""
-    if den.size and not np.abs(den).min() >= BERNOULLI_FLOOR:
-        raise CharacterSumError(f"{what} is numerically zero "
-                                f"(below {BERNOULLI_FLOOR:g})")
-    num /= den
-    return num
-
-
-def s_odd(log_gamma: np.ndarray, s_bern: np.ndarray,
-          roots: UnitRoots) -> np.ndarray:
-    """The odd half of the S method, log_gamma and s_bern the packed
-    spectra of the LOGGAMMA values and of s_pair_bernoulli: for
-    chi = chi_1^{2t+1}, t < m, out[t] = L'/L(1,chi) - (gamma + log 2 pi),
-    the ratio of sum_a conj(chi)(a) log Gamma(a/q) to B_{1,conj chi}."""
-    den = parity_bins(s_bern, roots, True)
-    den *= 1 / 16
-    return _divide(parity_bins(log_gamma, roots, True), den,
-                   "a first chi-Bernoulli number")
-
-
-def s_even(log_gamma: np.ndarray, s_bern: np.ndarray,
-           roots: UnitRoots) -> np.ndarray:
-    """The even half of the S method, the spectra as for s_odd: for
-    chi = chi_1^{2t}, 1 <= t < m, out[t-1] = L'/L(1,chi) - (gamma + log 2 pi),
-    -1/2 times the ratio of sum_a conj(chi)(a) S(a/q), from S(x) + S(1-x),
-    whose bins s_bern holds twice, to sum_a conj(chi)(a) log Gamma(a/q)."""
-    even = _divide(parity_bins(s_bern, roots, False),
-                   parity_bins(log_gamma, roots, False),
-                   "an even-character log Gamma sum")
-    even *= -0.25
-    return even
-
-
-def t_half(q: int, t: np.ndarray, psi: np.ndarray, roots: UnitRoots,
-           odd: bool) -> np.ndarray:
-    """One half of the T method, t and psi the packed spectra of the T and
-    PSI values: L'/L(1,chi) = -log q - r, r the ratio of sum_a chi(a) T(a/q)
-    to sum_a chi(a) psi(a/q), for the characters of parity_bins(., ., odd),
-    indexed as it indexes them."""
-    r = _divide(parity_bins(t, roots, odd), parity_bins(psi, roots, odd),
-                f"an {'odd' if odd else 'even'}-character psi sum")
-    # the transforms give the conj(chi) sums of real tables; conjugating
-    # their ratio gives the ratio of the chi sums
-    np.conjugate(r, out=r)
-    return np.subtract(-math.log(q), r, out=r)
+    """2E[i] + 2w[i] O[i] into plus and 2E[i] - 2w[i] O[i] into minus, i =
+    k, k+2, ..., either of them None, w their roots, with E, O and w as in
+    parity_ratios, read from strided and reversed views of z."""
+    m, n = len(z), len(w)
+    a, b = z[k::2][:n], np.conjugate(z[m - k::-2][:n])
+    e = minus if plus is None else plus
+    np.add(a, b, out=e)                         # 2E
+    np.subtract(a, b, out=b)
+    b *= w
+    b *= -1j                                    # 2wO
+    if plus is not None and minus is not None:
+        np.subtract(e, b, out=minus)
+    (np.subtract if plus is None else np.add)(e, b, out=e)
 
 
 def _half(q: int, terms: np.ndarray, shift: float, constant: float,
           what: str) -> tuple[float, float, tuple[float, float]]:
     """(value, max |L'/L(1,chi)|, (imag residue, bound)) of one half, from
-    its per-character terms, with L'/L(1,chi) = shift + term.  The value
-    constant + sum(terms) must be finite and real: each term comes from
-    transforms of length at most q-1, with a relative float64 error of
-    about eps*log2(q-1), so its imaginary residue is bounded by that error
-    budget of the whole sum, eps*log2(q-1)*sum|terms|."""
+    its per-character terms, with L'/L(1,chi) = shift + term; terms then
+    holds those values.  The value constant + sum(terms) must be finite
+    and real: each term comes from transforms of length at most q-1, with
+    a relative float64 error of about eps*log2(q-1), so its imaginary
+    residue is bounded by that error budget of the whole sum,
+    eps*log2(q-1)*sum|terms|."""
     value = constant + complex(terms.sum())
     if not cmath.isfinite(value):
         raise CharacterSumError(f"{what} is not finite: {value}")
+    total = mq = 0.0
+    for lo in range(0, len(terms), _BLOCK):
+        part = terms[lo:lo + _BLOCK]
+        total += float(np.abs(part).sum())
+        part += shift
+        mq = max(mq, float(np.abs(part).max()))
     residue = abs(value.imag)
-    bound = _EPS * math.log2(q - 1) * float(np.abs(terms).sum())
+    bound = _EPS * math.log2(q - 1) * total
     if not residue <= bound:
         raise CharacterSumError(
             f"imaginary residue {residue:.3e} of {what} exceeds its float64 "
             f"budget eps*log2({q - 1})*sum|terms| = {bound:.3e}"
         )
-    mq = float(np.abs(shift + terms).max()) if terms.size else 0.0
     return value.real, mq, (residue, bound)
 
 
@@ -313,23 +295,38 @@ def compute_ek(ctx: PrimeContext, tables: Callable | None = None,
                              _table(ctx, tables, FunctionTag.S_PAIR).values),
             roots, "S_PAIR+Bernoulli")
         shift = EULER_GAMMA + LOG_2PI
-        routes.append((
-            _half(q, s_odd(lg, sb, roots), shift, m * shift,
-                  "odd character sum"),
-            _half(q, s_even(lg, sb, roots), shift,
-                  m * EULER_GAMMA + (m - 1) * LOG_2PI, "even character sum"),
-        ))
-        del lg, sb  # before the T route makes its own spectra
+        # odd chi = chi_1^{2t+1}, t < m: L'/L(1,chi) - shift is the ratio of
+        # sum_a conj(chi)(a) log Gamma(a/q) to B_{1,conj chi}, which the odd
+        # bins of sb hold 16 times
+        odd = _half(q, parity_ratios(lg, sb, roots, True, 1 / 16,
+                                     "a first chi-Bernoulli number"),
+                    shift, m * shift, "odd character sum")
+        # even chi = chi_1^{2t}, 1 <= t < m: L'/L(1,chi) - shift is -1/2
+        # times the ratio of sum_a conj(chi)(a) S(a/q) to sum_a conj(chi)(a)
+        # log Gamma(a/q), and the even bins of sb hold the S sums twice,
+        # from S(x) + S(1-x)
+        even = parity_ratios(sb, lg, roots, False, 1,
+                             "an even-character log Gamma sum")
+        even *= -0.25
+        routes.append((odd, _half(q, even, shift, m * EULER_GAMMA
+                                  + (m - 1) * LOG_2PI, "even character sum")))
+        del lg, sb, even  # before the T route makes its own spectra
     if method in (METHOD_T, METHOD_BOTH):
         t, psi = (packed_spectrum(pack(_table(ctx, tables, tag).values),
                                   roots, tag.value)
                   for tag in METHOD_TAGS[METHOD_T])
-        routes.append((
-            _half(q, t_half(q, t, psi, roots, True), 0.0, 0.0,
-                  "odd character sum"),
-            _half(q, t_half(q, t, psi, roots, False), 0.0, EULER_GAMMA,
-                  "even character sum"),
-        ))
+        # L'/L(1,chi) = -log q - r, r the ratio of sum_a chi(a) T(a/q) to
+        # sum_a chi(a) psi(a/q).  The bins give r for conj chi, which runs
+        # over the same parity as chi does
+        halves = []
+        for odd, constant in ((True, 0.0), (False, EULER_GAMMA)):
+            parity = "odd" if odd else "even"
+            r = parity_ratios(t, psi, roots, odd, 1,
+                              f"an {parity}-character psi sum")
+            halves.append(_half(q, np.subtract(-math.log(q), r, out=r), 0.0,
+                                constant, f"{parity} character sum"))
+            del r
+        routes.append(tuple(halves))
     ek, *cross = (odd[0] + even[0] for odd, even in routes)
     (diff, mq_odd, imag_odd), (ek_plus, mq_even, imag_even) = routes[0]
     mq = max(mq_odd, mq_even)

@@ -1,5 +1,5 @@
 """Discrete Fourier transforms of arbitrary length, and the unit roots
-e(-k/N), k < N/2, that unpack a packed transform (ek.parity_bins) and
+e(-k/N), k < N/2, that unpack a packed transform (ek.parity_ratios) and
 weight its inverse sample (ek.packed_spectrum), made per block from two
 tables of about sqrt(N/2) roots (UnitRoots).
 
@@ -86,9 +86,8 @@ class UnitRoots:
     def __init__(self, n: int):
         half = n // 2
         c = 2 * (math.isqrt(half) // 2 + 1)
-        # every phase below 1/2, so _roots' fold is not needed
-        self.coarse = np.exp(-2j * np.pi * np.arange(0, half, c) / n)
-        self.fine = np.exp(-2j * np.pi * np.arange(c) / n)
+        self.coarse = _roots(np.arange(0, half, c), n)
+        self.fine = _roots(np.arange(c), n)
         self.whole = (np.multiply.outer(self.coarse, self.fine).reshape(-1)
                       if half <= self._WHOLE else None)
 

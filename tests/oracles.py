@@ -9,6 +9,8 @@ division.  The exceptions are s_pair_series_direct and s_series: they sum
 their bulk term by term and their Euler-Maclaurin tails point by point,
 with library helpers for the derivatives of log(u)^n/u, and s_series
 checks its remainder bounds with the library's block check.  gamma1_closed also takes T from the library's table function.
+unpacked_bins reads bins through the library's own unpacking, which the
+oracles here check.
 gammak_aq is the per-cell form of the library's gamma_k(a, q) table: it
 takes each psi_n at the one point a/q from the library's psi_n_values and
 applies the same binomial formula, so it checks the table's assembly over
@@ -23,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from ekconst import specfun
+from ekconst.ek import parity_ratios
 from ekconst.multgroup import PrimeContext
 from ekconst.specfun import EULER_GAMMA, GAMMA1, LOG_2PI
 
@@ -111,6 +114,13 @@ def long_double_bins(values) -> np.ndarray:
     in long double."""
     from scipy.fft import fft
     return fft(np.asarray(values, dtype=np.clongdouble))
+
+
+def unpacked_bins(z: np.ndarray, roots, odd: bool) -> np.ndarray:
+    """One parity of the transform whose packed spectrum is z, indexed as
+    ek.parity_ratios indexes it: its ratios over the all-ones spectrum,
+    the packed transform of a unit impulse, whose bins are all 1."""
+    return parity_ratios(z, np.ones_like(z), roots, odd, 1, "test")
 
 
 def route_s_long_double(ctx: PrimeContext, log_gamma_vals,

@@ -8,8 +8,8 @@ import numpy as np
 import oracles
 from ekconst import specfun
 from ekconst.cache import FunctionTag, closed_form_sum, precompute
-from ekconst.ek import (compute_ek, pack, packed_spectrum, parity_bins,
-                        s_even, s_odd, s_pair_bernoulli)
+from ekconst.ek import (compute_ek, pack, packed_spectrum, parity_ratios,
+                        s_pair_bernoulli)
 from ekconst.fft import UnitRoots, dft
 from ekconst.multgroup import build_context
 from ekconst.offsets import greedy_offsets, v_of_q
@@ -105,7 +105,8 @@ def test_criterion_5_fft_correctness():
         full = oracles.naive_dft(f, -1)
         roots = UnitRoots(len(f))
         z = packed_spectrum(pack(f, True), roots, "LOGGAMMA")
-        even, odd = parity_bins(z, roots, False), parity_bins(z, roots, True)
+        even = oracles.unpacked_bins(z, roots, False)
+        odd = oracles.unpacked_bins(z, roots, True)
         assert float(np.max(np.abs(even - full[2::2]),
                             initial=0.0)) <= 1e-10 * q
         assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-10 * q
@@ -125,8 +126,13 @@ def test_criterion_6_character_sum_oracle():
         z = packed_spectrum(pack(lg.values, True), roots, "LOGGAMMA")
         s_bern = packed_spectrum(s_pair_bernoulli(ctx, sp.values), roots,
                                  "S_PAIR+Bernoulli")
-        odd_vals = shift + s_odd(z, s_bern, roots)
-        even_vals = shift + s_even(z, s_bern, roots)
+        # L'/L(1,chi) - shift: for odd chi the ratio of its log Gamma sum
+        # to its Bernoulli number, 1/16 of s_bern's odd bin; for even chi
+        # -1/4 times the ratio of s_bern's even bin to its log Gamma sum
+        odd_vals = shift + parity_ratios(z, s_bern, roots, True, 1 / 16,
+                                         "a first chi-Bernoulli number")
+        even_vals = shift - 0.25 * parity_ratios(
+            s_bern, z, roots, False, 1, "an even-character log Gamma sum")
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):

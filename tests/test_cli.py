@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import ekconst
-from ekconst import cli, specfun
+from ekconst import cli, ek, specfun
 from ekconst.cache import (FunctionTag, checksum_tolerance, full_range, load,
                            precompute, save)
-from ekconst.multgroup import build_context
+from ekconst.fft import UnitRoots
+from ekconst.multgroup import build_context, factorize
 from ekconst.offsets import greedy_offsets, v_of_q
 from ekconst.specfun import gamma_n
 from reference_values import EK
@@ -91,9 +92,10 @@ class TestCompute:
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone.
-        # The bound is that peak as measured (400 MB on 2 cores, numpy
-        # 2.4.6) plus 10%; with a separate Bernoulli transform and an
-        # m-length twiddle held for the run it peaked at 444 MB, with the
+        # The bound is that peak as measured (363 MB on 2 cores, numpy
+        # 2.4.6) plus 10%; with an m-length denominator beside each half's
+        # ratios it peaked at 400 MB, with a separate Bernoulli transform
+        # and an m-length twiddle held for the run at 444 MB, with the
         # split's twiddle in row blocks at 475 MB, with two transforms per
         # table, one per parity, at 553 MB, with pocketfft's Bluestein over
         # each whole transform at 601 MB, and with an int64 array of all
@@ -102,7 +104,7 @@ class TestCompute:
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 440 * 2**10, peak_kb
+        assert peak_kb < 400 * 2**10, peak_kb
 
     @pytest.mark.extended
     def test_ten_million_with_a_prime_half_length(self):
@@ -260,6 +262,24 @@ class TestScan:
         with open(os.path.join(DATA, f"scan_3_300_{name}.csv"), "rb") as f:
             assert out.encode() == f.read()
 
+    @pytest.mark.parametrize("method", ["both", "t"])
+    @pytest.mark.parametrize("q", [300007, 305741])
+    def test_compute_past_one_block_keeps_its_bytes(self, capsys, q, method):
+        # tests/data holds what `ek compute q --method M --digits 17`
+        # printed once each parity's ratios came from one blockwise pass.
+        # Unlike those of `ek scan 3 300`, these m = 3^2*7*2381 (odd) and
+        # 2*5*15287 (even) are split by dft, their unit roots are formed
+        # per block, and each parity spans more than one block of bins
+        m = (q - 1) // 2
+        assert 300 < max(factorize(m)) < m
+        assert UnitRoots(q - 1).whole is None and m // 2 > ek._BLOCK
+        code, out, _ = run(capsys, "compute", str(q), "--method", method,
+                           "--digits", "17")
+        assert code == 0
+        with open(os.path.join(DATA, f"compute_{q}_{method}.txt"),
+                  "rb") as f:
+            assert out.encode() == f.read()
+
     def test_method_t_scan_matches_method_s(self, capsys, tmp_path):
         a, b = tmp_path / "s.csv", tmp_path / "t.csv"
         run(capsys, "scan", "3", "40", "--out", str(a))
@@ -299,9 +319,10 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
         # the four tables on disk, then a fresh ek compute whose ru_maxrss
-        # is its own peak.  The bound is that peak as measured (376 MB
-        # on 2 cores, numpy 2.4.6) plus 10%; a separate Bernoulli transform
-        # and an m-length twiddle peaked at 457 MB, the split's twiddle in
+        # is its own peak.  The bound is that peak as measured (339 MB
+        # on 2 cores, numpy 2.4.6) plus 10%; an m-length denominator beside
+        # each half's ratios peaked at 376 MB, a separate Bernoulli
+        # transform and an m-length twiddle at 457 MB, the split's twiddle in
         # row blocks at 489 MB, two transforms per table at 605 MB,
         # pocketfft's Bluestein over each whole transform at 654 MB,
         # loading every table up front at 856 MB, and holding all q-1
@@ -316,7 +337,7 @@ class TestCacheCommands:
         assert proc.returncode == 0, proc.stderr
         assert "method_discrepancy = " in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 414 * 2**10, peak_kb
+        assert peak_kb < 373 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,8 +15,8 @@ from ekconst import ek, fft, specfun
 from ekconst.cache import (ChecksumMismatchError, FunctionTag, ValueTable,
                            precompute)
 from ekconst.ek import (METHOD_TAGS, CharacterSumError, _half, compute_ek,
-                        pack, packed_spectrum, parity_bins, s_even, s_odd,
-                        s_pair_bernoulli, t_half)
+                        pack, packed_spectrum, parity_ratios,
+                        s_pair_bernoulli)
 from ekconst.fft import UnitRoots, dft
 from ekconst.multgroup import build_context, residues
 from ekconst.specfun import EULER_GAMMA
@@ -79,7 +80,28 @@ def bernoulli(ctx):
     """The first chi-Bernoulli numbers B_{1, conj(chi_1^{2t+1})}, t < m,
     from the odd bins of the S pair and Bernoulli spectrum."""
     roots, s_bern = spectra(ctx, tables(ctx)[1])
-    return parity_bins(s_bern, roots, True) / 16
+    return oracles.unpacked_bins(s_bern, roots, True) / 16
+
+
+def s_terms(z, s_bern, roots):
+    """Route s's odd and even terms L'/L(1,chi) - (gamma + log 2 pi), as
+    compute_ek forms them from the packed log Gamma spectrum z and the S
+    pair and Bernoulli spectrum s_bern."""
+    odd = parity_ratios(z, s_bern, roots, True, 1 / 16,
+                        "a first chi-Bernoulli number")
+    even = parity_ratios(s_bern, z, roots, False, 1,
+                         "an even-character log Gamma sum")
+    even *= -0.25
+    return odd, even
+
+
+def t_values(q, t, psi, roots, odd):
+    """Route t's L'/L(1,chi) for the characters of one parity, indexed as
+    parity_ratios indexes them: -log q - r, r the ratio of sum_a chi(a)
+    T(a/q) to sum_a chi(a) psi(a/q), the conjugate of the ratio of the
+    bins."""
+    r = parity_ratios(t, psi, roots, odd, 1, "a psi sum")
+    return -math.log(q) - np.conj(r)
 
 
 def without_character(table, j):
@@ -191,14 +213,15 @@ class TestStructuralIdentities:
         ctx = build_context(10007)
         caches = method_tables(ctx, "s")
         compute_ek(ctx, caches.get, method="s")  # correctly paired, it passes
-        divide = ek._divide
+        ratios = ek.parity_ratios
 
-        def mispaired(num, den, what):
-            if "Bernoulli" in what:
-                den = np.roll(den, 1)
-            return divide(num, den, what)
+        def mispaired(num, den, roots, odd, scale, what):
+            if "Bernoulli" not in what:
+                return ratios(num, den, roots, odd, scale, what)
+            bins = np.roll(oracles.unpacked_bins(den, roots, odd), 1)
+            return oracles.unpacked_bins(num, roots, odd) / (scale * bins)
 
-        monkeypatch.setattr(ek, "_divide", mispaired)
+        monkeypatch.setattr(ek, "parity_ratios", mispaired)
         with pytest.raises(CharacterSumError,
                            match="imaginary residue .* exceeds its float64 "
                                  "budget"):
@@ -310,10 +333,10 @@ class TestSigmaConvention:
         # the packed spectrum unpacks to bins 1, 3 and bin 2 of that
         # transform
         roots, z = spectra(ctx, lg)
-        odd = parity_bins(z, roots, True)
+        odd = oracles.unpacked_bins(z, roots, True)
         assert odd == pytest.approx(spec[1::2], abs=1e-13)
-        assert parity_bins(z, roots, False) == pytest.approx(spec[2:3],
-                                                             abs=1e-13)
+        assert oracles.unpacked_bins(z, roots, False) == pytest.approx(
+            spec[2:3], abs=1e-13)
 
     def test_q5_bernoulli_matches_explicit(self):
         # the odd bins of the S pair and Bernoulli spectrum are 16 times
@@ -327,7 +350,7 @@ class TestSigmaConvention:
             assert bern[t] == pytest.approx(direct, abs=1e-14)
         sp = tables(ctx)[1]
         roots, s_bern = spectra(ctx, sp)
-        assert parity_bins(s_bern, roots, False) == pytest.approx(
+        assert oracles.unpacked_bins(s_bern, roots, False) == pytest.approx(
             2 * dft(sp.values).values[1:], abs=1e-14)
 
 
@@ -338,8 +361,7 @@ class TestPerCharacterOracle:
         lg, sp = tables(ctx)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
         roots, z, s_bern = spectra(ctx, lg, sp)
-        odd_vals = shift + s_odd(z, s_bern, roots)
-        even_vals = shift + s_even(z, s_bern, roots)
+        odd_vals, even_vals = (shift + v for v in s_terms(z, s_bern, roots))
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         for t in range(ctx.m):
@@ -354,9 +376,9 @@ class TestPerCharacterOracle:
         roots, z, s_bern, t, psi = spectra(
             ctx, lg, sp, precompute(ctx, FunctionTag.T),
             precompute(ctx, FunctionTag.PSI))
-        odd, even = s_odd(z, s_bern, roots), s_even(z, s_bern, roots)
-        t_odd = t_half(q, t, psi, roots, True)
-        t_even = t_half(q, t, psi, roots, False)
+        odd, even = s_terms(z, s_bern, roots)
+        t_odd = t_values(q, t, psi, roots, True)
+        t_even = t_values(q, t, psi, roots, False)
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
@@ -372,7 +394,7 @@ class TestPerCharacterOracle:
         ctx = build_context(31)
         roots, z, s_bern = spectra(ctx, *tables(ctx))
         odd_vals = (specfun.EULER_GAMMA + specfun.LOG_2PI
-                    + s_odd(z, s_bern, roots))
+                    + s_terms(z, s_bern, roots)[0])
         m = ctx.m
         for t in range(m):
             assert odd_vals[t] == pytest.approx(
@@ -560,6 +582,26 @@ class TestTransformContract:
         s_route, t_route = [0, 1], [0, 1]
         assert alive == {"s": s_route, "t": t_route,
                          "both": s_route + t_route}[method]
+
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_a_half_holds_one_array_of_m_values(self, odd, monkeypatch):
+        # at q = 100003, m = 50001: the ratio pass and _half allocate the
+        # half's one array of ratios, and temporaries of one block each,
+        # here of 2^10 bins.  A denominator array beside the ratios, or an
+        # array of their moduli, would exceed the bound
+        ctx = build_context(100003)
+        roots, z, s_bern = spectra(ctx, *tables(ctx))
+        num, den, scale = (z, s_bern, 1 / 16) if odd else (s_bern, z, 1)
+        monkeypatch.setattr(ek, "_BLOCK", 1 << 10)
+        tracemalloc.start()
+        try:
+            terms = parity_ratios(num, den, roots, odd, scale, "test")
+            _half(ctx.q, terms, 0.0, 0.0, "test sum")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= terms.nbytes + 8 * ek._BLOCK * 16, peak
+        assert len(terms) >= ctx.m - 1
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
     def test_one_twiddle_per_route(self, method, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from ekconst import fft, multgroup
-from ekconst.ek import pack, packed_spectrum, parity_bins
+from ekconst.ek import pack, packed_spectrum
 from ekconst.fft import UnitRoots, dft
 
 RNG = np.random.default_rng(20240817)
@@ -210,6 +210,13 @@ class TestUnitRoots:
             roots = UnitRoots(n)
             assert len(roots.fine) <= math.isqrt(n // 2) + 2
             assert len(roots.coarse) <= math.isqrt(n // 2) + 1
+            # every phase is at most 1/2, where the fold of fft._roots
+            # leaves the roots to np.exp unchanged
+            c = len(roots.fine)
+            for table, k in ((roots.coarse, np.arange(0, n // 2, c)),
+                             (roots.fine, np.arange(c))):
+                want = np.exp(-2j * np.pi * k / n)
+                assert table.tobytes() == want.tobytes()
 
 
 class TestDecimation:
@@ -219,10 +226,10 @@ class TestDecimation:
         roots = UnitRoots(len(f))
         for centre in (False, True):
             z = packed_spectrum(pack(f, centre), roots, "test")
-            assert np.allclose(parity_bins(z, roots, False), [-2.0],
-                               atol=1e-15)
-            assert np.allclose(parity_bins(z, roots, True),
-                               [-2.0 + 2.0j, -2.0 - 2.0j], atol=1e-15)
+            even = oracles.unpacked_bins(z, roots, False)
+            odd = oracles.unpacked_bins(z, roots, True)
+            assert np.allclose(even, [-2.0], atol=1e-15)
+            assert np.allclose(odd, [-2.0 + 2.0j, -2.0 - 2.0j], atol=1e-15)
 
     def test_odd_length_rejected(self):
         for centre in (False, True):
@@ -238,8 +245,8 @@ class TestDecimation:
         roots = UnitRoots(len(f))
         for centre in (False, True):
             z = packed_spectrum(pack(f, centre), roots, "test")
-            even = parity_bins(z, roots, False)
-            odd = parity_bins(z, roots, True)
+            even = oracles.unpacked_bins(z, roots, False)
+            odd = oracles.unpacked_bins(z, roots, True)
             assert float(np.max(np.abs(even - full[2::2]),
                                 initial=0.0)) <= 1e-12 * q
             assert float(np.max(np.abs(odd - full[1::2]))) <= 1e-12 * q
