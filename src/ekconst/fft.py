@@ -8,9 +8,10 @@ e(t) = exp(2*pi*i*t), unnormalized (the usual engineering DFT).
 
 numpy's pocketfft runs every length, but slowly where the length has a
 large prime factor p.  A length n = p*r that dft selects is split instead
-(Cooley-Tukey): pocketfft runs the length-r transforms, two tables of
-about r*sqrt(p) unit roots give the twiddle, and one batched pocketfft
-call runs the r length-p transforms.
+(Cooley-Tukey): pocketfft runs the length-r transforms in the input's
+buffer, two tables of about r*sqrt(p) unit roots give the twiddle, applied
+there too, and one batched pocketfft call runs the r length-p transforms
+into the output, the one array of the input's length that dft allocates.
 """
 
 from __future__ import annotations
@@ -33,18 +34,21 @@ class Spectrum:
 
 
 def dft(x) -> Spectrum:
-    """Unnormalized transform sum_k e(-j*k/N) x[k], O(N log N).
+    """Unnormalized transform sum_k e(-j*k/N) x[k], O(N log N), computed
+    in the buffer of np.ascontiguousarray(x, dtype=complex): a contiguous
+    complex128 array x is overwritten.
 
     A length n from _SPLIT_MIN on whose largest prime factor p has
     300 < p < n goes through _split, which beat pocketfft there in timings
     of both; every other length goes straight to pocketfft.
     """
+    x = np.ascontiguousarray(x, dtype=complex)
     n = len(x)
     if n >= _SPLIT_MIN:     # shorter lengths are not factorised
         p = max(factorize(n))
         if 300 < p < n:
-            return Spectrum(values=_split(np.asarray(x), p))
-    return Spectrum(values=np.fft.fft(x))
+            return Spectrum(values=_split(x, p))
+    return Spectrum(values=np.fft.fft(x, out=x))
 
 
 def _roots(t: np.ndarray, n: int) -> np.ndarray:
@@ -54,21 +58,28 @@ def _roots(t: np.ndarray, n: int) -> np.ndarray:
 
 
 def _split(x: np.ndarray, p: int) -> np.ndarray:
-    """The transform of x, of length n = p*r with p prime: with k = k1 +
-    p*k2 and j = r*j1 + j2, the length-r transforms over k2, the twiddle
-    e(-j2*k1/n), then the length-p transforms over k1, all by pocketfft."""
+    """The transform of the contiguous complex array x, of length n = p*r
+    with p prime: with k = k1 + p*k2 and j = r*j1 + j2, the length-r
+    transforms over k2, the twiddle e(-j2*k1/n), then the length-p
+    transforms over k1, all by pocketfft.  The columns and the twiddle run
+    in x's buffer, and the rows into the one output array."""
     n = len(x)
     r = n // p
+    rows = x.reshape(r, p)                      # rows[j2, k1] once done
+    np.fft.fft(rows, axis=0, out=rows)
     # e(-j2*k1/n) = e(-j2*c*u/n) * e(-j2*v/n) for k1 = c*u + v, v < c, from
-    # two tables of about r*sqrt(p) roots, every phase below n (about 2 ulp),
-    # broadcast over rows padded to g*c >= p columns with zeros, not garbage
+    # two tables of about r*sqrt(p) roots, every phase below n (about 2 ulp):
+    # a (r, g, c) view of the first g*c columns, then the last p - g*c < c
     c = math.isqrt(p) + 1
-    g = -(-p // c)
-    a = np.zeros((r, g, c), dtype=complex)      # a[j2, u, v]
-    rows = a.reshape(r, g * c)[:, :p]           # rows[j2, k1]
-    np.fft.fft(x.reshape(r, p), axis=0, out=rows)
-    a *= _roots(np.outer(np.arange(r), np.arange(0, p, c)), n)[:, :, None]
-    a *= _roots(np.outer(np.arange(r), np.arange(c)), n)[:, None]
+    g = p // c
+    coarse = _roots(np.outer(np.arange(r), np.arange(0, p, c)), n)
+    fine = _roots(np.outer(np.arange(r), np.arange(c)), n)
+    body = rows[:, :g * c].reshape(r, g, c)
+    body *= coarse[:, :g, None]
+    body *= fine[:, None]
+    tail = rows[:, g * c:]
+    tail *= coarse[:, g:]
+    tail *= fine[:, :p - g * c]
     out = np.empty((p, r), dtype=complex)       # out[j1, j2]
     np.fft.fft(rows, axis=1, out=out.T)
     return out.reshape(-1)

@@ -1,5 +1,5 @@
 """High-accuracy evaluation of the special functions feeding the constant
-computations: the digamma psi, log Gamma, the generalized-digamma series
+computations: log Gamma, the digamma psi, the generalized-digamma series
 
     T(x)   = -log(x)/x - sum_{m>=1} [ log(m+x)/(m+x) - log(m)/m ]
     psi_n(x) = -gamma_n - log(x)^n/x
@@ -25,12 +25,14 @@ coefficients are summed once per process: the terms m = 2..63 one by one,
 the tail from m = 64 by Euler-Maclaurin.  A point's bound weights the
 coefficients' remainders by its powers and adds a bound on the omitted
 terms.  psi_n_values(1, x), which keeps its per-point tail, checks T.
-Every function evaluates each of the points it is given independently of
+log Gamma(x) and psi(x) are log Gamma(1+x) - log x and psi(1+x) - 1/x,
+with log Gamma(1+x) and psi(1+x) as their Taylor polynomials in x - 1/2,
+whose coefficients, Hurwitz zeta values at 3/2, are summed, bounded and
+gated the same way.  No function here needs scipy.  Every function evaluates each of the points it is given independently of
 the others, with temporaries of their length; cache.precompute passes a
 table to them in blocks.  S(x)+S(1-x) is evaluated by its series alone;
 its integral representation, integrated by a double-exponential rule,
 lives in the test suite (tests/oracles.py) as an independent reference.
-digamma and log Gamma come from scipy.special, imported on first use.
 
 Everything is plain float64; long accumulations use exact (fsum) or pairwise
 summation so results carry close to full double accuracy.
@@ -70,21 +72,6 @@ class DisagreementError(ArithmeticError):
 # it (a NaN, say).
 TARGET_ABS_ERROR = 1e-14
 MAX_TERMS = 200_000
-
-
-# ----------------------------------------------------------------------
-# psi and log Gamma on (0,1]: standard library functions meet the target.
-# scipy.special is imported on first use: loading it costs a process about
-# a third of a second and 25 MB, and most commands never need it.
-
-def psi_values(x: np.ndarray) -> np.ndarray:
-    from scipy.special import digamma as sp_digamma
-    return sp_digamma(np.asarray(x, dtype=np.float64))
-
-
-def log_gamma_values(x: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-    return gammaln(np.asarray(x, dtype=np.float64))
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +399,105 @@ def s_pair_values(x: np.ndarray) -> np.ndarray:
     """S(x) + S(1-x) on an array of points in (0, 1), from the symmetric
     series at min(x, 1-x)."""
     return _fixed_start_checked(_s_pair_batch, x, "S pair")
+
+
+# ----------------------------------------------------------------------
+# log Gamma and psi: log Gamma(1+x) and psi(1+x) as their Taylor polynomials
+# at x = 1/2, whose coefficients are Hurwitz zeta values at 3/2
+# (Abramowitz and Stegun 6.1.33 and 6.3.14, moved from 1 to 3/2)
+
+_LOG_GAMMA_3_2 = -0.12078223763524522234551844578164721
+_PSI_3_2 = 0.036489973978576520559023667001244433
+_LOG_GAMMA_DEGREE = 34     # in x - 1/2; omitted terms below 9e-19
+_PSI_DEGREE = 36           # in x - 1/2; omitted terms below 3e-18
+
+
+@lru_cache(maxsize=None)
+def _zeta_3_2(k: int) -> tuple[float, float]:
+    """(zeta(k, 3/2), remainder bound), k >= 2: sum_{n>=1} (n + 1/2)^-k,
+    the terms n = 1..63 one by one, the tail from n = 64 by Euler-Maclaurin.
+    """
+    A = _SERIES_START + 0.5
+    terms, rem = _em_corrections(_log_poly_family((1.0,), k, 7), 0, A)
+    return math.fsum([(n + 0.5) ** -k for n in range(1, _SERIES_START)]
+                     + [_log_integral(1.0, 0.0, k, A)] + terms), rem
+
+
+def _zeta_poly(head: tuple, terms: list) -> tuple[tuple, tuple]:
+    """(c, r): c is head, then (-1)^k zeta(k, 3/2) w for each (k, w) of
+    terms but the last, within r.  The last (k, w) is the first omitted
+    term: r's last entry bounds the omitted terms over |t| <= 1/2.  Each
+    term u^-k of zeta(k, 3/2) is at most 2/3 of u^-(k-1), and w does not
+    grow, so each omitted term is at most 1/3 of the one before it, and
+    they sum to at most 3/2 of the first."""
+    c, r = list(head), [0.0] * len(head)
+    for k, w in terms[:-1]:
+        z, rem = _zeta_3_2(k)
+        c.append((-1) ** k * z * w)
+        r.append(rem * w)
+    k, w = terms[-1]
+    z, rem = _zeta_3_2(k)
+    r.append(1.5 * (z + rem) * w)
+    return tuple(c), tuple(r)
+
+
+@lru_cache(maxsize=None)
+def _log_gamma_poly() -> tuple[tuple, tuple]:
+    """(c, r): log Gamma(3/2 + t) is sum_{k<=K} c[k] t^k within
+    sum_{j<=K+1} r[j] |t|^j for |t| <= 1/2: c[0] = log Gamma(3/2),
+    c[1] = psi(3/2) and c[k] = (-1)^k zeta(k, 3/2)/k."""
+    return _zeta_poly((_LOG_GAMMA_3_2, _PSI_3_2),
+                      [(k, 1 / k) for k in range(2, _LOG_GAMMA_DEGREE + 2)])
+
+
+@lru_cache(maxsize=None)
+def _psi_poly() -> tuple[tuple, tuple]:
+    """(c, r): psi(3/2 + t) is sum_{k<=K} c[k] t^k within
+    sum_{j<=K+1} r[j] |t|^j for |t| <= 1/2: c[0] = psi(3/2) and
+    c[k] = (-1)^(k+1) zeta(k+1, 3/2), the derivative of log Gamma's."""
+    return _zeta_poly((_PSI_3_2,),
+                      [(k + 1, 1.0) for k in range(1, _PSI_DEGREE + 2)])
+
+
+_LN2_HI = 0.6931471803691238     # 32 bits: e * _LN2_HI is exact
+_LN2_LO = 1.9082149292705877e-10  # log 2 - _LN2_HI
+
+
+def _minus_log(acc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """acc - log x, into acc.  With x = m 2^e, 1/2 <= m < 1, log x is
+    e log 2 + log m, and e * _LN2_HI, exact, is subtracted last: near
+    x = 0, where -log x is the value, it is rounded once, not twice as
+    acc - np.log(x) would round it."""
+    m, e = np.frexp(x)
+    acc -= np.log(m)
+    e = e.astype(np.float64)
+    acc -= e * _LN2_LO
+    acc -= e * _LN2_HI
+    return acc
+
+
+def _log_gamma_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c, r = _log_gamma_poly()
+    t = x - 0.5
+    return (_minus_log(_horner(c, t), x),
+            _horner(_majorant(r, 0.5), np.abs(t)))
+
+
+def _psi_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c, r = _psi_poly()
+    t = x - 0.5
+    return _horner(c, t) - 1.0 / x, _horner(_majorant(r, 0.5), np.abs(t))
+
+
+def log_gamma_values(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) = log Gamma(1+x) - log x on an array of points in
+    (0, 1]."""
+    return _fixed_start_checked(_log_gamma_batch, x, "log Gamma")
+
+
+def psi_values(x: np.ndarray) -> np.ndarray:
+    """psi(x) = psi(1+x) - 1/x on an array of points in (0, 1]."""
+    return _fixed_start_checked(_psi_batch, x, "psi")
 
 
 # ----------------------------------------------------------------------

@@ -92,9 +92,11 @@ class TestCompute:
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone.
-        # The bound is that peak as measured (363 MB on 2 cores, numpy
-        # 2.4.6) plus 10%; with an m-length denominator beside each half's
-        # ratios it peaked at 400 MB, with a separate Bernoulli transform
+        # The bound is that peak as measured (269 MB on 2 cores, numpy
+        # 2.4.6) plus 10%; with scipy.special imported for log Gamma and
+        # the split holding its input, padded rows and output at once it
+        # peaked at 363 MB, with an m-length denominator beside each half's
+        # ratios at 400 MB, with a separate Bernoulli transform
         # and an m-length twiddle held for the run at 444 MB, with the
         # split's twiddle in row blocks at 475 MB, with two transforms per
         # table, one per parity, at 553 MB, with pocketfft's Bluestein over
@@ -104,20 +106,21 @@ class TestCompute:
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 400 * 2**10, peak_kb
+        assert peak_kb < 296 * 2**10, peak_kb
 
     @pytest.mark.extended
     def test_ten_million_with_a_prime_half_length(self):
         # q = 10000223, whose m = 5000111 is prime, so pocketfft runs each
         # transform whole, by its own Bluestein.  A fresh process; the
-        # bound is its peak as measured (894 MB on 2 cores, numpy 2.4.6)
-        # plus 10%; with a separate Bernoulli transform and an m-length
-        # twiddle it peaked at 1009 MB
+        # bound is its peak as measured (795 MB on 2 cores, numpy 2.4.6)
+        # plus 10%; with scipy.special imported and each transform out of
+        # its input's buffer it peaked at 894 MB, with a separate Bernoulli
+        # transform and an m-length twiddle at 1009 MB
         proc = run_fresh_cli(["compute", 10000223], timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000223" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 984 * 2**10, peak_kb
+        assert peak_kb < 875 * 2**10, peak_kb
 
     def test_method_both_reports_discrepancy(self, capsys):
         code, out, _ = run(capsys, "compute", "101", "--method", "both")
@@ -294,17 +297,18 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_psi_parts_merge_and_checksum(self, tmp_path):
         # each step in a fresh process, so that ru_maxrss is its own peak.
-        # The bounds are the measured peaks of these steps (92, 144 and
-        # 106 MB on 2 cores, numpy 2.4.6) plus 10%; a transient of the
+        # The bounds are the measured peaks of these steps (69, 144 and
+        # 106 MB on 2 cores, numpy 2.4.6) plus 10%; a precompute that
+        # imported scipy.special for psi peaked at 92 MB; a transient of the
         # whole 80 MB table, in a sum or a write, would exceed them, and
         # so would a merge that held both halves beside the table, or a
         # precompute that formed the residues or points of its whole range
         # (225 MB)
         q, hi, cache = 10000019, 10000018, str(tmp_path)
         steps = [(["precompute", q, "--tag", "PSI", "--range", 0, hi // 2,
-                   "--cache", cache], 101),
+                   "--cache", cache], 76),
                  (["precompute", q, "--tag", "PSI", "--range", hi // 2, hi,
-                   "--cache", cache], 101),
+                   "--cache", cache], 76),
                  (["merge", q, "--tag", "PSI", "--cache", cache], 159),
                  (["checksum", q, "--tag", "PSI", "--cache", cache], 117)]
         for argv, peak_mb in steps:
@@ -319,9 +323,10 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
         # the four tables on disk, then a fresh ek compute whose ru_maxrss
-        # is its own peak.  The bound is that peak as measured (339 MB
-        # on 2 cores, numpy 2.4.6) plus 10%; an m-length denominator beside
-        # each half's ratios peaked at 376 MB, a separate Bernoulli
+        # is its own peak.  The bound is that peak as measured (268 MB
+        # on 2 cores, numpy 2.4.6) plus 10%; the split holding its input,
+        # padded rows and output at once peaked at 339 MB, an m-length
+        # denominator beside each half's ratios at 376 MB, a separate Bernoulli
         # transform and an m-length twiddle at 457 MB, the split's twiddle in
         # row blocks at 489 MB, two transforms per table at 605 MB,
         # pocketfft's Bluestein over each whole transform at 654 MB,
@@ -337,7 +342,7 @@ class TestCacheCommands:
         assert proc.returncode == 0, proc.stderr
         assert "method_discrepancy = " in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 373 * 2**10, peak_kb
+        assert peak_kb < 296 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)
@@ -866,19 +871,26 @@ class TestSmallCommands:
         assert not cache.exists()
 
 
-class TestLazyScipy:
-    def test_scipy_special_is_imported_on_first_use(self):
+class TestNoScipy:
+    def test_no_command_loads_scipy(self, tmp_path):
+        # scipy is a test dependency only: the transforms are numpy's, and
+        # log Gamma and psi are specfun's own, as every other function is
+        cache = str(tmp_path)
+        runs = [["compute", "101"], ["compute", "101", "--method", "both"],
+                ["scan", "3", "50"],
+                ["precompute", "101", "--tag", "LOGGAMMA", "--cache", cache],
+                ["precompute", "101", "--tag", "PSI", "--cache", cache]]
         script = ("import contextlib, io, sys\n"
                   "from ekconst import cli\n"
-                  "def loaded(*argv):\n"
+                  f"for argv in {runs!r}:\n"
                   "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "        assert cli.main(list(argv)) == 0\n"
-                  "    return 'scipy.special' in sys.modules\n"
-                  "print(loaded('stieltjes', '7', '--kmax', '3'),"
-                  " loaded('gamma-n', '3'), loaded('compute', '101'))\n")
+                  "        assert cli.main(argv) == 0, argv\n"
+                  "print([m for m in sys.modules"
+                  " if m.partition('.')[0] == 'scipy'])\n")
         proc = run_fresh(script, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False", "True"]
+        assert proc.stdout.split() == ["[]"]
+        assert len(list(tmp_path.iterdir())) == 2
 
 
 class TestScanCacheInterplay:

@@ -1,6 +1,7 @@
 """Transforms: definition spot checks, oracle equivalence, decimation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ class TestOracleEquivalence:
         lengths += [int(n) for n in RNG.integers(2, 513, size=40)]
         for n in lengths[:50]:
             x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-            fast = dft(x).values
+            fast = dft(x.copy()).values
             slow = oracles.naive_dft(x, -1)
             scale = float(np.sum(np.abs(x)))
             assert float(np.max(np.abs(fast - slow))) <= 1e-10 * scale
@@ -83,7 +84,7 @@ class TestPrimeFactorSplit:
         x = RNG.standard_normal(n)
         if kind == "complex":
             x = x + 1j * RNG.standard_normal(n)
-        err = np.max(np.abs(dft(x).values - oracles.naive_dft(x, -1)))
+        err = np.max(np.abs(dft(x.copy()).values - oracles.naive_dft(x, -1)))
         assert err <= 1e-12 * float(np.sum(np.abs(x)))
         assert split_calls == ([n] if split else [])
 
@@ -102,7 +103,7 @@ class TestPrimeFactorSplit:
         if kind == "complex":
             x = x + 1j * RNG.standard_normal(n)
         ref = any_precision_fft(x.astype(np.clongdouble))
-        got = _max_rel_error(dft(x).values, ref)
+        got = _max_rel_error(dft(x.copy()).values, ref)
         assert split_calls == [n]
         assert got <= 2 * _max_rel_error(np.fft.fft(x), ref)
 
@@ -123,6 +124,27 @@ class TestPrimeFactorSplit:
             assert np.all(np.isfinite(dft(x).values))
         assert split_calls == [n]
 
+    # 2*5*15287, 7*67*1523 and 2^4*5*13*1009: r = 10, 469 and 1040 rows
+    @pytest.mark.parametrize("n", [152870, 714287, 1049360])
+    def test_a_split_allocates_one_array_of_its_length(self, split_calls, n):
+        # the columns and the twiddle run in the input's buffer, so beside
+        # the output only the two root tables are allocated: r*(c + g)
+        # roots, g = ceil(p/c), at most 8 times their own bytes with their
+        # integer and real phases.  A padded copy of the rows adds n more
+        p = max(multgroup.factorize(n))
+        r, c = n // p, math.isqrt(p) + 1
+        roots = 16 * r * (c + -(-p // c))
+        dft(np.zeros(n, dtype=complex))     # per-process first-call costs
+        x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
+        tracemalloc.start()
+        try:
+            dft(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert split_calls == [n, n]
+        assert peak <= x.nbytes + 8 * roots, (peak, x.nbytes, roots)
+
     def test_no_length_below_the_least_split_is_factorised(
             self, split_calls, monkeypatch):
         factorised = []
@@ -141,7 +163,7 @@ class TestProperties:
     @pytest.mark.parametrize("n", [2, 12, 97, 360, 509])
     def test_round_trip(self, n):
         x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-        back = oracles.naive_dft(dft(x).values, 1) / n
+        back = oracles.naive_dft(dft(x.copy()).values, 1) / n
         assert float(np.max(np.abs(back - x))) <= 1e-12 * float(np.max(np.abs(x)))
 
     @pytest.mark.parametrize("n", [8, 101, 258])
@@ -154,7 +176,7 @@ class TestProperties:
     @pytest.mark.parametrize("n", [4, 100, 509])
     def test_parseval(self, n):
         x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-        lhs = float(np.sum(np.abs(dft(x).values) ** 2))
+        lhs = float(np.sum(np.abs(dft(x.copy()).values) ** 2))
         rhs = n * float(np.sum(np.abs(x) ** 2))
         assert abs(lhs - rhs) <= 1e-10 * rhs
 

@@ -353,6 +353,103 @@ class TestPolynomialBulks:
                               specfun.s_pair_values(1 - x))
 
 
+class TestLogGammaPsi:
+    """log Gamma(x) = P(x - 1/2) - log x and psi(x) = Q(x - 1/2) - 1/x,
+    with P and Q the Taylor polynomials of log Gamma(1+x) and psi(1+x) at
+    x = 1/2, whose coefficients are Hurwitz zeta values at 3/2."""
+
+    KERNELS = [(specfun.log_gamma_values, specfun._log_gamma_poly,
+                specfun._log_gamma_batch, "loggamma", "gammaln"),
+               (specfun.psi_values, specfun._psi_poly, specfun._psi_batch,
+                "digamma", "digamma")]
+    IDS = ["log_gamma", "psi"]
+
+    @staticmethod
+    def point_sets():
+        rng = np.random.default_rng(34)
+        yield "random", np.concatenate([1 - rng.random(400), [0.5, 1.0]])
+        for q in (10007, 305741, 10000019):
+            a = np.concatenate([[1, (q - 1) // 2, (q + 1) // 2, q - 1],
+                                rng.integers(1, q, 400)])
+            yield q, np.concatenate([a / q, [0.5, 1.0]])
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    def test_no_further_from_mpmath_than_scipy(self, kernel):
+        # the largest error at 30 digits over each set of points, with 1/q,
+        # 1/2, 1 and (q-1)/q among them, is at most scipy.special's
+        mpmath = pytest.importorskip("mpmath")
+        special = pytest.importorskip("scipy.special")
+        values, _, _, mp_name, sp_name = kernel
+        with mpmath.workdps(30):
+            for name, x in self.point_sets():
+                want = [getattr(mpmath, mp_name)(mpmath.mpf(v))
+                        for v in x.tolist()]
+
+                def worst(got):
+                    return max(abs(mpmath.mpf(g) - w)
+                               for g, w in zip(got.tolist(), want))
+                own = worst(values(x))
+                assert own <= worst(getattr(special, sp_name)(x)), name
+
+    @staticmethod
+    def exact_coefficients(mpmath, mp_name, n):
+        # log Gamma's c[k] = (-1)^k zeta(k, 3/2)/k from k = 2, after
+        # log Gamma(3/2) and psi(3/2); psi's c[k] = (-1)^(k+1) zeta(k+1, 3/2)
+        # from k = 1, after psi(3/2)
+        a = mpmath.mpf(3) / 2
+        if mp_name == "loggamma":
+            return [mpmath.loggamma(a), mpmath.digamma(a)] + [
+                (-1) ** k * mpmath.zeta(k, a) / k for k in range(2, n)]
+        return [mpmath.digamma(a)] + [(-1) ** (k + 1) * mpmath.zeta(k + 1, a)
+                                      for k in range(1, n)]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    def test_coefficients_vs_mpmath(self, kernel):
+        # each within its remainder; the constants correctly rounded
+        mpmath = pytest.importorskip("mpmath")
+        _, poly, _, mp_name, _ = kernel
+        c, r = poly()
+        with mpmath.workdps(30):
+            want = self.exact_coefficients(mpmath, mp_name, len(c))
+        head = 2 if mp_name == "loggamma" else 1
+        assert list(c[:head]) == [float(w) for w in want[:head]]
+        want = np.array([float(w) for w in want])
+        err = np.abs(np.array(c) - want)
+        assert np.all(err <= np.array(r[:len(c)]) + 4e-16 * np.abs(want))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    def test_omitted_terms_within_their_bound(self, kernel):
+        # the function at 3/2 + t, t = +-1/2, less the polynomial with the
+        # exact coefficients, at 30 digits, against r[K+1] |t|^(K+1)
+        mpmath = pytest.importorskip("mpmath")
+        _, poly, _, mp_name, _ = kernel
+        c, r = poly()
+        with mpmath.workdps(30):
+            exact = self.exact_coefficients(mpmath, mp_name, len(c))
+            for t in (mpmath.mpf(-1) / 2, mpmath.mpf(1) / 2):
+                omitted = (getattr(mpmath, mp_name)(1.5 + t)
+                           - mpmath.polyval(exact[::-1], t))
+                assert 0 < abs(omitted) <= r[len(c)] * 0.5 ** len(c)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    def test_truncation_bound_is_gated(self, monkeypatch, kernel):
+        # at x = 1, t = 1/2 exactly, the bound is sum_j r[j] (1/2)^j: the
+        # coefficients' own remainders and, at j = K+1, the omitted terms
+        values, poly, batch, _, _ = kernel
+        x = np.array([1.0])
+        c, r = poly()
+        rem = float(batch(x)[1][0])
+        assert rem == pytest.approx(
+            math.fsum(rj * 0.5**j for j, rj in enumerate(r)), rel=1e-12,
+            abs=0)
+        big = r[:-1] + (2 * specfun.TARGET_ABS_ERROR * 2 ** len(c),)
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, poly.__name__, lambda: (c, big))
+            with pytest.raises(NonConvergenceError):
+                values(x)
+        TestPolynomialBulks.gate_at(monkeypatch, values, x, rem)
+
+
 class TestBlocks:
     """cache.precompute walks a table in blocks of cache._BLOCK k: the
     values must not depend on the blocking, every block is checked, and
@@ -385,7 +482,7 @@ class TestBlocks:
     @pytest.mark.parametrize("tag", list(FunctionTag), ids=lambda t: t.value)
     def test_precompute_bitwise_equal_to_one_call(self, tag):
         # k0 is no multiple of B, and the range holds two block boundaries
-        ctx = build_context(20011)
+        ctx = build_context(40009)
         k0 = self.B // 4 + 3
         k1 = k0 + 2 * self.B + 5
         got = cache.precompute(ctx, tag, (k0, k1)).values
@@ -401,7 +498,7 @@ class TestBlocks:
         # With g = 2 the largest bound sits at the last point of the range
         # below: a = m at k = m-1 for S_PAIR, a = q-1 at k = m for T.  A
         # target just under it fails that point alone, in the third block.
-        ctx = build_context(20507)
+        ctx = build_context(40013)
         assert ctx.g == 2
         k0 = self.B // 4 + 3
         k1 = ctx.m + (tag is FunctionTag.T)
@@ -451,8 +548,7 @@ class TestBlocks:
         with pytest.raises(NonConvergenceError):
             specfun._psi_series_checked(1, x)
 
-    @pytest.mark.parametrize("tag", [FunctionTag.S_PAIR, FunctionTag.T],
-                             ids=["S_PAIR", "T"])
+    @pytest.mark.parametrize("tag", list(FunctionTag), ids=lambda t: t.value)
     def test_working_memory_does_not_grow_with_length(self, tag):
         # 200004 and 400008 values.  The points of the whole range alone
         # would take as much as the values, and the series temporaries of
