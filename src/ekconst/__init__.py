@@ -11,8 +11,8 @@ real table from one transform of half the length.
 from .cache import (CacheFormatError, ChecksumMismatchError, FunctionTag,
                     MergeError, ValueTable, closed_form_sum, load,
                     precompute, save)
-from .ek import (CharacterSumError, EKResult, compute_ek, pack,
-                 packed_spectrum, parity_ratios)
+from .ek import (CharacterSumError, EKResult, character_blocks,
+                 compute_ek, pack, packed_spectrum)
 from .fft import Spectrum, UnitRoots, dft
 from .multgroup import (DomainError, NotPrimeError, PrimeContext,
                         build_context, is_prime, primitive_root)
@@ -29,7 +29,7 @@ __all__ = [
     "FunctionTag", "GAMMA1", "LOG_2PI", "MergeError", "NonConvergenceError",
     "NotPrimeError", "OffsetSequence", "PrimeContext", "Spectrum",
     "StieltjesTable", "UnitRoots", "ValueTable", "ZETA_DD_AT_0",
-    "build_context", "closed_form_sum", "compute_ek", "dft", "gamma_n",
-    "greedy_offsets", "is_prime", "load", "pack", "packed_spectrum",
-    "parity_ratios", "precompute", "primitive_root", "save", "v_of_q",
+    "build_context", "character_blocks", "closed_form_sum", "compute_ek",
+    "dft", "gamma_n", "greedy_offsets", "is_prime", "load", "pack",
+    "packed_spectrum", "precompute", "primitive_root", "save", "v_of_q",
 ]

@@ -221,10 +221,12 @@ _BLOCK = 8192
 
 
 def precompute(ctx: PrimeContext, tag: FunctionTag,
-               k_range: tuple[int, int] | None = None) -> ValueTable:
+               k_range: tuple[int, int] | None = None,
+               out: np.ndarray | None = None) -> ValueTable:
     """Evaluate the tagged function at a_k/q over a k-range (default: full),
     in blocks of _BLOCK k, each from its residues to its values, written
-    into one preallocated array: no other array grows with the range.
+    into one array, out if given (float64, one value per k), else a new
+    one: no other array grows with the range.
 
     Deterministic given (q, g, tag, range); chunks may be computed
     independently, saved as parts and read back as one table by find.
@@ -233,7 +235,7 @@ def precompute(ctx: PrimeContext, tag: FunctionTag,
     k_lo, k_hi = k_range if k_range is not None else full_range(q, tag)
     check_range(q, tag, k_lo, k_hi)
     powers = residues(ctx, 0, min(_BLOCK, k_hi - k_lo))
-    values = np.empty(k_hi - k_lo, dtype=np.float64)
+    values = np.empty(k_hi - k_lo) if out is None else out
     for lo in range(0, k_hi - k_lo, _BLOCK):
         # both factors are below q, so the products stay below 2^63
         a = powers[:k_hi - k_lo - lo] * pow(ctx.g, k_lo + lo, q) % q

@@ -16,7 +16,8 @@ needs S only through this pair, so S(x) alone is not evaluated here.
 Series tails are accelerated with Euler-Maclaurin corrections through the
 fifth-derivative term; the first omitted term bounds the remainder, and an
 evaluation whose bound exceeds the fixed target TARGET_ABS_ERROR raises
-NonConvergenceError.  The functions of x take arrays of points only.
+NonConvergenceError.  The functions of x take arrays of points only, and
+refuse a point outside the interval their bounds hold on with DomainError.
 psi_n_values starts its series at a truncation point that depends on n and
 doubles it, point by point, until the bound meets the target.  T and
 S(x)+S(1-x) sum every term m >= 2 as one polynomial in x (in x - 1/2,
@@ -260,10 +261,19 @@ def _horner(coeffs, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _fixed_start_checked(batch, x: np.ndarray, what: str) -> np.ndarray:
-    """batch at the points x; NonConvergenceError where a point's bound
-    exceeds the target."""
-    vals, rem = batch(np.asarray(x, dtype=np.float64))
+def _fixed_start_checked(batch, x: np.ndarray, what: str,
+                         open_at_one: bool = False) -> np.ndarray:
+    """batch at the points x, which must lie in (0, 1], or in (0, 1) if
+    open_at_one: DomainError for a point outside, or a NaN, where the
+    remainder bound does not hold; NonConvergenceError where a point's
+    bound exceeds the target."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size:
+        lo, hi = x.min(), x.max()
+        if not (lo > 0 and (hi < 1 if open_at_one else hi <= 1)):
+            bound = "<" if open_at_one else "<="
+            raise DomainError(f"{what} requires 0 < x {bound} 1")
+    vals, rem = batch(x)
     worst = float(rem.max(initial=0.0))
     if not worst <= TARGET_ABS_ERROR:  # a NaN bound fails too
         raise NonConvergenceError(
@@ -345,7 +355,8 @@ def _t_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def t_values(x: np.ndarray) -> np.ndarray:
-    """T(x) = gamma1 + psi_1(x) on an array of points in (0, 1]."""
+    """T(x) = gamma1 + psi_1(x) on an array of points in (0, 1]; DomainError
+    outside it."""
     return _fixed_start_checked(_t_batch, x, "T")
 
 
@@ -397,8 +408,8 @@ def _s_pair_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def s_pair_values(x: np.ndarray) -> np.ndarray:
     """S(x) + S(1-x) on an array of points in (0, 1), from the symmetric
-    series at min(x, 1-x)."""
-    return _fixed_start_checked(_s_pair_batch, x, "S pair")
+    series at min(x, 1-x); DomainError outside it."""
+    return _fixed_start_checked(_s_pair_batch, x, "S pair", True)
 
 
 # ----------------------------------------------------------------------
@@ -491,12 +502,13 @@ def _psi_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def log_gamma_values(x: np.ndarray) -> np.ndarray:
     """log Gamma(x) = log Gamma(1+x) - log x on an array of points in
-    (0, 1]."""
+    (0, 1]; DomainError outside it."""
     return _fixed_start_checked(_log_gamma_batch, x, "log Gamma")
 
 
 def psi_values(x: np.ndarray) -> np.ndarray:
-    """psi(x) = psi(1+x) - 1/x on an array of points in (0, 1]."""
+    """psi(x) = psi(1+x) - 1/x on an array of points in (0, 1]; DomainError
+    outside it."""
     return _fixed_start_checked(_psi_batch, x, "psi")
 
 

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -31,3 +32,18 @@ def gammak_cells():
         return tables[(q, k_max)]
 
     return cells
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args, **kwargs): fn's result, and the tracemalloc peak in
+    bytes of what was allocated while it ran."""
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

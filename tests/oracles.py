@@ -9,8 +9,9 @@ division.  The exceptions are s_pair_series_direct and s_series: they sum
 their bulk term by term and their Euler-Maclaurin tails point by point,
 with library helpers for the derivatives of log(u)^n/u, and s_series
 checks its remainder bounds with the library's block check.  gamma1_closed also takes T from the library's table function.
-unpacked_bins reads bins through the library's own unpacking, which the
-oracles here check.
+parity_ratios and unpacked_bins read bins through the library's own
+unpacking and division, which the oracles here check; s_pair_buffer lays
+a table out as the library does.
 gammak_aq is the per-cell form of the library's gamma_k(a, q) table: it
 takes each psi_n at the one point a/q from the library's psi_n_values and
 applies the same binomial formula, so it checks the table's assembly over
@@ -24,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ekconst import specfun
-from ekconst.ek import parity_ratios
+from ekconst import ek, specfun
+from ekconst.fft import Spectrum
 from ekconst.multgroup import PrimeContext
 from ekconst.specfun import EULER_GAMMA, GAMMA1, LOG_2PI
 
@@ -116,11 +117,33 @@ def long_double_bins(values) -> np.ndarray:
     return fft(np.asarray(values, dtype=np.clongdouble))
 
 
-def unpacked_bins(z: np.ndarray, roots, odd: bool) -> np.ndarray:
+def parity_ratios(num: Spectrum, den: Spectrum, roots, odd: bool,
+                  scale: float, what: str) -> np.ndarray:
+    """N[i] / (scale * D[i]) for the characters i of one parity, as
+    compute_ek divides the blocks of ek.character_blocks(num, den, roots),
+    in the order of the characters: odd, index t for character 2t+1; even,
+    index t-1 for character 2t."""
+    blocks = sorted(((i, ek._ratio(a, b, scale, what)) for i, a, b in
+                     ek.character_blocks(num, den, roots) if i % 2 == odd),
+                    key=lambda block: block[0])
+    return (np.concatenate([r for _, r in blocks]) if blocks
+            else np.empty(0, dtype=complex))
+
+
+def unpacked_bins(z: Spectrum, roots, odd: bool) -> np.ndarray:
     """One parity of the transform whose packed spectrum is z, indexed as
-    ek.parity_ratios indexes it: its ratios over the all-ones spectrum,
-    the packed transform of a unit impulse, whose bins are all 1."""
-    return parity_ratios(z, np.ones_like(z), roots, odd, 1, "test")
+    parity_ratios indexes it: its ratios over the all-ones spectrum, the
+    packed transform of a unit impulse, whose bins are all 1."""
+    ones = Spectrum(np.ones(len(z), dtype=complex))
+    return parity_ratios(z, ones, roots, odd, 1, "test")
+
+
+def s_pair_buffer(s: np.ndarray) -> np.ndarray:
+    """A new real array of twice the length of the S pair values s, s in
+    its lower half, as ek.s_pair_bernoulli takes it."""
+    y = np.empty(2 * len(s))
+    y[:len(s)] = s
+    return y
 
 
 def route_s_long_double(ctx: PrimeContext, log_gamma_vals,

@@ -8,8 +8,7 @@ import numpy as np
 import oracles
 from ekconst import specfun
 from ekconst.cache import FunctionTag, closed_form_sum, precompute
-from ekconst.ek import (compute_ek, pack, packed_spectrum, parity_ratios,
-                        s_pair_bernoulli)
+from ekconst.ek import compute_ek, pack, packed_spectrum, s_pair_bernoulli
 from ekconst.fft import UnitRoots, dft
 from ekconst.multgroup import build_context
 from ekconst.offsets import greedy_offsets, v_of_q
@@ -124,14 +123,15 @@ def test_criterion_6_character_sum_oracle():
         shift = specfun.EULER_GAMMA + specfun.LOG_2PI
         roots = UnitRoots(q - 1)
         z = packed_spectrum(pack(lg.values, True), roots, "LOGGAMMA")
-        s_bern = packed_spectrum(s_pair_bernoulli(ctx, sp.values), roots,
-                                 "S_PAIR+Bernoulli")
+        s_bern = packed_spectrum(
+            s_pair_bernoulli(ctx, oracles.s_pair_buffer(sp.values)), roots,
+            "S_PAIR+Bernoulli")
         # L'/L(1,chi) - shift: for odd chi the ratio of its log Gamma sum
         # to its Bernoulli number, 1/16 of s_bern's odd bin; for even chi
         # -1/4 times the ratio of s_bern's even bin to its log Gamma sum
-        odd_vals = shift + parity_ratios(z, s_bern, roots, True, 1 / 16,
-                                         "a first chi-Bernoulli number")
-        even_vals = shift - 0.25 * parity_ratios(
+        odd_vals = shift + oracles.parity_ratios(
+            z, s_bern, roots, True, 1 / 16, "a first chi-Bernoulli number")
+        even_vals = shift - 0.25 * oracles.parity_ratios(
             s_bern, z, roots, False, 1, "an even-character log Gamma sum")
         s_by_a = oracles.s_series(np.arange(1, q) / q)
         direct = oracles.direct_l_values(ctx, lg.values, s_by_a)

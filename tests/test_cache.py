@@ -4,7 +4,6 @@ import dataclasses
 import math
 import re
 import struct
-import tracemalloc
 import types
 
 import numpy as np
@@ -207,7 +206,7 @@ class TestMerge:
         with pytest.raises(MergeError, match=re.escape(why)):
             find(tmp_path, 5, FunctionTag.LOGGAMMA)
 
-    def test_find_holds_one_table_and_one_part(self, tmp_path):
+    def test_find_holds_one_table_and_one_part(self, tmp_path, traced_peak):
         # random values: a part that is not the full range is not gated
         n, q = 1_000_002, 1000003
         values = np.random.default_rng(3).standard_normal(n)
@@ -216,12 +215,7 @@ class TestMerge:
                             k_hi=hi, values=values[lo:hi],
                             partial_sum=_exact_sum(values[lo:hi])),
                  tmp_path / part_filename(FunctionTag.T, q, lo))
-        tracemalloc.start()
-        try:
-            table, _ = find(tmp_path, q, FunctionTag.T)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (table, _), peak = traced_peak(find, tmp_path, q, FunctionTag.T)
         assert table.values.tobytes() == values.tobytes()
         # the parts and their concatenation would take 2 table sizes
         assert peak < 1.75 * values.nbytes
@@ -266,14 +260,9 @@ class TestExactSum:
         assert len(calls) == fsum_calls
         assert total == math.fsum(values.tolist())
 
-    def test_builds_no_list_of_all_values(self):
+    def test_builds_no_list_of_all_values(self, traced_peak):
         values = np.random.default_rng(1).standard_normal(200_000)
-        tracemalloc.start()
-        try:
-            _exact_sum(values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(_exact_sum, values)
         # a list of 200000 floats alone takes 6.4 MB
         assert peak < 1_000_000
 
@@ -283,17 +272,12 @@ def _header_len(data: bytes) -> int:
 
 
 class TestSaveLoad:
-    def test_save_copies_no_values(self, tmp_path):
+    def test_save_copies_no_values(self, tmp_path, traced_peak):
         values = np.random.default_rng(2).standard_normal(200_000)
         table = ValueTable(q=400009, g=2, function_tag=FunctionTag.T,
                            k_lo=0, k_hi=len(values), values=values,
                            partial_sum=_exact_sum(values))
-        tracemalloc.start()
-        try:
-            save(table, tmp_path / "t.ekc")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(save, table, tmp_path / "t.ekc")
         # one copy of the values as bytes takes 1.6 MB
         assert peak < 1_000_000
         back = load(tmp_path / "t.ekc")

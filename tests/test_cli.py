@@ -92,12 +92,15 @@ class TestCompute:
     @pytest.mark.extended
     def test_ten_million_under_two_gb(self):
         # a fresh process, so the peak RSS it reports is this run's alone.
-        # The bound is that peak as measured (269 MB on 2 cores, numpy
-        # 2.4.6) plus 10%; with scipy.special imported for log Gamma and
-        # the split holding its input, padded rows and output at once it
-        # peaked at 363 MB, with an m-length denominator beside each half's
-        # ratios at 400 MB, with a separate Bernoulli transform
-        # and an m-length twiddle held for the run at 444 MB, with the
+        # The bound is that peak as measured (193 MB on 2 cores, numpy
+        # 2.4.6) plus 10%; with each table beside its packed copy, the S
+        # pair values beside u and y, the split's output beside its input
+        # and an m-length array of ratios per half it peaked at 269 MB,
+        # with scipy.special imported for log Gamma and the split holding
+        # its input, padded rows and output at once at 363 MB, with an
+        # m-length denominator beside each half's ratios at 400 MB, with a
+        # separate Bernoulli transform and an m-length twiddle held for
+        # the run at 444 MB, with the
         # split's twiddle in row blocks at 475 MB, with two transforms per
         # table, one per parity, at 553 MB, with pocketfft's Bluestein over
         # each whole transform at 601 MB, and with an int64 array of all
@@ -106,21 +109,37 @@ class TestCompute:
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000019" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 296 * 2**10, peak_kb
+        assert peak_kb < 212 * 2**10, peak_kb
 
     @pytest.mark.extended
     def test_ten_million_with_a_prime_half_length(self):
         # q = 10000223, whose m = 5000111 is prime, so pocketfft runs each
-        # transform whole, by its own Bluestein.  A fresh process; the
-        # bound is its peak as measured (795 MB on 2 cores, numpy 2.4.6)
-        # plus 10%; with scipy.special imported and each transform out of
-        # its input's buffer it peaked at 894 MB, with a separate Bernoulli
-        # transform and an m-length twiddle at 1009 MB
+        # transform whole, by its own Bluestein, whose buffers set the
+        # peak.  A fresh process; the bound is its peak as measured (795 MB
+        # on 2 cores, numpy 2.4.6) plus 10%; with scipy.special imported
+        # and each transform out of its input's buffer it peaked at 894 MB,
+        # with a separate Bernoulli transform and an m-length twiddle at
+        # 1009 MB
         proc = run_fresh_cli(["compute", 10000223], timeout=1800)
         assert proc.returncode == 0, proc.stderr
         assert "q = 10000223" in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 875 * 2**10, peak_kb
+        assert peak_kb < 874 * 2**10, peak_kb
+
+    @pytest.mark.extended
+    def test_hundred_million_in_sixteen_bytes_per_unit_of_q(self):
+        # q = 100000007, m = 491*101833, method s.  A fresh process; the
+        # bound is its peak as measured (1587 MB on 2 cores, numpy 2.4.6),
+        # plus 10%: the route's two spectra of m complex values, 16 bytes
+        # per unit of q, and the interpreter.  With each table beside its
+        # packed copy, the S pair values beside u and y, the split's output
+        # beside its input and an m-length array of ratios per half it
+        # peaked at 2350 MB, 24 bytes per unit of q.  About 30 s
+        proc = run_fresh_cli(["compute", 100000007], timeout=1800)
+        assert proc.returncode == 0, proc.stderr
+        assert "q = 100000007" in proc.stdout
+        peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
+        assert peak_kb < 1746 * 2**10, peak_kb
 
     def test_method_both_reports_discrepancy(self, capsys):
         code, out, _ = run(capsys, "compute", "101", "--method", "both")
@@ -257,9 +276,10 @@ class TestScan:
         # tests/data holds what `ek scan 3 300` printed with these options
         # once each table's two parities came from one packed transform,
         # T and S(x)+S(1-x) summed every m >= 2 as one polynomial, the S
-        # pair values shared a packed table with the Bernoulli input, and
-        # the unit roots came from two sqrt-size tables; a change in the
-        # order of any float64 operation of the assembly shows here
+        # pair values shared a packed table with the Bernoulli input, the
+        # unit roots came from two sqrt-size tables, and each half summed
+        # its ratios per block, the block sums by math.fsum; a change in
+        # the order of any float64 operation of the assembly shows here
         code, out, _ = run(capsys, "scan", "3", "300", *options)
         assert code == 0
         with open(os.path.join(DATA, f"scan_3_300_{name}.csv"), "rb") as f:
@@ -269,7 +289,8 @@ class TestScan:
     @pytest.mark.parametrize("q", [300007, 305741])
     def test_compute_past_one_block_keeps_its_bytes(self, capsys, q, method):
         # tests/data holds what `ek compute q --method M --digits 17`
-        # printed once each parity's ratios came from one blockwise pass.
+        # printed once each parity's ratios came from one blockwise pass,
+        # summed as they came, block by block.
         # Unlike those of `ek scan 3 300`, these m = 3^2*7*2381 (odd) and
         # 2*5*15287 (even) are split by dft, their unit roots are formed
         # per block, and each parity spans more than one block of bins
@@ -323,8 +344,12 @@ class TestCacheCommands:
     @pytest.mark.extended
     def test_ten_million_both_methods_from_a_full_cache(self, tmp_path):
         # the four tables on disk, then a fresh ek compute whose ru_maxrss
-        # is its own peak.  The bound is that peak as measured (268 MB
-        # on 2 cores, numpy 2.4.6) plus 10%; the split holding its input,
+        # is its own peak.  The bound is that peak as measured (261 MB
+        # on 2 cores, numpy 2.4.6) plus 10%: the T spectrum, then the PSI
+        # table as loaded beside the transform buffer it is copied into.
+        # With each table beside its packed copy, the split's output beside
+        # its input and an m-length array of ratios per half it peaked at
+        # 268 MB, the split holding its input,
         # padded rows and output at once peaked at 339 MB, an m-length
         # denominator beside each half's ratios at 376 MB, a separate Bernoulli
         # transform and an m-length twiddle at 457 MB, the split's twiddle in
@@ -342,7 +367,7 @@ class TestCacheCommands:
         assert proc.returncode == 0, proc.stderr
         assert "method_discrepancy = " in proc.stdout
         peak_kb = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
-        assert peak_kb < 296 * 2**10, peak_kb
+        assert peak_kb < 287 * 2**10, peak_kb
 
     def test_precompute_merge_checksum_flow(self, capsys, tmp_path):
         cache = str(tmp_path)

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,11 +13,11 @@ import ekconst
 from ekconst import ek, fft, specfun
 from ekconst.cache import (ChecksumMismatchError, FunctionTag, ValueTable,
                            precompute)
-from ekconst.ek import (METHOD_TAGS, CharacterSumError, _half, compute_ek,
-                        pack, packed_spectrum, parity_ratios,
+from ekconst.ek import (METHOD_TAGS, CharacterSumError, _Half, _ratio,
+                        character_blocks, compute_ek, pack, packed_spectrum,
                         s_pair_bernoulli)
 from ekconst.fft import UnitRoots, dft
-from ekconst.multgroup import build_context, residues
+from ekconst.multgroup import build_context, factorize, residues
 from ekconst.specfun import EULER_GAMMA
 from reference_values import EK, EK_PLUS, MQ
 
@@ -45,9 +44,9 @@ def calls(monkeypatch):
     seen = []
     real_precompute, real_dft = ek.cache_mod.precompute, ek.dft
 
-    def precompute_(ctx, tag, *args):
+    def precompute_(ctx, tag, *args, **kwargs):
         seen.append(tag.value)
-        return real_precompute(ctx, tag, *args)
+        return real_precompute(ctx, tag, *args, **kwargs)
 
     def dft_(x):
         seen.append("dft")
@@ -67,8 +66,9 @@ def spectra(ctx, *tables):
     def packed(table):
         tag = table.function_tag
         if tag is FunctionTag.S_PAIR:
-            return packed_spectrum(s_pair_bernoulli(ctx, table.values),
-                                   roots, "S_PAIR+Bernoulli")
+            y = oracles.s_pair_buffer(table.values)
+            return packed_spectrum(s_pair_bernoulli(ctx, y), roots,
+                                   "S_PAIR+Bernoulli")
         return packed_spectrum(
             pack(table.values, tag is FunctionTag.LOGGAMMA), roots,
             tag.value)
@@ -87,20 +87,20 @@ def s_terms(z, s_bern, roots):
     """Route s's odd and even terms L'/L(1,chi) - (gamma + log 2 pi), as
     compute_ek forms them from the packed log Gamma spectrum z and the S
     pair and Bernoulli spectrum s_bern."""
-    odd = parity_ratios(z, s_bern, roots, True, 1 / 16,
-                        "a first chi-Bernoulli number")
-    even = parity_ratios(s_bern, z, roots, False, 1,
-                         "an even-character log Gamma sum")
+    odd = oracles.parity_ratios(
+        z, s_bern, roots, True, 1 / 16, "a first chi-Bernoulli number")
+    even = oracles.parity_ratios(
+        s_bern, z, roots, False, 1, "an even-character log Gamma sum")
     even *= -0.25
     return odd, even
 
 
 def t_values(q, t, psi, roots, odd):
     """Route t's L'/L(1,chi) for the characters of one parity, indexed as
-    parity_ratios indexes them: -log q - r, r the ratio of sum_a chi(a)
-    T(a/q) to sum_a chi(a) psi(a/q), the conjugate of the ratio of the
-    bins."""
-    r = parity_ratios(t, psi, roots, odd, 1, "a psi sum")
+    oracles.parity_ratios indexes them: -log q - r, r the ratio of
+    sum_a chi(a) T(a/q) to sum_a chi(a) psi(a/q), the conjugate of the
+    ratio of the bins."""
+    r = oracles.parity_ratios(t, psi, roots, odd, 1, "a psi sum")
     return -math.log(q) - np.conj(r)
 
 
@@ -213,15 +213,20 @@ class TestStructuralIdentities:
         ctx = build_context(10007)
         caches = method_tables(ctx, "s")
         compute_ek(ctx, caches.get, method="s")  # correctly paired, it passes
-        ratios = ek.parity_ratios
+        blocks = ek.character_blocks
 
-        def mispaired(num, den, roots, odd, scale, what):
-            if "Bernoulli" not in what:
-                return ratios(num, den, roots, odd, scale, what)
-            bins = np.roll(oracles.unpacked_bins(den, roots, odd), 1)
-            return oracles.unpacked_bins(num, roots, odd) / (scale * bins)
+        def mispaired(a, b, roots):
+            odd = []
+            for i, fa, fb in blocks(a, b, roots):
+                if i % 2:
+                    odd.append((i, fa, fb))
+                else:
+                    yield i, fa, fb
+            odd.sort(key=lambda block: block[0])
+            yield (1, np.concatenate([fa for _, fa, _ in odd]),
+                   np.roll(np.concatenate([fb for _, _, fb in odd]), 1))
 
-        monkeypatch.setattr(ek, "parity_ratios", mispaired)
+        monkeypatch.setattr(ek, "character_blocks", mispaired)
         with pytest.raises(CharacterSumError,
                            match="imaginary residue .* exceeds its float64 "
                                  "budget"):
@@ -247,8 +252,8 @@ class TestStructuralIdentities:
             if len(seen) - 1 != call:
                 return dft(x)
             if mutation == "roll":
-                return fft.Spectrum(values=np.roll(dft(x).values, 1))
-            return fft.Spectrum(values=np.conj(dft(np.conj(x)).values))
+                return fft.Spectrum(np.roll(np.asarray(dft(x).values), 1))
+            return fft.Spectrum(np.conj(np.asarray(dft(np.conj(x)).values)))
 
         monkeypatch.setattr(ek, "dft", mutated_dft)
         with pytest.raises(CharacterSumError,
@@ -264,7 +269,9 @@ class TestStructuralIdentities:
         # gate must ask for a finite sum first
         terms = np.array([1.0 + 0.5j, 1.0 - 0.5j, bad])
         with pytest.raises(CharacterSumError, match="not finite"):
-            _half(101, terms, 0.0, 0.0, "test sum")
+            half = _Half(0.0)
+            half.add(terms)
+            half.result(101, 0.0, "test sum")
 
     def test_first_bernoulli_nonzero(self, small_contexts):
         for ctx in small_contexts.values():
@@ -584,24 +591,47 @@ class TestTransformContract:
                          "both": s_route + t_route}[method]
 
     @pytest.mark.parametrize("odd", [True, False])
-    def test_a_half_holds_one_array_of_m_values(self, odd, monkeypatch):
-        # at q = 100003, m = 50001: the ratio pass and _half allocate the
-        # half's one array of ratios, and temporaries of one block each,
-        # here of 2^10 bins.  A denominator array beside the ratios, or an
-        # array of their moduli, would exceed the bound
+    def test_a_half_holds_one_array_of_m_values(self, odd, monkeypatch,
+                                                traced_peak):
+        # at q = 100003, m = 50001 = 3*7*2381, whose spectra dft leaves in
+        # its split order: a half holds at most one array of m values, and
+        # in fact none, since route s's one pass over both halves
+        # allocates temporaries of one block each, here of 2^10 bins,
+        # about a dozen of them at once.  An array of the half's m/2
+        # ratios (25 blocks), or of their moduli, would exceed the bound
         ctx = build_context(100003)
         roots, z, s_bern = spectra(ctx, *tables(ctx))
-        num, den, scale = (z, s_bern, 1 / 16) if odd else (s_bern, z, 1)
+        assert z.rows == s_bern.rows == 21
         monkeypatch.setattr(ek, "_BLOCK", 1 << 10)
-        tracemalloc.start()
-        try:
-            terms = parity_ratios(num, den, roots, odd, scale, "test")
-            _half(ctx.q, terms, 0.0, 0.0, "test sum")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= terms.nbytes + 8 * ek._BLOCK * 16, peak
-        assert len(terms) >= ctx.m - 1
+        half, sizes = _Half(0.0), []
+
+        def ratio_pass():
+            for i, f_lg, f_sb in character_blocks(z, s_bern, roots):
+                if i % 2 == odd:
+                    sizes.append(len(f_lg))
+                    half.add(_ratio(f_lg, f_sb, 1 / 16, "test") if odd
+                             else _ratio(f_sb, f_lg, 1, "test"))
+
+        _, peak = traced_peak(ratio_pass)
+        assert peak <= 16 * ek._BLOCK * 16, peak
+        assert sum(sizes) == ctx.m - (not odd)  # every character's ratio
+
+    @pytest.mark.parametrize("method", ["s", "t", "both"])
+    def test_a_compute_holds_two_arrays_of_m_values(self, method,
+                                                    traced_peak):
+        # at q = 1000003, m = 3*166667, which dft splits: each table is
+        # evaluated into its transform buffer and transformed there, so
+        # at most the two spectra of a route, of m complex values each,
+        # are alive at once, beside temporaries of a block each, the unit
+        # roots and the split's root tables.  A table beside its packed
+        # copy, the S pair values beside u and y, or a third array in the
+        # split or in a ratio pass, would exceed the bound by an array of
+        # at least m/2 complex values
+        compute_ek(build_context(101), method=method)  # per-process costs
+        ctx = build_context(1000003)
+        assert 300 < max(factorize(ctx.m)) < ctx.m
+        _, peak = traced_peak(compute_ek, ctx, method=method)
+        assert peak <= 2 * 16 * ctx.m + 16 * ek._BLOCK * 16, peak
 
     @pytest.mark.parametrize("method", ["s", "t", "both"])
     def test_one_twiddle_per_route(self, method, monkeypatch):

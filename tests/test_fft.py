@@ -1,7 +1,6 @@
 """Transforms: definition spot checks, oracle equivalence, decimation."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -84,7 +83,8 @@ class TestPrimeFactorSplit:
         x = RNG.standard_normal(n)
         if kind == "complex":
             x = x + 1j * RNG.standard_normal(n)
-        err = np.max(np.abs(dft(x.copy()).values - oracles.naive_dft(x, -1)))
+        err = np.max(np.abs(dft(x.copy()).bins(0, n)
+                            - oracles.naive_dft(x, -1)))
         assert err <= 1e-12 * float(np.sum(np.abs(x)))
         assert split_calls == ([n] if split else [])
 
@@ -103,7 +103,7 @@ class TestPrimeFactorSplit:
         if kind == "complex":
             x = x + 1j * RNG.standard_normal(n)
         ref = any_precision_fft(x.astype(np.clongdouble))
-        got = _max_rel_error(dft(x.copy()).values, ref)
+        got = _max_rel_error(dft(x.copy()).bins(0, n), ref)
         assert split_calls == [n]
         assert got <= 2 * _max_rel_error(np.fft.fft(x), ref)
 
@@ -126,24 +126,52 @@ class TestPrimeFactorSplit:
 
     # 2*5*15287, 7*67*1523 and 2^4*5*13*1009: r = 10, 469 and 1040 rows
     @pytest.mark.parametrize("n", [152870, 714287, 1049360])
-    def test_a_split_allocates_one_array_of_its_length(self, split_calls, n):
-        # the columns and the twiddle run in the input's buffer, so beside
-        # the output only the two root tables are allocated: r*(c + g)
+    def test_a_split_allocates_only_its_root_tables(self, split_calls, n,
+                                                    traced_peak):
+        # the columns, the twiddle and the rows all run in the input's
+        # buffer, so only the two root tables are allocated: r*(c + g)
         # roots, g = ceil(p/c), at most 8 times their own bytes with their
-        # integer and real phases.  A padded copy of the rows adds n more
+        # integer and real phases.  An output array, or numpy's copy of a
+        # twiddle view of more than one row, adds up to n more
         p = max(multgroup.factorize(n))
         r, c = n // p, math.isqrt(p) + 1
         roots = 16 * r * (c + -(-p // c))
         dft(np.zeros(n, dtype=complex))     # per-process first-call costs
         x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-        tracemalloc.start()
-        try:
-            dft(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(dft, x)
         assert split_calls == [n, n]
-        assert peak <= x.nbytes + 8 * roots, (peak, x.nbytes, roots)
+        assert peak <= 8 * roots, (peak, x.nbytes, roots)
+
+    @staticmethod
+    def _split_order(natural, r):
+        # a Spectrum of r rows holding natural-order bins as dft leaves
+        # them, bin r*j1 + j2 at buffer[j2*(n/r) + j1]
+        return fft.Spectrum(natural.reshape(-1, r).T.copy().reshape(-1), r)
+
+    @pytest.mark.parametrize("r", [7, 1000])
+    def test_bins_read_any_run_in_natural_order(self, r):
+        n = 13 * r
+        natural = np.arange(n) * (1 + 1j)
+        spec = self._split_order(natural, r)
+        runs = [(0, 0), (n, n), (0, n), (1, 2), (r - 1, r + 1), (r, 2 * r),
+                (2, r - 3), (r + 5, 4 * r + 5), (3 * r, n), (n - 1, n),
+                (r // 2, n - r // 2)]
+        for lo, hi in runs:
+            assert np.array_equal(spec.bins(lo, hi), natural[lo:hi]), (lo, hi)
+        assert len(spec) == len(spec.values) == n
+        assert np.array_equal(np.asarray(spec.values), natural)
+        with pytest.raises(TypeError):
+            spec.values[0]              # the buffer's order is not exposed
+
+    def test_bins_cost_their_length_whatever_the_rows(self, traced_peak):
+        # 50000 rows of 3: a run of 100 bins lies in one or two columns of
+        # 50000 values, of which only the 100 are copied
+        r = 50000
+        spec = self._split_order(np.arange(3 * r, dtype=complex), r)
+        for lo in (10, r - 50, 2 * r - 100):
+            run, peak = traced_peak(spec.bins, lo, lo + 100)
+            assert np.array_equal(run, np.arange(lo, lo + 100))
+            assert peak <= 16 * 100 + 1024, (lo, peak)
 
     def test_no_length_below_the_least_split_is_factorised(
             self, split_calls, monkeypatch):
@@ -257,6 +285,16 @@ class TestDecimation:
         for centre in (False, True):
             with pytest.raises(ValueError, match="length must be even"):
                 pack(np.zeros(5), centre)
+
+    def test_pack_converts_and_leaves_its_input(self):
+        f = np.arange(4)
+        assert np.array_equal(pack(f), [1j, 2 + 3j])
+        assert np.array_equal(pack([0, 1, 2, 3], True),
+                              [-1.5 - 0.5j, 0.5 + 1.5j])
+        g = f.astype(float)
+        pack(g, True)
+        assert np.array_equal(f, np.arange(4))
+        assert np.array_equal(g, np.arange(4.0))
 
     @pytest.mark.parametrize("q", oracles.odd_primes_up_to(101))
     def test_bin_equivalence_all_primes_to_101(self, q):

@@ -90,7 +90,8 @@ def test_packed_parities_against_long_double(q, tag):
     ctx = build_context(q)
     roots = UnitRoots(q - 1)
     if tag == "S_PAIR+Bernoulli":
-        z = s_pair_bernoulli(ctx, precompute(ctx, FunctionTag.S_PAIR).values)
+        z = s_pair_bernoulli(ctx, oracles.s_pair_buffer(
+            precompute(ctx, FunctionTag.S_PAIR).values))
         f = z.view(float).copy()
     else:
         f = precompute(ctx, FunctionTag(tag)).values

@@ -1,7 +1,6 @@
 """Special-function layer: spot values, invariants, and error contracts."""
 
 import math
-import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 import oracles
 from ekconst import cache, specfun
 from ekconst.cache import FunctionTag
-from ekconst.multgroup import build_context, residues
+from ekconst.multgroup import DomainError, build_context, residues
 from ekconst.specfun import (EULER_GAMMA, GAMMA1, LOG_2PI, ZETA_DD_AT_0,
                              NonConvergenceError, gamma_n, psi_n_values)
 from oracles import psi_n_at
@@ -549,18 +548,14 @@ class TestBlocks:
             specfun._psi_series_checked(1, x)
 
     @pytest.mark.parametrize("tag", list(FunctionTag), ids=lambda t: t.value)
-    def test_working_memory_does_not_grow_with_length(self, tag):
+    def test_working_memory_does_not_grow_with_length(self, tag,
+                                                      traced_peak):
         # 200004 and 400008 values.  The points of the whole range alone
         # would take as much as the values, and the series temporaries of
         # one call over them 24 and 37 MB
         ctx = build_context(400009)
         cache.precompute(ctx, tag, (0, 10))    # per-process coefficients
-        tracemalloc.start()
-        try:
-            table = cache.precompute(ctx, tag)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        table, peak = traced_peak(cache.precompute, ctx, tag)
         assert peak < table.values.nbytes + 2 * 2**20
 
 
@@ -622,6 +617,41 @@ class TestPsiNValues:
         for bad in (0.0, 1.5, math.nan):
             with pytest.raises(ValueError):
                 psi_n_values(2, np.array([0.5, bad]))
+
+
+class TestDomains:
+    """The polynomial kernels' remainder bounds hold for 0 < x <= 1 only
+    (0 < x < 1 for S(x)+S(1-x)), so a point outside is refused before any
+    value is formed, as psi_n_values refuses one."""
+
+    CLOSED = [specfun.log_gamma_values, specfun.psi_values, specfun.t_values]
+    IDS = ["log_gamma", "psi", "t"]
+
+    @pytest.mark.parametrize("kernel", CLOSED, ids=IDS)
+    @pytest.mark.parametrize("bad", [3.0, 1.5, 1.0 + 2**-52, 0.0, -0.5,
+                                     math.nan, math.inf])
+    def test_closed_kernels_refuse_points_outside_zero_one(self, kernel,
+                                                           bad):
+        with pytest.raises(DomainError, match=r"requires 0 < x <= 1"):
+            kernel(np.array([0.5, bad, 0.25]))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, 0.0, -0.5, math.nan])
+    def test_s_pair_refuses_points_outside_the_open_interval(self, bad):
+        with pytest.raises(DomainError, match=r"requires 0 < x < 1"):
+            specfun.s_pair_values(np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("kernel", CLOSED + [specfun.s_pair_values],
+                             ids=IDS + ["s_pair"])
+    def test_the_ends_and_no_points_are_accepted(self, kernel):
+        top = 1.0 if kernel is not specfun.s_pair_values else 1 - 2**-53
+        assert np.all(np.isfinite(kernel(np.array([1e-300, 0.5, top]))))
+        assert kernel(np.array([])).size == 0
+
+    def test_log_gamma_at_three_is_refused_not_wrong(self):
+        # the polynomial at t = 5/2 gave 634466.34 for log Gamma(3) = 0.693
+        # and passed its remainder gate
+        with pytest.raises(DomainError):
+            specfun.log_gamma_values(np.array([3.0]))
 
 
 class TestGammaN:
